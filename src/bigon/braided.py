@@ -17,30 +17,36 @@ from .hopf import (
     OqElement,
     OqTensor,
     antipode,
+    coproduct,
     coproduct_word,
     co_r,
     multiply,
     normal_word,
     rho_word,
 )
-from .ring import ONE, ZERO
+from .ring import ONE, Combination, add_to
 
 _RHO_KINDS = {"standard": "rho", "mirror": "mirror"}
 
 
-class BraidedElement:
+class BraidedElement(Combination):
     """A sum of leg tuples (normal-form words) with Laurent coefficients."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ()
+
+    frame_name = "arity"
 
     def __init__(self, arity, terms=None):
-        self.arity = arity
-        self.terms = {}
-        for legs, c in (terms or {}).items():
-            if len(legs) != arity:
-                raise ValueError("leg tuple %r does not have arity %d" % (legs, arity))
-            if c:
-                self.terms[legs] = c
+        super().__init__(terms, arity)
+
+    @property
+    def arity(self):
+        return self.frame
+
+    def _key(self, legs):
+        if len(legs) != self.frame:
+            raise ValueError("leg tuple %r does not have arity %d" % (legs, self.frame))
+        return legs
 
     @classmethod
     def unit(cls, arity):
@@ -55,38 +61,9 @@ class BraidedElement:
             nxt = {}
             for done, c in out.items():
                 for w, d in normal_word(leg):
-                    key = done + (w,)
-                    s = nxt.get(key, ZERO) + c * d
-                    if s:
-                        nxt[key] = s
-                    elif key in nxt:
-                        del nxt[key]
+                    add_to(nxt, done + (w,), c * d)
             out = nxt
         return cls(len(legs), out)
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, ZERO) + c
-            if s:
-                terms[k] = s
-            elif k in terms:
-                del terms[k]
-        return BraidedElement(self.arity, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, coeff):
-        return BraidedElement(self.arity, {k: c * coeff for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BraidedElement)
-            and (self.arity, self.terms) == (other.arity, other.terms)
-        )
 
     def __repr__(self):
         bits = []
@@ -98,7 +75,8 @@ class BraidedElement:
 
 @functools.lru_cache(maxsize=None)
 def _block_coproduct(words):
-    """Leg-wise coaction of a block: {(split block, tail word): coeff}.
+    """Leg-wise coaction of a block, as a sorted tuple of
+    ((split block, tail word), coeff).
 
     The tail is the product of the per-leg coproduct tails taken in leg
     order, already in normal form.
@@ -109,48 +87,37 @@ def _block_coproduct(words):
         for (block, tail), c in acc.items():
             for (w1, w2), d in coproduct_word(w):
                 for merged, e in normal_word(tail + w2):
-                    key = (block + (w1,), merged)
-                    s = nxt.get(key, ZERO) + c * d * e
-                    if s:
-                        nxt[key] = s
-                    elif key in nxt:
-                        del nxt[key]
+                    add_to(nxt, (block + (w1,), merged), c * d * e)
         acc = nxt
-    return acc
+    return tuple(sorted(acc.items()))
 
 
 @functools.lru_cache(maxsize=None)
 def _mul_legs(xlegs, ylegs, kind):
-    """Product of two single leg tuples: {leg tuple: coeff}."""
+    """Product of two single leg tuples, as a sorted tuple of (leg tuple, coeff)."""
     if not xlegs:
-        return {(): ONE}
+        return (((), ONE),)
     if len(xlegs) == 1:
-        return {(w,): c for w, c in normal_word(xlegs[0] + ylegs[0])}
+        return tuple(((w,), c) for w, c in normal_word(xlegs[0] + ylegs[0]))
     x1, xrest = xlegs[0], xlegs[1:]
     y1, yrest = ylegs[0], ylegs[1:]
     out = {}
     # slide the whole tail block of x leftwards past the first leg of y,
     # paying the co-R weight of the exchanged coproduct tails
-    for (block, uw), cu in _block_coproduct(xrest).items():
+    for (block, uw), cu in _block_coproduct(xrest):
         for (y1p, vw), cv in coproduct_word(y1):
             weight = rho_word(uw, vw, kind)
             if not weight:
                 continue
             weight = weight * cu * cv
             for first, cf in normal_word(x1 + y1p):
-                for rest, cr in _mul_legs(block, yrest, kind).items():
-                    key = (first,) + rest
-                    s = out.get(key, ZERO) + weight * cf * cr
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-    return out
+                for rest, cr in _mul_legs(block, yrest, kind):
+                    add_to(out, (first,) + rest, weight * cf * cr)
+    return tuple(sorted(out.items()))
 
 
 def braided_product(x, y, rho_variant="standard"):
-    if x.arity != y.arity:
-        raise ValueError("arity mismatch: %d vs %d" % (x.arity, y.arity))
+    x._check_frame(y)
     if rho_variant not in _RHO_KINDS:
         raise ValueError("rho_variant must be one of %s" % sorted(_RHO_KINDS))
     kind = _RHO_KINDS[rho_variant]
@@ -158,13 +125,9 @@ def braided_product(x, y, rho_variant="standard"):
     for xlegs, cx in x.terms.items():
         for ylegs, cy in y.terms.items():
             cxy = cx * cy
-            for legs, c in _mul_legs(xlegs, ylegs, kind).items():
-                s = terms.get(legs, ZERO) + cxy * c
-                if s:
-                    terms[legs] = s
-                elif legs in terms:
-                    del terms[legs]
-    return BraidedElement(x.arity, terms)
+            for legs, c in _mul_legs(xlegs, ylegs, kind):
+                add_to(terms, legs, cxy * c)
+    return x._with(terms)
 
 
 def polygon_split(n, x, cut):
@@ -190,12 +153,7 @@ def polygon_split(n, x, cut):
     for legs, c in x.terms.items():
         head, mid, tail = legs[:cut], legs[cut], legs[cut + 1 :]
         for (m1, m2), d in coproduct_word(mid):
-            key = (head + (m2,), (m1,) + tail)
-            s = acc.get(key, ZERO) + c * d
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
+            add_to(acc, (head + (m2,), (m1,) + tail), c * d)
     return [
         (BraidedElement(cut + 1, {left: coeff}), BraidedElement(n - 1 - cut, {right: ONE}))
         for (left, right), coeff in acc.items()
@@ -213,16 +171,7 @@ def trivial_coaction(x):
 
 def standard_coaction(x):
     """The coproduct viewed as a right coaction."""
-    out = {}
-    for w, c in x.terms.items():
-        for (w1, w2), d in coproduct_word(w):
-            key = (w1, w2)
-            s = out.get(key, ZERO) + c * d
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return OqTensor(out)
+    return coproduct(x)
 
 
 def antipode_flip_coaction(x):
@@ -231,12 +180,7 @@ def antipode_flip_coaction(x):
     for w, c in x.terms.items():
         for (w1, w2), d in coproduct_word(w):
             for sw, e in antipode(OqElement.from_word(w1)).terms.items():
-                key = (w2, sw)
-                s = out.get(key, ZERO) + c * d * e
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                add_to(out, (w2, sw), c * d * e)
     return OqTensor(out)
 
 
@@ -245,10 +189,7 @@ def _triple_coproduct_word(w):
     out = {}
     for (w1, rest), c in coproduct_word(w):
         for (w2, w3), d in coproduct_word(rest):
-            key = (w1, w2, w3)
-            s = out.get(key, ZERO) + c * d
-            if s:
-                out[key] = s
+            add_to(out, (w1, w2, w3), c * d)
     return tuple(out.items())
 
 
@@ -259,12 +200,7 @@ def adjoint_coaction(x):
         for (w1, w2, w3), d in _triple_coproduct_word(w):
             wing = multiply(antipode(OqElement.from_word(w1)), OqElement.from_word(w3))
             for uw, e in wing.terms.items():
-                key = (w2, uw)
-                s = out.get(key, ZERO) + c * d * e
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                add_to(out, (w2, uw), c * d * e)
     return OqTensor(out)
 
 

@@ -19,7 +19,7 @@ order, so the holonomy is the reversed matrix product.  Tokens:
 
 The trace of a stated arc with holonomy [[a, b], [c, d]] reads off the state
 table (start state chooses the column, end state the row): (+,+) -> c,
-(+,-) -> d, (-,+) -> -a, (-,-) -> -b.
+(+,-) -> -a, (-,+) -> d, (-,-) -> -b.
 """
 
 import itertools

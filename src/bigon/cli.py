@@ -44,7 +44,7 @@ from .qtorus import (
     quantum_trace,
     triangle_element,
 )
-from .ring import ONE, ZERO, HalfLaurent, format_qform, half, parse_vform, q_power
+from .ring import ONE, HalfLaurent, add_to, format_qform, half, parse_vform, q_power
 from .tangle import (
     SlicedTangle,
     TangleError,
@@ -292,13 +292,7 @@ def parse_leg_terms(text):
         for leg in legs:
             if any(letter not in GENERATORS for letter in leg):
                 raise ExpressionError("bad leg word %r" % leg, i)
-        key = legs
-        prev = terms.get(key, ZERO)
-        total = prev + (coeff if sign > 0 else -coeff)
-        if total:
-            terms[key] = total
-        elif key in terms:
-            del terms[key]
+        add_to(terms, legs, coeff if sign > 0 else -coeff)
         sign = 1
         expect_term = False
         i = close + 1
@@ -478,12 +472,10 @@ def _st_coassociativity():
         right = {}
         for (w1, w2), c in coproduct_word(w):
             for (u1, u2), c1 in coproduct_word(w1):
-                key = (u1, u2, w2)
-                left[key] = left.get(key, ZERO) + c * c1
+                add_to(left, (u1, u2, w2), c * c1)
             for (u1, u2), c2 in coproduct_word(w2):
-                key = (w1, u1, u2)
-                right[key] = right.get(key, ZERO) + c * c2
-        assert {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
+                add_to(right, (w1, u1, u2), c * c2)
+        assert left == right
 
 
 def _st_counit_antipode():
@@ -555,7 +547,7 @@ def _st_transmutation_square():
 
 
 def _st_corner_arcs():
-    from .qtorus import TRIANGLE, qt_invert
+    from .qtorus import qt_invert
 
     for corner in range(3):
         plus = corner_arc_image(StatedCornerArc(corner, ("+", "+")))
@@ -751,7 +743,7 @@ def main(argv=None):
     except CliError as err:
         print("error: %s" % err, file=sys.stderr)
         return err.code
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
     if text:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .ring import HalfLaurent, ONE, ZERO, divexact, q_factorial, q_power
+from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, q_factorial, q_power
 
 GENERATORS = "abcd"
 
@@ -56,11 +56,7 @@ def normal_word(word):
         acc = {}
         for coeff, repl in rule:
             for mono, c in normal_word(word[:i] + repl + word[i + 2 :]):
-                s = acc.get(mono, ZERO) + coeff * c
-                if s:
-                    acc[mono] = s
-                elif mono in acc:
-                    del acc[mono]
+                add_to(acc, mono, coeff * c)
         return tuple(sorted(acc.items()))
     return ((word, ONE),)
 
@@ -92,7 +88,7 @@ def word_weight(word):
     return r, s
 
 
-class OqElement:
+class OqElement(Combination):
     """A finite R-linear combination of normal-form basis words.
 
     Immutable by convention.  `terms` maps basis word -> HalfLaurent; no zero
@@ -101,10 +97,7 @@ class OqElement:
     side.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
     def unit(cls, coeff=ONE):
@@ -126,26 +119,6 @@ class OqElement:
             out[mono] = coeff * c
         return cls(out)
 
-    def __add__(self, other):
-        if not isinstance(other, OqElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return OqElement(out)
-
-    def __neg__(self):
-        return OqElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, OqElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (HalfLaurent, int)):
             return self.scale(other)
@@ -156,35 +129,13 @@ class OqElement:
             for w2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for mono, c in normal_word(w1 + w2):
-                    s = out.get(mono, ZERO) + c12 * c
-                    if s:
-                        out[mono] = s
-                    elif mono in out:
-                        del out[mono]
-        return OqElement(out)
+                    add_to(out, mono, c12 * c)
+        return self._with(out)
 
     def __rmul__(self, other):
         if isinstance(other, (HalfLaurent, int)):
             return self.scale(other)
         return NotImplemented
-
-    def scale(self, coeff):
-        coeff = _as_scalar(coeff)
-        return OqElement({w: coeff * c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, OqElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_scalar(self):
-        return set(self.terms) <= {""}
 
     def weight(self):
         """The common (left, right) weight, or None if inhomogeneous."""
@@ -232,47 +183,24 @@ def coproduct_word(word):
         nxt = {}
         for (w1, w2), c in pairs.items():
             for u, v in _DELTA[ch]:
-                key = (w1 + u, w2 + v)
-                nxt[key] = nxt.get(key, ZERO) + c
+                add_to(nxt, (w1 + u, w2 + v), c)
         pairs = nxt
     acc = {}
     for (w1, w2), c in pairs.items():
         for m1, c1 in normal_word(w1):
             for m2, c2 in normal_word(w2):
-                key = (m1, m2)
-                s = acc.get(key, ZERO) + c * c1 * c2
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
+                add_to(acc, (m1, m2), c * c1 * c2)
     return tuple(sorted(acc.items()))
 
 
-class OqTensor:
+class OqTensor(Combination):
     """Two-leg tensors over the algebra, with the componentwise product."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return OqTensor(out)
-
-    def __sub__(self, other):
-        return self + OqTensor({k: -c for k, c in other.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, (HalfLaurent, int)):
-            other = _as_scalar(other)
-            return OqTensor({k: c * other for k, c in self.terms.items()})
+            return self.scale(other)
         out = {}
         for (x1, y1), c1 in self.terms.items():
             for (x2, y2), c2 in other.terms.items():
@@ -280,18 +208,10 @@ class OqTensor:
                 for m1, d1 in normal_word(x1 + x2):
                     cm = c12 * d1
                     for m2, d2 in normal_word(y1 + y2):
-                        key = (m1, m2)
-                        s = out.get(key, ZERO) + cm * d2
-                        if s:
-                            out[key] = s
-                        elif key in out:
-                            del out[key]
-        return OqTensor(out)
+                        add_to(out, (m1, m2), cm * d2)
+        return self._with(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, OqTensor) and self.terms == other.terms
 
     def __repr__(self):
         bits = []
@@ -304,11 +224,7 @@ def coproduct(x):
     out = {}
     for w, c in x.terms.items():
         for key, d in coproduct_word(w):
-            s = out.get(key, ZERO) + c * d
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            add_to(out, key, c * d)
     return OqTensor(out)
 
 
@@ -370,12 +286,7 @@ def reduce_bigon(x):
         h, letter, k, l = mono_parts(w)
         if k:
             continue
-        e = h - l
-        s = out.get(e, ZERO) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
+        add_to(out, h - l, c)
     return out
 
 
@@ -441,9 +352,10 @@ def _is_convolution_inverse(table):
             total = ZERO
             for u1, v1 in _DELTA[g1]:
                 for u2, v2 in _DELTA[g2]:
-                    lhs = _RHO_TABLE.get((u1, u2), ZERO)
-                    rhs = table.get((v1, v2), ZERO)
-                    total = total + lhs * rhs
+                    lhs = _RHO_TABLE.get((u1, u2))
+                    rhs = table.get((v1, v2))
+                    if lhs and rhs:
+                        total = total + lhs * rhs
             expected = counit_word(g1) * counit_word(g2)
             if total != expected:
                 return False
@@ -486,7 +398,7 @@ def rho_word(w1, w2, kind="rho"):
     if not w1 or not w2:
         val = counit_word(w1) * counit_word(w2)
     elif len(w1) == 1 and len(w2) == 1:
-        val = _generator_table(kind).get((w1, w2), ZERO)
+        val = _generator_table(kind).get((w1, w2)) or ZERO
     elif len(w1) > 1:
         g, rest = w1[0], w1[1:]
         total = ZERO
@@ -512,9 +424,7 @@ def rho_word(w1, w2, kind="rho"):
     return val
 
 
-def co_r(x, y, inverse=False):
-    """Bilinear braiding form on two elements; `inverse` selects the inverse form."""
-    kind = "bar" if inverse else "rho"
+def _bilinear_form(x, y, kind):
     total = ZERO
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
@@ -522,13 +432,14 @@ def co_r(x, y, inverse=False):
     return total
 
 
+def co_r(x, y, inverse=False):
+    """Bilinear braiding form on two elements; `inverse` selects the inverse form."""
+    return _bilinear_form(x, y, "bar" if inverse else "rho")
+
+
 def co_r_mirror(x, y):
     """The mirror braiding form: inverse form with swapped arguments."""
-    total = ZERO
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            total = total + c1 * c2 * rho_word(w1, w2, "mirror")
-    return total
+    return _bilinear_form(x, y, "mirror")
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +552,8 @@ def u_action(u, x):
         for w, c in x.terms.items():
             for (z1, z2), d in coproduct_word(w):
                 val = _pair_letter_word(letter[0], letter[1], z2)
-                if not val:
-                    continue
-                s = out.get(z1, ZERO) + c * d * val
-                if s:
-                    out[z1] = s
-                elif z1 in out:
-                    del out[z1]
+                if val:
+                    add_to(out, z1, c * d * val)
         x = OqElement(out)
     if denom != ONE:
         x = OqElement({w: divexact(c, denom) for w, c in x.terms.items()})
@@ -712,14 +618,10 @@ def to_canonical(x):
         nf = dict(normal_word(cand))
         lead = nf[mono]
         coeff = remaining[mono] * lead ** -1
-        out[cand] = out.get(cand, ZERO) + coeff
+        add_to(out, cand, coeff)
         for w, c in nf.items():
-            s = remaining.get(w, ZERO) - coeff * c
-            if s:
-                remaining[w] = s
-            elif w in remaining:
-                del remaining[w]
-    return {w: c for w, c in out.items() if c}
+            add_to(remaining, w, -(coeff * c))
+    return out
 
 
 def from_canonical(coords):
@@ -799,35 +701,3 @@ def element_to_string(x):
         text += (" - " if sign == "-" else " + ") + body
     return text
 
-
-def xlaurent_to_string(poly):
-    """Print reduce_bigon output: Laurent polynomial in x over the ground ring."""
-    if not poly:
-        return "0"
-    bits = []
-    for e in sorted(poly, reverse=True):
-        coeff = poly[e]
-        mono = "" if e == 0 else ("x" if e == 1 else "x^%d" % e)
-        items = sorted(coeff.items(), reverse=True)
-        if len(items) == 1:
-            ve, n = items[0]
-            neg = n < 0
-            n = abs(n)
-            scalar = HalfLaurent({ve: n}).qform()
-            if mono and scalar == "1":
-                body = mono
-            elif mono:
-                body = "%s*%s" % (scalar, mono)
-            else:
-                body = scalar
-            bits.append(("-" if neg else "+", body))
-        else:
-            body = "(%s)" % coeff.qform()
-            if mono:
-                body += "*" + mono
-            bits.append(("+", body))
-    sign, body = bits[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in bits[1:]:
-        text += (" - " if sign == "-" else " + ") + body
-    return text

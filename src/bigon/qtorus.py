@@ -16,11 +16,10 @@ On top of that sit:
   per-face torus.
 """
 
-import functools
 import itertools
 import json
 
-from .ring import ONE, ZERO, HalfLaurent, half
+from .ring import ONE, Combination, add_to, half
 
 
 class SurfaceError(ValueError):
@@ -63,22 +62,25 @@ class QuantumTorus:
         return "QuantumTorus(rank=%d)" % self.rank
 
 
-class QTElement:
+class QTElement(Combination):
     """Linear combination of normal-ordered torus monomials."""
 
-    __slots__ = ("torus", "terms")
+    __slots__ = ()
+
+    frame_name = "torus"
 
     def __init__(self, torus, terms=None):
-        self.torus = torus
-        self.terms = {}
-        for vec, c in (terms or {}).items():
-            vec = tuple(int(e) for e in vec)
-            if len(vec) != torus.rank:
-                raise ValueError("exponent vector %r does not fit rank %d" % (vec, torus.rank))
-            if c:
-                self.terms[vec] = self.terms.get(vec, ZERO) + c
-                if not self.terms[vec]:
-                    del self.terms[vec]
+        super().__init__(terms, torus)
+
+    @property
+    def torus(self):
+        return self.frame
+
+    def _key(self, vec):
+        vec = tuple(int(e) for e in vec)
+        if len(vec) != self.frame.rank:
+            raise ValueError("exponent vector %r does not fit rank %d" % (vec, self.frame.rank))
+        return vec
 
     @classmethod
     def unit(cls, torus):
@@ -93,31 +95,6 @@ class QTElement:
         vec = [0] * torus.rank
         vec[i] = power
         return cls.monomial(torus, vec)
-
-    def __add__(self, other):
-        if self.torus != other.torus:
-            raise ValueError("torus mismatch")
-        terms = dict(self.terms)
-        for vec, c in other.terms.items():
-            s = terms.get(vec, ZERO) + c
-            if s:
-                terms[vec] = s
-            elif vec in terms:
-                del terms[vec]
-        return QTElement(self.torus, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, coeff):
-        return QTElement(self.torus, {vec: c * coeff for vec, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QTElement)
-            and self.torus == other.torus
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         bits = []
@@ -144,20 +121,14 @@ def _reorder_power(matrix, k, l):
 
 
 def qt_multiply(x, y):
-    if x.torus != y.torus:
-        raise ValueError("torus mismatch")
+    x._check_frame(y)
     matrix = x.torus.matrix
     terms = {}
     for k, ck in x.terms.items():
         for l, cl in y.terms.items():
             c = ck * cl * half(2 * _reorder_power(matrix, k, l))
-            vec = tuple(a + b for a, b in zip(k, l))
-            s = terms.get(vec, ZERO) + c
-            if s:
-                terms[vec] = s
-            elif vec in terms:
-                del terms[vec]
-    return QTElement(x.torus, terms)
+            add_to(terms, tuple(a + b for a, b in zip(k, l)), c)
+    return x._with(terms)
 
 
 def qt_power(x, n):

@@ -6,15 +6,15 @@ square plays the role of the quantum parameter ``q``.  Storing the half power
 directly keeps values like q^(5/2) exact integers of v-degree 5.
 
 The module also provides the small field-of-fractions type used by the
-Temperley-Lieb idempotents, quantum integers/binomials, and the two canonical
+Temperley-Lieb idempotents, quantum integers/binomials, the two canonical
 text forms (an ascending v-form that round-trips bit-exactly, and a prettier
-q-form used by the command line).
+q-form used by the command line), and the sparse linear-combination core
+(`add_to` and `Combination`) that every element type of the package uses.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class HalfLaurent:
@@ -38,14 +38,6 @@ class HalfLaurent:
         self._hash = None
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n):
-        return cls({0: n})
-
-    @classmethod
-    def v_power(cls, k, coeff=1):
-        return cls({k: coeff})
 
     @classmethod
     def q_power(cls, m, coeff=1):
@@ -303,15 +295,6 @@ def _dense_primitive(cs):
     return [a // g for a in cs], g
 
 
-def _dense_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _dense_trim(cs):
     while cs and not cs[-1]:
         cs.pop()
@@ -394,10 +377,6 @@ class RatFunc:
             num = -num
         self.num, self.den = num, den
 
-    @classmethod
-    def from_half(cls, p):
-        return cls(p, ONE)
-
     def __add__(self, other):
         other = _coerce_rf(other)
         if other is NotImplemented:
@@ -457,9 +436,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def is_polynomial(self):
-        return self.den == ONE
-
     def as_half(self):
         if self.den != ONE:
             raise ValueError("fraction %s is not a Laurent polynomial" % self)
@@ -486,6 +462,94 @@ def _coerce_rf(x):
 def specialize(p, v_value):
     """Integer value of p at v = +-1 (module-level spelling of the method)."""
     return p.specialize(v_value)
+
+
+# ---------------------------------------------------------------------------
+# sparse linear combinations
+# ---------------------------------------------------------------------------
+
+
+def add_to(terms, key, coeff):
+    """Add coeff into terms[key], dropping the key when the sum cancels."""
+    old = terms.get(key)
+    total = coeff if old is None else old + coeff
+    if total:
+        terms[key] = total
+    elif old is not None:
+        del terms[key]
+
+
+class Combination:
+    """A finite linear combination of basis keys over the ground ring.
+
+    `terms` is a plain dict from key to coefficient that never stores a zero.
+    Every key lives in the same `frame` (a leg count, a torus, a strand
+    count, or None when there is nothing to fit); combining two different
+    frames raises `frame_error`.  A subclass supplies its frame, its product
+    and its printing; sums, differences, scaling and equality live here.
+    """
+
+    __slots__ = ("frame", "terms")
+
+    frame_name = "frame"
+    frame_error = ValueError
+
+    def __init__(self, terms=None, frame=None):
+        self.frame = frame
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            add_to(self.terms, self._key(key), c)
+
+    def _key(self, key):
+        """Check one basis key against the frame; returns it normalised."""
+        return key
+
+    def _check_frame(self, other):
+        if self.frame != other.frame:
+            raise self.frame_error(
+                "%s mismatch: %r vs %r" % (self.frame_name, self.frame, other.frame)
+            )
+
+    def _with(self, terms):
+        """A combination in this frame over `terms`, which hold no zero."""
+        out = object.__new__(type(self))
+        out.frame = self.frame
+        out.terms = terms
+        return out
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_frame(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            add_to(terms, key, c)
+        return self._with(terms)
+
+    def __neg__(self):
+        return self._with({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, coeff):
+        terms = {}
+        for key, c in self.terms.items():
+            add_to(terms, key, c * coeff)
+        return self._with(terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.frame == other.frame and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.frame, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +674,3 @@ def parse_vform(text):
     if expect_term:
         raise ScalarParseError("dangling operator", n)
     return total
-
-
-def rational_to_fraction(x):
-    """Parse the exact-rational strings used by the classical file formats."""
-    return Fraction(x)

@@ -11,7 +11,8 @@ Three evaluations are provided:
   slice word across a dictionary of weighted state vectors.
 * ``skein_element`` -- the same diagram as an element of the bigon algebra,
   via a single cut after the first slice: the first slice contributes stated
-  arcs and generators, the remainder contributes its scalar invariant.
+  arcs and generators, the remainder contributes its scalar invariant (the
+  same sweep, run transposed from the right edge).
 * ``kauffman_reduce`` -- an independent oracle that resolves every crossing,
   then reads off loops, returning arcs and through strands from the flat
   crossingless picture.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 
 from .hopf import OqElement
-from .ring import HalfLaurent, ONE, RatFunc, ZERO, half, q_int, q_power
+from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, half, q_int, q_power
 
 LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
 
@@ -200,89 +201,65 @@ def format_tangle_word(slices, n0=None):
 # ---------------------------------------------------------------------------
 
 
-def _cross_weight(kind, lam, mu):
-    """Weight of a crossing sending top-to-bottom state pair lam to mu."""
-    straight, turn = (q_power(1), q_power(-1)) if kind == "x+" else (q_power(-1), q_power(1))
-    val = straight if lam == mu else ZERO
-    arc = ARC.get(lam)
-    if arc is not None:
-        cup = CUP_ARC.get(mu)
-        if cup is not None:
-            val = val + turn * arc * cup
-    return val
+def _transfer_tables():
+    """Local transfer tables of the slice kinds, forwards and transposed.
 
-
-def _apply_slice(states, s):
-    """One step of the forward sweep: {state tuple: weight} -> same, reading
-    the slice as an operator from its left boundary to its right boundary."""
-    if s.kind == "id":
-        return states
-    out = {}
-    p = s.position
-    for vec, c in states.items():
-        if s.kind == "cap":
-            w = ARC.get((vec[p + 1], vec[p]))
-            if w is None:
-                continue
-            key = vec[:p] + vec[p + 2 :]
-            _acc(out, key, c * w)
-        elif s.kind == "cup":
-            for top, bottom in CUP_ARC:
-                key = vec[:p] + (bottom, top) + vec[p:]
-                _acc(out, key, c * CUP_ARC[(top, bottom)])
-        else:
-            lam = (vec[p + 1], vec[p])
-            for mu in (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")):
-                w = _cross_weight(s.kind, lam, mu)
+    A table maps the states a slice consumes at its position (bottom to top,
+    two for a cap or a crossing, none for a cup) to the weighted states it
+    produces there; the transposed table reads the same slice right to left.
+    """
+    forward = {
+        "cap": {(b, t): (((), w),) for (t, b), w in ARC.items()},
+        "cup": {(): tuple(((b, t), w) for (t, b), w in CUP_ARC.items())},
+    }
+    pairs = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
+    for kind, straight, turn in (("x+", q_power(1), q_power(-1)), ("x-", q_power(-1), q_power(1))):
+        # a crossing sends the top-to-bottom state pair lam to mu, either
+        # straight through or by turning back as a cap followed by a cup
+        table = {}
+        for lam in pairs:
+            row = []
+            for mu in pairs:
+                w = straight if lam == mu else ZERO
+                if lam in ARC and mu in CUP_ARC:
+                    w = w + turn * ARC[lam] * CUP_ARC[mu]
                 if w:
-                    key = vec[:p] + (mu[1], mu[0]) + vec[p + 2 :]
-                    _acc(out, key, c * w)
-    return out
+                    row.append(((mu[1], mu[0]), w))
+            table[(lam[1], lam[0])] = tuple(row)
+        forward[kind] = table
+    backward = {}
+    for kind, table in forward.items():
+        back = {}
+        for local_in, row in table.items():
+            for local_out, w in row:
+                back.setdefault(local_out, []).append((local_in, w))
+        backward[kind] = back
+    return forward, backward
 
 
-def _acc(table, key, val):
-    s = table.get(key, ZERO) + val
-    if s:
-        table[key] = s
-    elif key in table:
-        del table[key]
+_FORWARD, _BACKWARD = _transfer_tables()
+
+
+def _sweep(states, slices, tables):
+    """Push {state tuple: weight} through `slices` with the given tables."""
+    for s in slices:
+        if s.kind == "id":
+            continue
+        table = tables[s.kind]
+        p = s.position
+        width = len(next(iter(table)))
+        out = {}
+        for vec, c in states.items():
+            head, tail = vec[:p], vec[p + width :]
+            for local, w in table.get(vec[p : p + width], ()):
+                add_to(out, head + local + tail, c * w)
+        states = out
+    return states
 
 
 def rt_evaluate(t):
     """The operator invariant's matrix entry for the given boundary states."""
-    states = {t.left_states: ONE}
-    for s in t.slices:
-        states = _apply_slice(states, s)
-    return states.get(t.right_states, ZERO)
-
-
-def _sweep_back(slices, right_states):
-    """All left-boundary values at once: {eta: invariant with left states eta}."""
-    states = {right_states: ONE}
-    for s in reversed(slices):
-        if s.kind == "id":
-            continue
-        out = {}
-        p = s.position
-        for vec, c in states.items():
-            if s.kind == "cap":
-                # vec is the cap's right boundary; reinsert the consumed pair
-                for top, bottom in ARC:
-                    key = vec[:p] + (bottom, top) + vec[p:]
-                    _acc(out, key, c * ARC[(top, bottom)])
-            elif s.kind == "cup":
-                w = CUP_ARC.get((vec[p + 1], vec[p]))
-                if w:
-                    _acc(out, vec[:p] + vec[p + 2 :], c * w)
-            else:
-                mu = (vec[p + 1], vec[p])
-                for lam in (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")):
-                    w = _cross_weight(s.kind, lam, mu)
-                    if w:
-                        key = vec[:p] + (lam[1], lam[0]) + vec[p + 2 :]
-                        _acc(out, key, c * w)
-        states = out
-    return states
+    return _sweep({t.left_states: ONE}, t.slices, _FORWARD).get(t.right_states) or ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +321,8 @@ def skein_element(t):
         return skein_element(straight).scale(ws) + skein_element(turn).scale(wt)
     if first.kind == "id":
         return skein_element(SlicedTangle(rest, nu, t.right_states))
-    back = _sweep_back(rest, t.right_states)
+    # all left-boundary values of the remainder at once: {eta: invariant}
+    back = _sweep({t.right_states: ONE}, reversed(rest), _BACKWARD)
     out = OqElement()
     for eta, scalar in back.items():
         if len(eta) != first.out_strands:
@@ -601,12 +579,18 @@ def _concat_diagrams(d1, d2):
     return pairs, loops
 
 
-class TLElement:
-    __slots__ = ("n", "terms")
+class TLElement(Combination):
+    __slots__ = ()
+
+    frame_name = "strand count"
+    frame_error = TangleError
 
     def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {d: c for d, c in (terms or {}).items() if c}
+        super().__init__(terms, n)
+
+    @property
+    def n(self):
+        return self.frame
 
     @classmethod
     def identity(cls, n):
@@ -616,33 +600,12 @@ class TLElement:
     def hook(cls, n, i):
         return cls(n, {TLDiagram.e(n, i): RatFunc(ONE)})
 
-    def __add__(self, other):
-        if self.n != other.n:
-            raise TangleError("strand counts differ")
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            s = out.get(d, RatFunc(ZERO)) + c
-            if s:
-                out[d] = s
-            elif d in out:
-                del out[d]
-        return TLElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(RatFunc(-ONE))
-
-    def scale(self, coeff):
-        return TLElement(self.n, {d: c * coeff for d, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (RatFunc, HalfLaurent, int)):
-            return self.scale(RatFunc(other) if not isinstance(other, RatFunc) else other)
+            return self.scale(other)
         return tl_product(self, other)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, TLElement) and (self.n, self.terms) == (other.n, other.terms)
 
     def embed(self, n):
         return TLElement(n, {d.embed(n): c for d, c in self.terms.items()})
@@ -652,8 +615,7 @@ class TLElement:
 
 
 def tl_product(x, y):
-    if x.n != y.n:
-        raise TangleError("strand counts differ")
+    x._check_frame(y)
     out = {}
     for d1, c1 in x.terms.items():
         for d2, c2 in y.terms.items():
@@ -661,13 +623,8 @@ def tl_product(x, y):
             coeff = c1 * c2
             for _ in range(loops):
                 coeff = coeff * DELTA
-            diagram = TLDiagram(x.n, pairs)
-            s = out.get(diagram, RatFunc(ZERO)) + coeff
-            if s:
-                out[diagram] = s
-            elif diagram in out:
-                del out[diagram]
-    return TLElement(x.n, out)
+            add_to(out, TLDiagram(x.n, pairs), coeff)
+    return x._with(out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,6 +15,8 @@ from bigon.braided import (
     standard_coaction,
     transmutation_product,
     trivial_coaction,
+    _block_coproduct,
+    _mul_legs,
 )
 from bigon.hopf import GENERATORS, OqTensor, counit_word, multiply
 from bigon.ring import ONE, ZERO, q_power
@@ -60,6 +62,18 @@ def test_zero_terms_are_dropped():
     x = _legs("a", "b")
     assert (x - x) == BraidedElement(2, {})
     assert not (x - x).terms
+
+
+def test_memoised_leg_products_are_immutable():
+    # the memo caches hand one result to every caller, so it must not be mutable
+    for compute in (
+        lambda: _block_coproduct(("ab", "c")),
+        lambda: _mul_legs(("ab", "c"), ("d", "b"), "rho"),
+        lambda: _mul_legs(("b", "", "c"), ("a", "d", ""), "mirror"),
+    ):
+        first = compute()
+        hash(first)
+        assert compute() == first
 
 
 def test_product_requires_matching_arity():

@@ -176,6 +176,12 @@ def test_expression_error_exits_two(capsys):
     assert code == 2 and "position" in err
 
 
+def test_too_deep_rewriting_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "normal-form", "d^40*a^40")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # file-driven subcommands
 # ---------------------------------------------------------------------------

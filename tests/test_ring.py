@@ -1,6 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bigon.braided import BraidedElement
+from bigon.hopf import OqElement, OqTensor
+from bigon.qtorus import TRIANGLE, QTElement, QuantumTorus
+from bigon.tangle import TangleError, TLElement
 from bigon.ring import (
     HalfLaurent,
     RatFunc,
@@ -186,3 +190,60 @@ def test_parse_errors_carry_position():
         parse_vform("1 + + 2")
     with pytest.raises(ScalarParseError):
         parse_vform("2 *")
+
+
+# ---------------------------------------------------------------------------
+# the linear-combination core shared by every element type
+# ---------------------------------------------------------------------------
+
+_V = half(1)
+
+# (x, y, an element of another frame, the error that adding it raises)
+COMBINATIONS = [
+    pytest.param(
+        OqElement({"ab": _V, "": ONE}),
+        OqElement({"ab": -_V, "d": q_power(2)}),
+        None,
+        None,
+        id="OqElement",
+    ),
+    pytest.param(
+        OqTensor({("a", "d"): _V}),
+        OqTensor({("a", "d"): ONE, ("", "b"): -_V}),
+        None,
+        None,
+        id="OqTensor",
+    ),
+    pytest.param(
+        BraidedElement(2, {("a", ""): _V}),
+        BraidedElement(2, {("a", ""): ONE, ("", "c"): _V}),
+        BraidedElement(3, {("a", "", ""): ONE}),
+        ValueError,
+        id="BraidedElement",
+    ),
+    pytest.param(
+        QTElement(TRIANGLE, {(1, 0, -1): _V}),
+        QTElement(TRIANGLE, {(1, 0, -1): -_V, (0, 0, 0): ONE}),
+        QTElement(QuantumTorus(2, ((0, 1), (-1, 0))), {(1, 0): ONE}),
+        ValueError,
+        id="QTElement",
+    ),
+    pytest.param(
+        TLElement.identity(2).scale(RatFunc(_V, q_int(2))),
+        TLElement.hook(2, 0) - TLElement.identity(2),
+        TLElement.identity(3),
+        TangleError,
+        id="TLElement",
+    ),
+]
+
+
+@pytest.mark.parametrize("x, y, other, error", COMBINATIONS)
+def test_combination_core(x, y, other, error):
+    assert not (x + (-x)).terms
+    assert (x - y) + y == x
+    assert not x.scale(0).terms
+    if other is not None:
+        with pytest.raises(error) as err:
+            x + other
+        assert err.type is error
