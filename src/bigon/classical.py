@@ -180,21 +180,21 @@ def holonomy(rep, path):
     return out
 
 
-def _state_value(matrix, start, end):
+def _state_matrix(matrix):
+    """The state table of a holonomy: start state picks the row, end state the column."""
     (a, b), (c, d) = matrix.rows
-    return {
-        ("+", "+"): c,
-        ("+", "-"): -a,
-        ("-", "+"): d,
-        ("-", "-"): -b,
-    }[(start, end)]
+    return SL2Matrix(((c, -a), (d, -b)))
+
+
+def _at_states(table, states):
+    return table.rows[STATES.index(states[0])][STATES.index(states[1])]
 
 
 def trace_arc(rep, path):
     """Stated trace of an open path."""
     if path.closed:
         raise ValueError("trace_arc needs an open path")
-    return _state_value(holonomy(rep, path), path.states[0], path.states[1])
+    return _at_states(_state_matrix(holonomy(rep, path)), path.states)
 
 
 def trace_loop(rep, path):
@@ -228,23 +228,16 @@ def splice_cuts(path):
 def cut_check(rep, path):
     """Sum of stated piece-trace products over all states at the cut marks.
 
-    The value equals the trace of the spliced arc; cutting twice sums over
-    four lifts.
+    The sum over the states at each mark is a matrix product of the pieces'
+    state tables, read at the end states; it equals the trace of the spliced
+    arc, whatever the number of marks.
     """
     if path.closed:
         raise ValueError("the cutting formula applies to stated arcs")
-    pieces = _split_at_cuts(path.word)
-    if len(pieces) > 3:
-        raise ValueError("at most two cut marks are supported")
-    matrices = [holonomy(rep, StatedPath(p, states="++")) for p in pieces]
-    total = Fraction(0)
-    for lift in itertools.product(STATES, repeat=len(pieces) - 1):
-        chain = (path.states[0],) + lift + (path.states[1],)
-        term = Fraction(1)
-        for i, matrix in enumerate(matrices):
-            term *= _state_value(matrix, chain[i], chain[i + 1])
-        total += term
-    return total
+    product = SL2Matrix.identity()
+    for piece in _split_at_cuts(path.word):
+        product = product * _state_matrix(holonomy(rep, StatedPath(piece, states="++")))
+    return _at_states(product, path.states)
 
 
 def evaluate_at_one(x, values):

@@ -71,6 +71,10 @@ class CliError(Exception):
 # the expression grammar: letters a,b,c,d and scalars q,v with ^, *, +, -, ()
 # ---------------------------------------------------------------------------
 
+# a power is a loop of products, so its exponent is bounded; the bound still
+# reads back the q-powers of every normal form the rewriting reaches
+MAX_EXPONENT = 4096
+
 
 def _tokenize(text):
     tokens = []
@@ -107,6 +111,8 @@ def _scalar_element(coeff):
 
 
 def _power(x, n, pos):
+    if abs(n) > MAX_EXPONENT:
+        raise ExpressionError("exponent %d exceeds %d in size" % (n, MAX_EXPONENT), pos)
     if n >= 0:
         out = _scalar_element(ONE)
         for _ in range(n):

@@ -11,12 +11,12 @@ On top of that sit:
   arc dictionary sending stated corner arcs to monomials (bad arcs to 0);
 * triangulations of surfaces by ideal triangles, their edge commutation
   torus, and the per-face tensor torus;
-* the trace of a normal curve: a state sum over lifts at internal edge
-  crossings whose face contributions are corner-arc products pushed into the
-  per-face torus.
+* the trace of a normal curve: its state sum over lifts at internal edge
+  crossings, computed in one sweep along the curve that carries partial
+  lifts (junction state and per-face exponent data) with their
+  coefficients, so its cost follows the number of live partial monomials.
 """
 
-import itertools
 import json
 
 from .ring import ONE, Combination, add_to, half
@@ -452,66 +452,88 @@ def _validate_curve(tri, curve):
             raise SurfaceError("an open curve must end on the boundary")
 
 
-def _face_monomial(tri, torus, face_pos, x):
-    """Push a triangle-torus element into one face's block of `torus`."""
-    images = []
-    for j in range(3):
-        vec = [0] * torus.rank
-        vec[3 * face_pos + (j + 1) % 3] = 1
-        mono = QTElement.monomial(torus, vec)
-        vec2 = [0] * torus.rank
-        vec2[3 * face_pos + (j + 2) % 3] = 1
-        images.append(qt_multiply(mono, QTElement.monomial(torus, vec2)).scale(half(1)))
-    out = QTElement(torus, {})
-    for vec, c in x.terms.items():
-        piece = QTElement.unit(torus)
-        for j, e in enumerate(vec):
-            if e:
-                piece = qt_multiply(piece, qt_power(images[j], e))
-        out = out + piece.scale(c)
-    return out
+# stated corner arcs as (v-exponent, sign, triangle exponent vector); the bad
+# arc (-,+) has no entry
+_ARCS = {
+    (j, first, second): (exp, sign, vec)
+    for j in range(3)
+    for first in STATES
+    for second in STATES
+    for vec, c in corner_arc_image(StatedCornerArc(j, (first, second))).terms.items()
+    for exp, sign in c.items()
+}
+
+
+def _vsum(vectors):
+    return tuple(map(sum, zip((0, 0, 0), *vectors)))
+
+
+def _push(e):
+    """A triangle monomial x^e in one face block, as (v-exponent, vector).
+
+    The corner generator x_j goes to v y_{j+1} y_{j+2}, the Weyl ordered
+    monomial [y_{j+1} y_{j+2}], and both tori have the same commutation
+    matrix; so x^e = v^{-R(e,e)} [x^e] goes to v^{R(w,w)-R(e,e)} y^w, where R
+    is `_reorder_power` and w = (e_1 + e_2, e_2 + e_0, e_0 + e_1).
+    """
+    w = (e[1] + e[2], e[2] + e[0], e[0] + e[1])
+    return _reorder_power(_FACE_BLOCK, w, w) - _reorder_power(TRIANGLE.matrix, e, e), w
 
 
 def quantum_trace(tri, curve):
-    """State sum of the curve over lifts, valued in the per-face torus."""
+    """The curve's state sum over lifts, valued in the per-face torus.
+
+    One sweep along the curve carries partial lifts, keyed by (state at the
+    current junction, per-face data), each with its coefficient.  A step
+    reads its stated corner arc from `_ARCS`, drops the lifts that meet a
+    bad arc and merges the lifts that reach the same key.  Face blocks
+    commute, and within a face the arcs multiply in (corner, step) order,
+    which the curve fixes; so an arriving arc's q-power comes from the
+    running sums of the face's arcs at the corners up to its own and after
+    it.  A closed curve runs once per initial state and keeps the lifts that
+    return to it.  The cost is steps times live partial monomials, not
+    2^junctions.
+    """
     _validate_curve(tri, curve)
-    torus = ambient_torus(tri)
     m = len(curve.steps)
-    junctions = m if curve.closed else m - 1
-    total = QTElement(torus, {})
-    for lift in itertools.product(STATES, repeat=junctions):
-        # states at the two ends of every step
-        step_states = []
-        for k in range(m):
-            if curve.closed:
-                enter_state = lift[(k - 1) % m]
-                leave_state = lift[k]
-            else:
-                enter_state = curve.end_states[0] if k == 0 else lift[k - 1]
-                leave_state = curve.end_states[1] if k == m - 1 else lift[k]
-            step_states.append((enter_state, leave_state))
-        # group the stated corner arcs by face, in fixed corner order
-        by_face = {}
-        for k, (fid, enter, leave) in enumerate(curve.steps):
-            e_slot, l_slot = tri.slot(fid, enter), tri.slot(fid, leave)
-            corner = 3 - e_slot - l_slot
-            states_by_slot = {e_slot: step_states[k][0], l_slot: step_states[k][1]}
-            pair = (states_by_slot[(corner + 2) % 3], states_by_slot[(corner + 1) % 3])
-            by_face.setdefault(tri.face_position(fid), []).append(
-                (corner, k, StatedCornerArc(corner, pair))
-            )
-        piece = QTElement.unit(torus)
-        dead = False
-        for face_pos, entries in sorted(by_face.items()):
-            entries.sort(key=lambda t: (t[0], t[1]))
-            contribution = triangle_element([arc for _, _, arc in entries])
-            if not contribution.terms:
-                dead = True
-                break
-            piece = qt_multiply(piece, _face_monomial(tri, torus, face_pos, contribution))
-        if not dead:
-            total = total + piece
-    return total
+    steps, last_visit = [], {}
+    for k, (fid, enter, leave) in enumerate(curve.steps):
+        e_slot = tri.slot(fid, enter)
+        corner = 3 - e_slot - tri.slot(fid, leave)
+        pos = tri.face_position(fid)
+        last_visit[pos] = k
+        # the arc's state pair runs counterclockwise from slot corner + 2
+        steps.append((pos, corner, e_slot == (corner + 2) % 3))
+    # a face holds its three corner sums until its last visit, then its
+    # pushed exponent vector; a face the curve misses holds y^0 throughout
+    start = tuple(
+        ((0, 0, 0),) * 3 if pos in last_visit else (0, 0, 0) for pos in range(len(tri.faces))
+    )
+    total = {}
+    for first, final in ((s, s) for s in STATES) if curve.closed else (curve.end_states,):
+        live = {(first, start): ONE}
+        for k, (pos, corner, forward) in enumerate(steps):
+            grown = {}
+            for (state, faces), coeff in live.items():
+                sums = faces[pos]
+                before, after = _vsum(sums[: corner + 1]), _vsum(sums[corner + 1 :])
+                for nxt in (final,) if k == m - 1 else STATES:
+                    arc = _ARCS.get((corner, state, nxt) if forward else (corner, nxt, state))
+                    if arc is None:
+                        continue
+                    exp, sign, vec = arc
+                    exp += 2 * _reorder_power(TRIANGLE.matrix, before, vec)
+                    exp += 2 * _reorder_power(TRIANGLE.matrix, vec, after)
+                    entry = sums[:corner] + (_vsum((sums[corner], vec)),) + sums[corner + 1 :]
+                    if k == last_visit[pos]:
+                        push, entry = _push(_vsum(entry))
+                        exp += push
+                    key = (nxt, faces[:pos] + (entry,) + faces[pos + 1 :])
+                    add_to(grown, key, coeff * half(exp, sign))
+            live = grown
+        for (_, faces), coeff in live.items():
+            add_to(total, sum(faces, ()), coeff)
+    return QTElement(ambient_torus(tri), total)
 
 
 def check_balanced(tri, x):

@@ -182,6 +182,13 @@ def test_too_deep_rewriting_is_one_error_line(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_huge_exponent_is_one_error_line():
+    cmd = [sys.executable, "-m", "bigon.cli", "normal-form", "a^99999999"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # file-driven subcommands
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
+from bigon.classical import SL2Matrix
 from bigon.qtorus import (
+    STATES,
     TRIANGLE,
     NormalCurve,
     QTElement,
@@ -22,6 +25,7 @@ from bigon.qtorus import (
     qt_power,
     quantum_trace,
     triangle_element,
+    _validate_curve,
 )
 from bigon.ring import ONE, ZERO, half, q_power
 from support import seeded
@@ -54,6 +58,20 @@ SQUARE = Triangulation([("F0", (0, 1, 2)), ("F1", (0, 1, 2))], [("F0", 2, "F1", 
 PUNCTURED_TORUS = Triangulation(
     [("F0", (0, 1, 2)), ("F1", (0, 1, 2))],
     [("F0", 0, "F1", 0), ("F0", 1, "F1", 1), ("F0", 2, "F1", 2)],
+)
+ONE_TRIANGLE = Triangulation([("T", (0, 1, 2))], [])
+SQUARE_ARCS = (
+    (("F0", 1, 2), ("F1", 2, 1)),
+    (("F0", 0, 2), ("F1", 2, 0)),
+    (("F0", 1, 2), ("F1", 2, 0)),
+    (("F0", 0, 1),),
+    (("F1", 0, 1),),
+)
+PUNCTURED_TORUS_LOOPS = (
+    (("F0", 0, 1), ("F1", 1, 0)),
+    (("F0", 1, 0), ("F1", 0, 1)),
+    (("F0", 0, 2), ("F1", 2, 0)),
+    (("F0", 0, 1), ("F1", 1, 2), ("F0", 2, 0), ("F1", 0, 1), ("F0", 1, 2), ("F1", 2, 0)),
 )
 
 
@@ -399,3 +417,192 @@ def test_curve_json_round_trip():
     assert again.end_states == curve.end_states
     assert again.edge_orders == curve.edge_orders
     assert quantum_trace(SQUARE, again) == quantum_trace(SQUARE, curve)
+
+
+# ---------------------------------------------------------------------------
+# the trace sweep against the lift enumerator and the classical limit
+# ---------------------------------------------------------------------------
+
+
+def _face_monomial(tri, torus, face_pos, x):
+    """Push a triangle-torus element into one face's block of `torus`."""
+    images = []
+    for j in range(3):
+        vec = [0] * torus.rank
+        vec[3 * face_pos + (j + 1) % 3] = 1
+        mono = QTElement.monomial(torus, vec)
+        vec2 = [0] * torus.rank
+        vec2[3 * face_pos + (j + 2) % 3] = 1
+        images.append(qt_multiply(mono, QTElement.monomial(torus, vec2)).scale(half(1)))
+    out = QTElement(torus, {})
+    for vec, c in x.terms.items():
+        piece = QTElement.unit(torus)
+        for j, e in enumerate(vec):
+            if e:
+                piece = qt_multiply(piece, qt_power(images[j], e))
+        out = out + piece.scale(c)
+    return out
+
+
+def _enumerated_trace(tri, curve):
+    """State sum of the curve over lifts, valued in the per-face torus."""
+    _validate_curve(tri, curve)
+    torus = ambient_torus(tri)
+    m = len(curve.steps)
+    junctions = m if curve.closed else m - 1
+    total = QTElement(torus, {})
+    for lift in itertools.product(STATES, repeat=junctions):
+        # states at the two ends of every step
+        step_states = []
+        for k in range(m):
+            if curve.closed:
+                enter_state = lift[(k - 1) % m]
+                leave_state = lift[k]
+            else:
+                enter_state = curve.end_states[0] if k == 0 else lift[k - 1]
+                leave_state = curve.end_states[1] if k == m - 1 else lift[k]
+            step_states.append((enter_state, leave_state))
+        # group the stated corner arcs by face, in fixed corner order
+        by_face = {}
+        for k, (fid, enter, leave) in enumerate(curve.steps):
+            e_slot, l_slot = tri.slot(fid, enter), tri.slot(fid, leave)
+            corner = 3 - e_slot - l_slot
+            states_by_slot = {e_slot: step_states[k][0], l_slot: step_states[k][1]}
+            pair = (states_by_slot[(corner + 2) % 3], states_by_slot[(corner + 1) % 3])
+            by_face.setdefault(tri.face_position(fid), []).append(
+                (corner, k, StatedCornerArc(corner, pair))
+            )
+        piece = QTElement.unit(torus)
+        dead = False
+        for face_pos, entries in sorted(by_face.items()):
+            entries.sort(key=lambda t: (t[0], t[1]))
+            contribution = triangle_element([arc for _, _, arc in entries])
+            if not contribution.terms:
+                dead = True
+                break
+            piece = qt_multiply(piece, _face_monomial(tri, torus, face_pos, contribution))
+        if not dead:
+            total = total + piece
+    return total
+
+
+def _strip(faces, mirror, seed):
+    """A strip of triangles and a stated arc crossing every internal edge.
+
+    Face i is entered through a seeded side slot and left through the slot
+    `turns[i]` further on; the turns run 1, 2, 2, 1, 1, 2, 2, ... or, in the
+    mirror image, 2, 1, 1, 2, 2, ...
+    """
+    rng = seeded(seed)
+    enters = [rng.randrange(3) for _ in range(faces)]
+    turns = [1 + (i + 1) // 2 % 2 for i in range(faces)]
+    if mirror:
+        turns = [3 - t for t in turns]
+    leaves = [(e + t) % 3 for e, t in zip(enters, turns)]
+    tri = Triangulation(
+        [("F%d" % i, (0, 1, 2)) for i in range(faces)],
+        [("F%d" % i, leaves[i], "F%d" % (i + 1), enters[i + 1]) for i in range(faces - 1)],
+    )
+    steps = [("F%d" % i, e, l) for i, (e, l) in enumerate(zip(enters, leaves))]
+    return tri, NormalCurve(steps, end_states=(rng.choice(STATES), rng.choice(STATES)))
+
+
+def _reversed(arc):
+    return tuple((f, b, a) for f, a, b in reversed(arc))
+
+
+def _oracle_cases():
+    cases = []
+    for enter, leave in itertools.permutations(range(3), 2):
+        for states in itertools.product(STATES, repeat=2):
+            curve = NormalCurve([("T", enter, leave)], end_states=states)
+            cases.append(("triangle-%d%d%s" % (enter, leave, "".join(states)), ONE_TRIANGLE, curve))
+    for i, arc in enumerate(SQUARE_ARCS):
+        for name, steps in (("square-%d" % i, arc), ("square-%d-reversed" % i, _reversed(arc))):
+            for states in itertools.product(STATES, repeat=2):
+                curve = NormalCurve(list(steps), end_states=states)
+                cases.append(("%s%s" % (name, "".join(states)), SQUARE, curve))
+    for i, loop in enumerate(PUNCTURED_TORUS_LOOPS):
+        for times in (1, 2, 3) if len(loop) == 2 else (1, 2):
+            curve = NormalCurve(list(loop) * times, closed=True)
+            cases.append(("loop-%d-x%d" % (i, times), PUNCTURED_TORUS, curve))
+    # every closed 4-step walk: a face revisited at another corner, with
+    # mixed arcs surviving, exercises the order of arcs within a face
+    for sides in itertools.product(range(3), repeat=4):
+        if all(sides[k] != sides[k - 1] for k in range(4)):
+            steps = [("F%d" % (k % 2), sides[k], sides[(k + 1) % 4]) for k in range(4)]
+            curve = NormalCurve(steps, closed=True)
+            cases.append(("walk-%s" % "".join(map(str, sides)), PUNCTURED_TORUS, curve))
+    for faces in range(2, 11):
+        for mirror in (False, True):
+            tri, curve = _strip(faces, mirror, 100 + faces)
+            cases.append(("strip-%d%s" % (faces, "-mirror" if mirror else ""), tri, curve))
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize(
+    "tri, curve", [case[1:] for case in _ORACLE_CASES], ids=[case[0] for case in _ORACLE_CASES]
+)
+def test_sweep_matches_the_lift_enumerator(tri, curve):
+    assert quantum_trace(tri, curve) == _enumerated_trace(tri, curve)
+
+
+_UPPER_TURN = SL2Matrix(((1, 1), (0, 1)))
+_LOWER_TURN = SL2Matrix(((1, 0), (1, 1)))
+
+
+def _edge_matrix(z):
+    return SL2Matrix(((z, 0), (0, 1 / z)))
+
+
+def _classical_trace(tri, curve, z):
+    """The curve's SL2 product at v = 1: its stated entry, or its trace.
+
+    Each face visit is diag(z, 1/z) of the entering edge, a unipotent turn
+    matrix whose zero entry is the bad arc (-,+), and diag(z, 1/z) of the
+    leaving edge; factors multiply in curve order, and the start state picks
+    the row, the end state the column.
+    """
+    product = SL2Matrix.identity()
+    for fid, enter, leave in curve.steps:
+        turn = (tri.slot(fid, leave) - tri.slot(fid, enter)) % 3
+        product = (
+            product
+            * _edge_matrix(z[tri.edge_index(fid, enter)])
+            * (_UPPER_TURN if turn == 2 else _LOWER_TURN)
+            * _edge_matrix(z[tri.edge_index(fid, leave)])
+        )
+    if curve.closed:
+        return product.trace()
+    start, end = (STATES.index(s) for s in curve.end_states)
+    return product.rows[start][end]
+
+
+def _trace_at_one(tri, x, z):
+    """x at v = 1, each side variable set to the value of its edge."""
+    total = Fraction(0)
+    for vec, c in x.terms.items():
+        term = Fraction(c.specialize(1))
+        for fid, sides in tri.faces:
+            for side in sides:
+                term *= z[tri.edge_index(fid, side)] ** vec[tri.variable(fid, side)]
+        total += term
+    return total
+
+
+def test_trace_at_one_is_an_sl2_product():
+    rng = seeded(73)
+    for _, tri, curve in _ORACLE_CASES:
+        z = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1)) for _ in tri.edges]
+        assert _trace_at_one(tri, quantum_trace(tri, curve), z) == _classical_trace(tri, curve, z)
+
+
+def test_long_strip_trace_is_balanced():
+    # 15 junctions: 2^15 lifts, but only a few hundred partial monomials
+    for mirror in (False, True):
+        tri, curve = _strip(16, mirror, 116)
+        tr = quantum_trace(tri, curve)
+        assert tr.terms and check_balanced(tri, tr)
