@@ -133,17 +133,17 @@ def braided_product(x, y, rho_variant="standard"):
 def polygon_split(n, x, cut):
     """Split an n-gon element along diagonal `cut` (1-based).
 
-    Leg `cut` is expanded by the coproduct; the left piece keeps legs
-    0..cut-1 plus the inner coproduct half on its new last leg, the right
-    piece starts with the outer half followed by the remaining legs.
-    Returns a list of (left, right) pairs whose sum represents the image.
+    The diagonal crosses every leg from `cut` on.  The left piece keeps legs
+    0..cut-1 and gains a last leg on the diagonal; the right piece has one leg
+    per crossed leg.  Each crossed leg is expanded by the coproduct: its first
+    half stays in the right piece and its second half goes to the left
+    piece's last leg, where the second halves multiply in leg order (the
+    leg-wise coaction of the crossed block).  Returns a list of (left, right)
+    pairs whose sum represents the image.
 
-    With this half assignment the split is multiplicative for the two-block
-    product (each block multiplied with the same exchange variant, blocks
-    independent) whenever cut == n - 2, which is the cut both documented
-    examples use.  The opposite assignment breaks multiplicativity, as does
-    every block/placement variant at interior cuts of larger polygons, where
-    cutting crosses arcs from more than one leg.
+    The split is multiplicative at every cut, for either exchange variant,
+    with the two pieces multiplied independently; collapsing the left
+    piece's last leg with the counit glues a pair back together.
     """
     if x.arity != n - 1:
         raise ValueError("an %d-gon element needs %d legs" % (n, n - 1))
@@ -151,9 +151,9 @@ def polygon_split(n, x, cut):
         raise ValueError("cut must lie in 1..%d" % (n - 2))
     acc = {}
     for legs, c in x.terms.items():
-        head, mid, tail = legs[:cut], legs[cut], legs[cut + 1 :]
-        for (m1, m2), d in coproduct_word(mid):
-            add_to(acc, (head + (m2,), (m1,) + tail), c * d)
+        head = legs[:cut]
+        for (block, tail), d in _block_coproduct(legs[cut:]):
+            add_to(acc, (head + (tail,), block), c * d)
     return [
         (BraidedElement(cut + 1, {left: coeff}), BraidedElement(n - 1 - cut, {right: ONE}))
         for (left, right), coeff in acc.items()

@@ -31,7 +31,9 @@ from .hopf import (
     counit,
     counit_word,
     element_to_string,
+    mono_parts,
     multiply,
+    normal_word,
     rho_word,
 )
 from .qtorus import (
@@ -72,8 +74,15 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 # a power is a loop of products, so its exponent is bounded; the bound still
-# reads back the q-powers of every normal form the rewriting reaches
+# reads back the q-powers of every normal form the products can reach
 MAX_EXPONENT = 4096
+
+# Every product is bounded before it runs: one pair of basis words may need at
+# most MAX_SWAPS out-of-order letter pairs straightened, and the product may
+# generate at most MAX_SIZE coefficient monomials before equal terms merge.
+# d^40*a^40 is the deepest pair allowed; (a+d)^n stops at n = 35.
+MAX_SWAPS = 1600
+MAX_SIZE = 2**18
 
 
 def _tokenize(text):
@@ -110,13 +119,34 @@ def _scalar_element(coeff):
     return OqElement.from_word("", coeff)
 
 
+def _swaps(w1, w2):
+    """Out-of-order letter pairs (one from each basis word) in the word w1 w2."""
+    h1, x1, k1, l1 = mono_parts(w1)
+    h2, x2, k2, l2 = mono_parts(w2)
+    return (k1 + l1) * h2 + l1 * k2 + (k1 * k2 if x1 != x2 else 0)
+
+
+def _product(x, y, pos):
+    """x*y, or an ExpressionError when it would exceed the budgets above."""
+    generated = 0
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            if _swaps(w1, w2) > MAX_SWAPS:
+                raise ExpressionError("product needs more than %d letter swaps" % MAX_SWAPS, pos)
+            size = sum(len(c.items()) for _, c in normal_word(w1 + w2))
+            generated += len(c1.items()) * len(c2.items()) * size
+            if generated > MAX_SIZE:
+                raise ExpressionError("product makes more than %d coefficient terms" % MAX_SIZE, pos)
+    return multiply(x, y)
+
+
 def _power(x, n, pos):
     if abs(n) > MAX_EXPONENT:
         raise ExpressionError("exponent %d exceeds %d in size" % (n, MAX_EXPONENT), pos)
     if n >= 0:
         out = _scalar_element(ONE)
         for _ in range(n):
-            out = multiply(out, x)
+            out = _product(out, x, pos)
         return out
     items = list(x.terms.items())
     if len(items) == 1 and items[0][0] == "":
@@ -170,8 +200,8 @@ class _Parser:
     def term(self):
         x = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            x = multiply(x, self.factor())
+            pos = self.take()[2]
+            x = _product(x, self.factor(), pos)
         return x
 
     def factor(self):
@@ -749,7 +779,7 @@ def main(argv=None):
     except CliError as err:
         print("error: %s" % err, file=sys.stderr)
         return err.code
-    except (ValueError, RecursionError) as err:
+    except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
     if text:

@@ -14,65 +14,92 @@ algebra acting by E/F/K, the reflection and rotation involutions, the
 canonical basis change, and the one-variable quotient of the algebra.
 
 Monomials are stored as plain strings over the alphabet "abcd" in normal
-order; rewriting is memoised per word, which keeps repeated normal-form work
-(coproducts expand to 2^n raw words) cheap.
+order.  Every normal form is a left-to-right fold of one closed-form
+straightening step -- a basis word times one generator on the right gives at
+most two basis words -- so there is no rewriting recursion.  The coproduct is
+multiplicative: Delta of a word is the product of the letters' Delta, with both
+legs straightened after each factor, so its cost follows the number of terms
+rather than the 2^n raw words of the expansion.  Both folds are memoised per
+word.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import re
 
 from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, q_factorial, q_power
 
 GENERATORS = "abcd"
 
-_Q2 = q_power(2)
 
-# Local rewriting rules on adjacent letter pairs.  Each right-hand side is a
-# list of (coefficient, replacement word); the left-hand pair is deleted.
-_REWRITES = {
-    "ca": ((_Q2, "ac"),),
-    "ba": ((_Q2, "ab"),),
-    "db": ((_Q2, "bd"),),
-    "dc": ((_Q2, "cd"),),
-    "da": ((q_power(4), "ad"), (ONE - q_power(4), "")),
-    "bc": ((_Q2, "ad"), (-_Q2, "")),
-    "cb": ((_Q2, "ad"), (-_Q2, "")),
-}
+def mono_parts(word):
+    """Split a basis word into (a-power, middle letter, its power, d-power)."""
+    h = len(word) - len(word.lstrip("a"))
+    l = len(word) - len(word.rstrip("d"))
+    k = len(word) - h - l
+    if not k:
+        return h, "", 0, l
+    return h, word[h], k, l
+
+
+_q = functools.lru_cache(maxsize=None)(q_power)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_minus_q(m):
+    return ONE - q_power(m)
+
+
+# The straightening step.  With w = a^h x^k d^l (x = b or c, or k = 0) read
+# by mono_parts, the relations give, for g = b or c,
+#     w*d = a^h x^k d^(l+1)
+#     w*a = q^(4l+2k) a^(h+1) x^k d^l + (1 - q^(4l)) a^h x^k d^(l-1)
+#     w*g = q^(2l) a^h g^(k+1) d^l                          (k = 0 or x = g)
+#     w*g = q^(2l+2k) a^(h+1) x^(k-1) d^(l+1) - q^(2l+2) a^h x^(k-1) d^l   (x != g)
+# since d^l a = q^(4l) a d^l + (1 - q^(4l)) d^(l-1), x^k a = q^(2k) a x^k,
+# d^l g = q^(2l) g d^l and bc = cb = q^2 ad - q^2.
+def _step(word, g):
+    """A basis word times one generator, as a tuple of (basis word, coefficient)."""
+    if g == "d":
+        return ((word + "d", ONE),)
+    h, x, k, l = mono_parts(word)
+    head, mid = "a" * h, x * k
+    if g == "a":
+        first = ("a" + head + mid + "d" * l, _q(4 * l + 2 * k))
+        if not l:
+            return (first,)
+        return (first, (head + mid + "d" * (l - 1), _one_minus_q(4 * l)))
+    if not k or x == g:
+        return ((head + g + mid + "d" * l, _q(2 * l)),)
+    mid = mid[1:]
+    return (
+        ("a" + head + mid + "d" * (l + 1), _q(2 * l + 2 * k)),
+        (head + mid + "d" * l, -_q(2 * l + 2)),
+    )
+
+
+# the longest prefix of a word that is already a basis word
+_BASIS_PREFIX = re.compile("a*(?:b+|c+)?d*")
 
 
 @functools.lru_cache(maxsize=None)
 def normal_word(word):
-    """Normal form of a free word, as a tuple of (basis word, coefficient).
+    """Normal form of a free word, as a sorted tuple of (basis word, coefficient).
 
-    Rewriting is leftmost-innermost; it terminates because every rule either
-    shortens the word or decreases it lexicographically at equal length.
+    The basis prefix of the word is kept as it is; the remaining letters are
+    multiplied on one at a time with the straightening step.
     """
-    for i in range(len(word) - 1):
-        rule = _REWRITES.get(word[i : i + 2])
-        if rule is None:
-            continue
-        acc = {}
-        for coeff, repl in rule:
-            for mono, c in normal_word(word[:i] + repl + word[i + 2 :]):
-                add_to(acc, mono, coeff * c)
-        return tuple(sorted(acc.items()))
-    return ((word, ONE),)
-
-
-def mono_parts(word):
-    """Split a basis word into (a-power, middle letter, its power, d-power)."""
-    h = 0
-    while h < len(word) and word[h] == "a":
-        h += 1
-    l = 0
-    while l < len(word) - h and word[len(word) - 1 - l] == "d":
-        l += 1
-    mid = word[h : len(word) - l]
-    if not mid:
-        return h, "", 0, l
-    return h, mid[0], len(mid), l
+    n = _BASIS_PREFIX.match(word).end()
+    terms = {word[:n]: ONE}
+    for g in word[n:]:
+        nxt = {}
+        for w, c in terms.items():
+            for m, s in _step(w, g):
+                add_to(nxt, m, c * s)
+        terms = nxt
+    return tuple(sorted(terms.items()))
 
 
 _WEIGHTS = {"a": (1, 1), "b": (1, -1), "c": (-1, 1), "d": (-1, -1)}
@@ -177,20 +204,22 @@ _DELTA = {
 
 @functools.lru_cache(maxsize=None)
 def coproduct_word(word):
-    """Coproduct of a basis word as a tuple of ((w1, w2), coefficient)."""
+    """Coproduct of a word as a sorted tuple of ((w1, w2), coefficient).
+
+    Delta is an algebra map, so the letters' coproducts multiply on one at a
+    time, both legs straightened after each factor.
+    """
     pairs = {("", ""): ONE}
-    for ch in word:
+    for g in word:
         nxt = {}
         for (w1, w2), c in pairs.items():
-            for u, v in _DELTA[ch]:
-                add_to(nxt, (w1 + u, w2 + v), c)
+            for u, v in _DELTA[g]:
+                for m1, c1 in _step(w1, u):
+                    cm = c * c1
+                    for m2, c2 in _step(w2, v):
+                        add_to(nxt, (m1, m2), cm * c2)
         pairs = nxt
-    acc = {}
-    for (w1, w2), c in pairs.items():
-        for m1, c1 in normal_word(w1):
-            for m2, c2 in normal_word(w2):
-                add_to(acc, (m1, m2), c * c1 * c2)
-    return tuple(sorted(acc.items()))
+    return tuple(sorted(pairs.items()))
 
 
 class OqTensor(Combination):

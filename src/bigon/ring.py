@@ -84,13 +84,22 @@ class HalfLaurent:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        c = {}
-        for e1, a1 in self._c.items():
-            for e2, a2 in other._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + a1 * a2
+        p, r = self._c, other._c
+        if len(p) == 1 or len(r) == 1:
+            # a monomial factor shifts the exponents; nothing can cancel
+            if len(r) != 1:
+                p, r = r, p
+            ((e2, a2),) = r.items()
+            c = {e1 + e2: a1 * a2 for e1, a1 in p.items()}
+        else:
+            c = {}
+            for e1, a1 in p.items():
+                for e2, a2 in r.items():
+                    e = e1 + e2
+                    c[e] = c.get(e, 0) + a1 * a2
+            c = {e: a for e, a in c.items() if a}
         out = HalfLaurent.__new__(HalfLaurent)
-        out._c = {e: a for e, a in c.items() if a}
+        out._c = c
         out._hash = None
         return out
 

@@ -18,8 +18,8 @@ from bigon.braided import (
     _block_coproduct,
     _mul_legs,
 )
-from bigon.hopf import GENERATORS, OqTensor, counit_word, multiply
-from bigon.ring import ONE, ZERO, q_power
+from bigon.hopf import GENERATORS, OqTensor, coproduct_word, counit_word, multiply
+from bigon.ring import ONE, ZERO, add_to, q_power
 from support import basis_words, oq, random_scalar, random_word, seeded
 
 
@@ -274,15 +274,25 @@ def _blockwise_product(n, cut, f1, f2, variant):
 
 
 def _recombined(n, x, cut):
-    # collapse the right piece's new leg with the counit and glue back
+    # collapse the left piece's new leg with the counit and glue back
     out = BraidedElement(n - 1, {})
     for left, right in polygon_split(n, x, cut):
         for ll, cl in left.terms.items():
             for rr, cr in right.terms.items():
-                scalar = counit_word(rr[0])
+                scalar = counit_word(ll[-1])
                 if not scalar:
                     continue
-                out = out + BraidedElement(n - 1, {ll + rr[1:]: cl * cr * scalar})
+                out = out + BraidedElement(n - 1, {ll[:-1] + rr: cl * cr * scalar})
+    return out
+
+
+def _single_leg_split(n, x, cut):
+    # the earlier split, which expanded leg `cut` alone
+    out = {}
+    for legs, c in x.terms.items():
+        head, mid, tail = legs[:cut], legs[cut], legs[cut + 1 :]
+        for (m1, m2), d in coproduct_word(mid):
+            add_to(out, (head + (m2,), (m1,) + tail), c * d)
     return out
 
 
@@ -332,6 +342,33 @@ def test_splitting_is_an_algebra_map():
             lhs = _split_sum(3, braided_product(x, y, variant), 1)
             rhs = _blockwise_product(3, 1, _split_sum(3, x, 1), _split_sum(3, y, 1), variant)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_splitting_is_an_algebra_map_at_every_cut(n):
+    rng = seeded(68 + n)
+    for cut in range(1, n - 1):
+        for variant in ("standard", "mirror"):
+            for _ in range(3):
+                x = _random_braided(rng, n - 1, max_total=3)
+                y = _random_braided(rng, n - 1, max_total=3)
+                lhs = _split_sum(n, braided_product(x, y, variant), cut)
+                rhs = _blockwise_product(
+                    n, cut, _split_sum(n, x, cut), _split_sum(n, y, cut), variant
+                )
+                assert lhs == rhs, (cut, variant)
+
+
+def test_single_leg_split_is_not_an_algebra_map_at_interior_cuts():
+    # the test above can tell: expanding leg `cut` alone fails at cut 1
+    x = _legs("a", "", "b")
+    y = _legs("", "c", "")
+    for variant in ("standard", "mirror"):
+        lhs = _single_leg_split(4, braided_product(x, y, variant), 1)
+        rhs = _blockwise_product(
+            4, 1, _single_leg_split(4, x, 1), _single_leg_split(4, y, 1), variant
+        )
+        assert lhs != rhs, variant
 
 
 def test_splitting_is_an_algebra_map_on_the_last_square_diagonal():

@@ -176,10 +176,24 @@ def test_expression_error_exits_two(capsys):
     assert code == 2 and "position" in err
 
 
-def test_too_deep_rewriting_is_one_error_line(capsys):
-    code, out, err = run_cli(capsys, "normal-form", "d^40*a^40")
-    assert code == 1 and out == ""
+def test_deep_product_prints_its_normal_form(capsys):
+    code, out, _ = run_cli(capsys, "normal-form", "d^40*a^40")
+    assert code == 0
+    assert out == str(OqElement.from_word("d" * 40) * OqElement.from_word("a" * 40)) + "\n"
+
+
+def test_product_past_the_swap_budget_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "normal-form", "d^41*a^40")
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "swaps" in err
+
+
+def test_huge_product_is_one_error_line():
+    cmd = [sys.executable, "-m", "bigon.cli", "normal-form", "(a+d)^64"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
 def test_huge_exponent_is_one_error_line():

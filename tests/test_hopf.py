@@ -1,7 +1,9 @@
+import functools
 import itertools
 
 import pytest
 
+from bigon import hopf
 from bigon.hopf import (
     GENERATORS,
     OqElement,
@@ -30,7 +32,7 @@ from bigon.hopf import (
     u_action,
     word_weight,
 )
-from bigon.ring import HalfLaurent, ONE, ZERO, half, q_power
+from bigon.ring import HalfLaurent, ONE, ZERO, add_to, half, q_power
 
 from support import basis_words, oq, random_element, seeded, word_triples
 
@@ -53,6 +55,114 @@ def test_defining_relations():
     assert b * c == q_power(2) * oq("ad") - OqElement.unit(q_power(2))
     assert b * c == c * b
     assert d * a == q_power(4) * oq("ad") + OqElement.unit(ONE - q_power(4))
+
+
+# The recursive rewriting and the 2^n-expansion coproduct that the
+# straightening fold replaced, kept verbatim as oracles on small words.
+
+_Q2 = q_power(2)
+
+# Local rewriting rules on adjacent letter pairs.  Each right-hand side is a
+# list of (coefficient, replacement word); the left-hand pair is deleted.
+_REWRITES = {
+    "ca": ((_Q2, "ac"),),
+    "ba": ((_Q2, "ab"),),
+    "db": ((_Q2, "bd"),),
+    "dc": ((_Q2, "cd"),),
+    "da": ((q_power(4), "ad"), (ONE - q_power(4), "")),
+    "bc": ((_Q2, "ad"), (-_Q2, "")),
+    "cb": ((_Q2, "ad"), (-_Q2, "")),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _rewritten_word(word):
+    """Normal form of a free word, as a tuple of (basis word, coefficient).
+
+    Rewriting is leftmost-innermost; it terminates because every rule either
+    shortens the word or decreases it lexicographically at equal length.
+    """
+    for i in range(len(word) - 1):
+        rule = _REWRITES.get(word[i : i + 2])
+        if rule is None:
+            continue
+        acc = {}
+        for coeff, repl in rule:
+            for mono, c in _rewritten_word(word[:i] + repl + word[i + 2 :]):
+                add_to(acc, mono, coeff * c)
+        return tuple(sorted(acc.items()))
+    return ((word, ONE),)
+
+
+def _expanded_coproduct_word(word):
+    """Coproduct of a basis word as a tuple of ((w1, w2), coefficient)."""
+    pairs = {("", ""): ONE}
+    for ch in word:
+        nxt = {}
+        for (w1, w2), c in pairs.items():
+            for u, v in hopf._DELTA[ch]:
+                add_to(nxt, (w1 + u, w2 + v), c)
+        pairs = nxt
+    acc = {}
+    for (w1, w2), c in pairs.items():
+        for m1, c1 in _rewritten_word(w1):
+            for m2, c2 in _rewritten_word(w2):
+                add_to(acc, (m1, m2), c * c1 * c2)
+    return tuple(sorted(acc.items()))
+
+
+def _free_words(max_len):
+    for n in range(max_len + 1):
+        yield from map("".join, itertools.product(GENERATORS, repeat=n))
+
+
+def test_straightening_step_matches_the_rewriting():
+    for w in basis_words(6):
+        for g in GENERATORS:
+            assert tuple(sorted(hopf._step(w, g))) == _rewritten_word(w + g), (w, g)
+
+
+def test_normal_forms_match_the_rewriting():
+    for w in _free_words(6):
+        assert normal_word(w) == _rewritten_word(w), w
+
+
+def test_coproducts_match_the_expansion():
+    for w in _free_words(6):
+        assert coproduct_word(w) == _expanded_coproduct_word(w), w
+
+
+@pytest.mark.parametrize("letter", GENERATORS)
+def test_oracles_catch_a_one_exponent_mutant(letter):
+    # the first term of w*letter gets one extra q^2: the comparisons must fail
+    step = hopf._step
+
+    def mutant(word, g):
+        out = step(word, g)
+        if g != letter:
+            return out
+        (mono, c), rest = out[0], out[1:]
+        return ((mono, c * _Q2),) + rest
+
+    hopf._step = mutant
+    normal_word.cache_clear()
+    coproduct_word.cache_clear()
+    try:
+        assert any(normal_word(w) != _rewritten_word(w) for w in _free_words(3))
+        assert any(coproduct_word(w) != _expanded_coproduct_word(w) for w in _free_words(3))
+    finally:
+        hopf._step = step
+        normal_word.cache_clear()
+        coproduct_word.cache_clear()
+
+
+def test_deep_product_normal_form():
+    z = OqElement.from_word("d" * 32 + "a" * 32)
+    assert len(normal_word("d" * 32 + "a" * 32)) == 33
+    x, y = oq("d" * 32), oq("a" * 32)
+    assert z == x * y
+    assert counit(z) == counit(x) * counit(y)
+    assert reduce_bigon(z) == _x_mul(reduce_bigon(x), reduce_bigon(y))
 
 
 def test_normal_words_are_fixed():
