@@ -211,28 +211,30 @@ def self_braided_product(x, y, coaction1, coaction2, product=multiply):
     tails pay the co-R weight.  `product` is the underlying multiplication
     the twist is built on.
     """
-    out = OqElement()
+    out = {}
     for (xw, uw), cx in coaction2(x).terms.items():
         for (yw, vw), cy in coaction1(y).terms.items():
             weight = rho_word(uw, vw, "rho")
             if weight:
-                piece = product(OqElement.from_word(xw), OqElement.from_word(yw))
-                out = out + piece * (cx * cy * weight)
-    return out
+                weight = cx * cy * weight
+                for w, c in product(OqElement.from_word(xw), OqElement.from_word(yw)).terms.items():
+                    add_to(out, w, c * weight)
+    return OqElement(out)
 
 
 def rho_twisted_multiply(x, y):
     """The co-R-twisted product: sum of co-R(x',y') times x''y''."""
-    out = OqElement()
+    out = {}
     for wx, cx in x.terms.items():
         for (x1, x2), d1 in coproduct_word(wx):
             for wy, cy in y.terms.items():
                 for (y1, y2), d2 in coproduct_word(wy):
                     weight = rho_word(x1, y1, "rho")
                     if weight:
-                        piece = OqElement.from_word(x2) * OqElement.from_word(y2)
-                        out = out + piece * (cx * cy * d1 * d2 * weight)
-    return out
+                        weight = cx * cy * d1 * d2 * weight
+                        for w, c in normal_word(x2 + y2):
+                            add_to(out, w, c * weight)
+    return OqElement(out)
 
 
 def transmutation_product(x, y):
@@ -242,7 +244,7 @@ def transmutation_product(x, y):
     the antipode to the whole head*tail product instead breaks associativity,
     which is the cross-check that pins this reading.
     """
-    out = OqElement()
+    out = {}
     for wx, cx in x.terms.items():
         for (x1, x2, x3), d in _triple_coproduct_word(wx):
             wing = multiply(antipode(OqElement.from_word(x1)), OqElement.from_word(x3))
@@ -250,6 +252,7 @@ def transmutation_product(x, y):
                 for (y1, y2), e in coproduct_word(wy):
                     weight = co_r(wing, antipode(OqElement.from_word(y1)))
                     if weight:
-                        piece = OqElement.from_word(x2) * OqElement.from_word(y2)
-                        out = out + piece * (cx * cy * d * e * weight)
-    return out
+                        weight = cx * cy * d * e * weight
+                        for w, c in normal_word(x2 + y2):
+                            add_to(out, w, c * weight)
+    return OqElement(out)

@@ -46,7 +46,7 @@ from .qtorus import (
     quantum_trace,
     triangle_element,
 )
-from .ring import ONE, HalfLaurent, add_to, format_qform, half, parse_vform, q_power
+from .ring import ONE, HalfLaurent, add_to, format_qform, format_sum, half, parse_vform, q_power
 from .tangle import (
     SlicedTangle,
     TangleError,
@@ -77,12 +77,22 @@ class CliError(Exception):
 # reads back the q-powers of every normal form the products can reach
 MAX_EXPONENT = 4096
 
-# Every product is bounded before it runs: one pair of basis words may need at
-# most MAX_SWAPS out-of-order letter pairs straightened, and the product may
-# generate at most MAX_SIZE coefficient monomials before equal terms merge.
-# d^40*a^40 is the deepest pair allowed; (a+d)^n stops at n = 35.
+# Every product is bounded before it runs: its pairs of basis words may need
+# at most MAX_SWAPS out-of-order letter pairs straightened in all, and the
+# product may generate at most MAX_SIZE coefficient monomials before equal
+# terms merge.  d^40*a^40 is the deepest product allowed; (a+d)^n stops at
+# n = 35.
 MAX_SWAPS = 1600
 MAX_SIZE = 2**18
+
+# The hopf subcommands bound their operands: the words of a coproduct operand
+# may have at most MAX_COPRODUCT_LETTERS letters in all, and those of each
+# operand of a pairing form at most MAX_FORM_LETTERS.  Both costs grow faster
+# than linearly in a word's length, so for a given total one long word is the
+# slowest operand: a^12*d^12 takes about 0.5 s to split, and the slowest pair
+# of 12-letter words about 0.7 s to pair.
+MAX_COPRODUCT_LETTERS = 24
+MAX_FORM_LETTERS = 12
 
 
 def _tokenize(text):
@@ -128,11 +138,11 @@ def _swaps(w1, w2):
 
 def _product(x, y, pos):
     """x*y, or an ExpressionError when it would exceed the budgets above."""
+    if sum(_swaps(w1, w2) for w1 in x.terms for w2 in y.terms) > MAX_SWAPS:
+        raise ExpressionError("product needs more than %d letter swaps" % MAX_SWAPS, pos)
     generated = 0
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
-            if _swaps(w1, w2) > MAX_SWAPS:
-                raise ExpressionError("product needs more than %d letter swaps" % MAX_SWAPS, pos)
             size = sum(len(c.items()) for _, c in normal_word(w1 + w2))
             generated += len(c1.items()) * len(c2.items()) * size
             if generated > MAX_SIZE:
@@ -243,39 +253,9 @@ def parse_expression(text):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_head(coeff):
-    """(sign, head) where head is '' for 1, else a grammar-compatible factor."""
-    items = sorted(coeff.items(), reverse=True)
-    if len(items) != 1:
-        return "+", "(%s)" % format_qform(coeff)
-    e, n = items[0]
-    sign = "-" if n < 0 else "+"
-    n = abs(n)
-    if e == 0:
-        head = "" if n == 1 else str(n)
-    else:
-        if e % 2 == 0:
-            base = "q" if e == 2 else "q^%d" % (e // 2)
-        else:
-            base = "v" if e == 1 else "v^%d" % e
-        head = base if n == 1 else "%d*%s" % (n, base)
-    return sign, head
-
-
 def format_leg_terms(terms):
     """Canonical text for {leg words: coefficient} maps, e.g. ``q*(a|b)``."""
-    if not terms:
-        return "0"
-    pieces = []
-    for legs in sorted(terms):
-        sign, head = _scalar_head(terms[legs])
-        body = "(%s)" % "|".join(legs)
-        pieces.append((sign, head + "*" + body if head else body))
-    sign, body = pieces[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        text += (" - " if sign == "-" else " + ") + body
-    return text
+    return format_sum((terms[legs], "(%s)" % "|".join(legs)) for legs in sorted(terms))
 
 
 def parse_leg_terms(text):
@@ -377,12 +357,20 @@ def _cmd_normal_form(args):
     return element_to_string(x), 0
 
 
+def _check_letters(x, name, limit):
+    """Reject an operand whose words have more than `limit` letters in all."""
+    letters = sum(map(len, x.terms))
+    if letters > limit:
+        raise CliError(2, "%s has %d letters in its words, more than %d" % (name, letters, limit))
+
+
 def _cmd_hopf(args):
     if args.op in ("coproduct", "counit", "antipode"):
         if args.expr is None:
             raise CliError(2, "%s needs --expr" % args.op)
         x = parse_expression(args.expr)
         if args.op == "coproduct":
+            _check_letters(x, "--expr", MAX_COPRODUCT_LETTERS)
             terms = coproduct(x).terms
             if args.json:
                 payload = [
@@ -400,6 +388,8 @@ def _cmd_hopf(args):
         raise CliError(2, "rho needs --left and --right")
     x = parse_expression(args.left)
     y = parse_expression(args.right)
+    _check_letters(x, "--left", MAX_FORM_LETTERS)
+    _check_letters(y, "--right", MAX_FORM_LETTERS)
     if args.kind == "rho":
         value = co_r(x, y)
     elif args.kind == "bar":

@@ -29,7 +29,7 @@ import functools
 import itertools
 import re
 
-from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, q_factorial, q_power
+from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, format_sum, q_factorial, q_power
 
 GENERATORS = "abcd"
 
@@ -278,7 +278,7 @@ _ANTIPODE = {
 
 
 def antipode(x):
-    out = OqElement()
+    out = {}
     for w, c in x.terms.items():
         coeff = c
         image = []
@@ -286,16 +286,19 @@ def antipode(x):
             s, letter = _ANTIPODE[ch]
             coeff = coeff * s
             image.append(letter)
-        out = out + OqElement.from_word("".join(image), coeff)
-    return out
+        for mono, d in normal_word("".join(image)):
+            add_to(out, mono, coeff * d)
+    return OqElement(out)
 
 
 def bar_involution(x):
     """Order-reversing involution fixing the generators, conjugating v."""
-    out = OqElement()
+    out = {}
     for w, c in x.terms.items():
-        out = out + OqElement.from_word(w[::-1], c.conjugate())
-    return out
+        cbar = c.conjugate()
+        for mono, d in normal_word(w[::-1]):
+            add_to(out, mono, cbar * d)
+    return OqElement(out)
 
 
 def rotation(x):
@@ -323,134 +326,55 @@ def reduce_bigon(x):
 # the dual-braiding bilinear forms
 # ---------------------------------------------------------------------------
 
-# Values of the standard form on generator pairs.
-_RHO_TABLE = {
-    ("a", "a"): q_power(1),
-    ("d", "d"): q_power(1),
-    ("a", "d"): q_power(-1),
-    ("d", "a"): q_power(-1),
-    ("b", "c"): q_power(1) - q_power(-3),
-}
+# Each form on two generators is the operator invariant of one stated
+# crossing.  The first letter T_ij runs from the bottom left (state i) to the
+# top right (state j), the second T_kl from the top left (state k) to the
+# bottom right (state l).  The standard form reads the positive crossing, the
+# mirror form the negative one, and the inverse form is the mirror form with
+# its two arguments swapped.
+_CROSSING = {"rho": "x+", "mirror": "x-"}
 
-_derived_tables = {}
+# the stated arc T_ij as a generator, keyed by its letter: (state i, state j)
+LETTER_STATES = {"a": ("+", "+"), "b": ("+", "-"), "c": ("-", "+"), "d": ("-", "-")}
 
 
-def _inverse_table():
-    """Generator table of the inverse form, computed from the tangle layer.
-
-    The negative crossing admits two boundary-state arrangements (one per
-    mirror choice).  Both candidate tables are built by evaluating the
-    crossing as a two-strand operator, and the convolution-inverse identity
-    against the standard form selects the right one.
-    """
-    if "bar" in _derived_tables:
-        return _derived_tables["bar"]
-
+@functools.lru_cache(maxsize=None)
+def _crossing_value(kind, g1, g2):
+    """The form `kind` on two generators, read off one crossing."""
     from . import tangle  # deferred: tangle itself builds on this module
 
-    states = {"a": ("+", "+"), "b": ("+", "-"), "c": ("-", "+"), "d": ("-", "-")}
-    candidates = []
-    for mirrored in (True, False):
-        table = {}
-        for g1, (n1, m1) in states.items():
-            for g2, (n2, m2) in states.items():
-                if mirrored:
-                    left, right = (n2, n1), (m1, m2)
-                else:
-                    left, right = (n1, n2), (m2, m1)
-                t = tangle.SlicedTangle(
-                    [tangle.Slice("x-", 0, 2)], left_states=left, right_states=right
-                )
-                val = tangle.rt_evaluate(t)
-                if val:
-                    table[(g1, g2)] = val
-        candidates.append(table)
-
-    good = [t for t in candidates if _is_convolution_inverse(t)]
-    if len(good) != 1:
-        raise AssertionError(
-            "inverse-form derivation must single out one arrangement, got %d" % len(good)
-        )
-    _derived_tables["bar"] = good[0]
-    return good[0]
+    (i, j), (k, l) = LETTER_STATES[g1], LETTER_STATES[g2]
+    crossing = tangle.SlicedTangle([tangle.Slice(_CROSSING[kind], 0, 2)], (i, k), (l, j))
+    return tangle.rt_evaluate(crossing)
 
 
-def _is_convolution_inverse(table):
-    for g1 in GENERATORS:
-        for g2 in GENERATORS:
-            total = ZERO
-            for u1, v1 in _DELTA[g1]:
-                for u2, v2 in _DELTA[g2]:
-                    lhs = _RHO_TABLE.get((u1, u2))
-                    rhs = table.get((v1, v2))
-                    if lhs and rhs:
-                        total = total + lhs * rhs
-            expected = counit_word(g1) * counit_word(g2)
-            if total != expected:
-                return False
-    return True
-
-
-def _mirror_table():
-    if "mirror" not in _derived_tables:
-        bar = _inverse_table()
-        _derived_tables["mirror"] = {(g2, g1): v for (g1, g2), v in bar.items()}
-    return _derived_tables["mirror"]
-
-
-def _generator_table(kind):
-    if kind == "rho":
-        return _RHO_TABLE
-    if kind == "bar":
-        return _inverse_table()
-    if kind == "mirror":
-        return _mirror_table()
-    raise ValueError("unknown form %r" % kind)
-
-
-_rho_cache = {}
-
-
+@functools.lru_cache(maxsize=None)
 def rho_word(w1, w2, kind="rho"):
     """The chosen bilinear form on a pair of basis words.
 
     The standard and mirror forms extend by splitting the left slot against
     the coproduct of the right slot (and the first letter of a two-sided
-    split pairs with the *later* factor); the inverse form uses the same
-    splittings with the two sub-evaluations swapped.
+    split pairs with the *later* factor); the inverse form is the mirror form
+    with its arguments swapped.
     """
-    key = (kind, w1, w2)
-    cached = _rho_cache.get(key)
-    if cached is not None:
-        return cached
-    reverse = kind == "bar"
+    if kind == "bar":
+        return rho_word(w2, w1, "mirror")
+    if kind not in _CROSSING:
+        raise ValueError("unknown form %r" % kind)
     if not w1 or not w2:
-        val = counit_word(w1) * counit_word(w2)
-    elif len(w1) == 1 and len(w2) == 1:
-        val = _generator_table(kind).get((w1, w2)) or ZERO
-    elif len(w1) > 1:
+        return counit_word(w1) * counit_word(w2)
+    total = ZERO
+    if len(w1) > 1:
         g, rest = w1[0], w1[1:]
-        total = ZERO
         for (z1, z2), c in coproduct_word(w2):
-            if reverse:
-                term = rho_word(rest, z1, kind) * rho_word(g, z2, kind)
-            else:
-                term = rho_word(g, z1, kind) * rho_word(rest, z2, kind)
-            total = total + c * term
-        val = total
+            total = total + c * rho_word(g, z1, kind) * rho_word(rest, z2, kind)
+    elif len(w2) == 1:
+        total = _crossing_value(kind, w1, w2)
     else:
-        g = w1
         y, rest = w2[0], w2[1:]
-        total = ZERO
-        for u, v in _DELTA[g]:
-            if reverse:
-                term = rho_word(v, rest, kind) * rho_word(u, y, kind)
-            else:
-                term = rho_word(u, rest, kind) * rho_word(v, y, kind)
-            total = total + term
-        val = total
-    _rho_cache[key] = val
-    return val
+        for u, v in _DELTA[w1]:
+            total = total + rho_word(u, rest, kind) * rho_word(v, y, kind)
+    return total
 
 
 def _bilinear_form(x, y, kind):
@@ -654,10 +578,11 @@ def to_canonical(x):
 
 
 def from_canonical(coords):
-    out = OqElement()
+    out = {}
     for word, coeff in coords.items():
-        out = out + OqElement.from_word(word, coeff)
-    return out
+        for mono, c in normal_word(word):
+            add_to(out, mono, coeff * c)
+    return OqElement(out)
 
 
 def is_positive(coords):
@@ -693,40 +618,5 @@ def _format_mono(word):
 
 def element_to_string(x):
     """Canonical text form, e.g. ``q^2*a*d - q^2``; parses back bit-exactly."""
-    if not x.terms:
-        return "0"
     words = sorted(x.terms, key=_mono_sort_key, reverse=True)
-    pieces = []
-    for w in words:
-        coeff = x.terms[w]
-        mono = _format_mono(w)
-        items = sorted(coeff.items(), reverse=True)
-        if len(items) == 1:
-            e, n = items[0]
-            neg = n < 0
-            n = abs(n)
-            if e == 0:
-                head = str(n)
-                if mono and n == 1:
-                    head = ""
-            elif e % 2 == 0:
-                head = ("q" if e == 2 else "q^%d" % (e // 2)) if n == 1 else None
-                if head is None:
-                    head = "%d*%s" % (n, "q" if e == 2 else "q^%d" % (e // 2))
-            else:
-                head = ("v" if e == 1 else "v^%d" % e) if n == 1 else None
-                if head is None:
-                    head = "%d*%s" % (n, "v" if e == 1 else "v^%d" % e)
-            body = head + ("*" + mono if mono and head else mono)
-            pieces.append(("-" if neg else "+", body))
-        else:
-            body = "(%s)" % coeff.qform()
-            if mono:
-                body += "*" + mono
-            pieces.append(("+", body))
-    sign, body = pieces[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        text += (" - " if sign == "-" else " + ") + body
-    return text
-
+    return format_sum((x.terms[w], _format_mono(w)) for w in words)

@@ -613,6 +613,43 @@ def format_qform(p):
     return "".join(out)
 
 
+def _scalar_head(coeff):
+    """(sign, head) of a coefficient written in front of a factor.
+
+    head is '' for 1, else a grammar-compatible factor; a coefficient of more
+    than one term is parenthesised and always carries the sign '+'.
+    """
+    items = sorted(coeff.items(), reverse=True)
+    if len(items) != 1:
+        return "+", "(%s)" % format_qform(coeff)
+    e, n = items[0]
+    sign = "-" if n < 0 else "+"
+    n = abs(n)
+    if e == 0:
+        head = "" if n == 1 else str(n)
+    else:
+        if e % 2 == 0:
+            base = "q" if e == 2 else "q^%d" % (e // 2)
+        else:
+            base = "v" if e == 1 else "v^%d" % e
+        head = base if n == 1 else "%d*%s" % (n, base)
+    return sign, head
+
+
+def format_sum(terms):
+    """Text of a sum of (coefficient, factor text) pairs, in the given order.
+
+    An empty factor stands for 1; the empty sum is '0'.
+    """
+    text = ""
+    for coeff, factor in terms:
+        sign, head = _scalar_head(coeff)
+        text += " %s %s" % (sign, "*".join(filter(None, (head, factor))) or "1")
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 class ScalarParseError(ValueError):
     def __init__(self, msg, pos):
         super().__init__("%s (at position %d)" % (msg, pos))

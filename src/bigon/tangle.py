@@ -8,11 +8,12 @@ are +/- signs stored bottom-to-top.
 Three evaluations are provided:
 
 * ``rt_evaluate`` -- the scalar operator invariant, computed by sweeping the
-  slice word across a dictionary of weighted state vectors.
-* ``skein_element`` -- the same diagram as an element of the bigon algebra,
-  via a single cut after the first slice: the first slice contributes stated
-  arcs and generators, the remainder contributes its scalar invariant (the
-  same sweep, run transposed from the right edge).
+  slice word from left to right across a dictionary of weighted state vectors.
+* ``skein_element`` -- the same diagram as an element of the bigon algebra.
+  Cutting the diagram just before its right edge is the coproduct, and the
+  counit of the left piece is the scalar invariant, so the same sweep gives
+  the weight of every state vector on the cut; each vector then contributes
+  the parallel strands from it to the right states.
 * ``kauffman_reduce`` -- an independent oracle that resolves every crossing,
   then reads off loops, returning arcs and through strands from the flat
   crossingless picture.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 
-from .hopf import OqElement
+from .hopf import LETTER_STATES, OqElement, normal_word
 from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, half, q_int, q_power
 
 LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
@@ -36,7 +37,7 @@ ARC = {("+", "-"): half(-1), ("-", "+"): half(-5, -1)}
 KINK = HalfLaurent({6: -1})
 CUP_ARC = {k: KINK * v for k, v in ARC.items()}
 
-_GEN = {("+", "+"): "a", ("+", "-"): "b", ("-", "+"): "c", ("-", "-"): "d"}
+_GEN = {states: g for g, states in LETTER_STATES.items()}
 
 STATES = ("+", "-")
 
@@ -202,13 +203,13 @@ def format_tangle_word(slices, n0=None):
 
 
 def _transfer_tables():
-    """Local transfer tables of the slice kinds, forwards and transposed.
+    """Local transfer tables of the slice kinds, read from left to right.
 
     A table maps the states a slice consumes at its position (bottom to top,
     two for a cap or a crossing, none for a cup) to the weighted states it
-    produces there; the transposed table reads the same slice right to left.
+    produces there.
     """
-    forward = {
+    tables = {
         "cap": {(b, t): (((), w),) for (t, b), w in ARC.items()},
         "cup": {(): tuple(((b, t), w) for (t, b), w in CUP_ARC.items())},
     }
@@ -226,26 +227,19 @@ def _transfer_tables():
                 if w:
                     row.append(((mu[1], mu[0]), w))
             table[(lam[1], lam[0])] = tuple(row)
-        forward[kind] = table
-    backward = {}
-    for kind, table in forward.items():
-        back = {}
-        for local_in, row in table.items():
-            for local_out, w in row:
-                back.setdefault(local_out, []).append((local_in, w))
-        backward[kind] = back
-    return forward, backward
+        tables[kind] = table
+    return tables
 
 
-_FORWARD, _BACKWARD = _transfer_tables()
+_TABLES = _transfer_tables()
 
 
-def _sweep(states, slices, tables):
-    """Push {state tuple: weight} through `slices` with the given tables."""
+def _sweep(states, slices):
+    """Push {state tuple: weight} through `slices`, left to right."""
     for s in slices:
         if s.kind == "id":
             continue
-        table = tables[s.kind]
+        table = _TABLES[s.kind]
         p = s.position
         width = len(next(iter(table)))
         out = {}
@@ -259,7 +253,7 @@ def _sweep(states, slices, tables):
 
 def rt_evaluate(t):
     """The operator invariant's matrix entry for the given boundary states."""
-    return _sweep({t.left_states: ONE}, t.slices, _FORWARD).get(t.right_states) or ZERO
+    return _sweep({t.left_states: ONE}, t.slices).get(t.right_states) or ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -267,70 +261,24 @@ def rt_evaluate(t):
 # ---------------------------------------------------------------------------
 
 
-def _through_word(left_states, right_states, skip_left=(), skip_right=()):
-    """Generator word of parallel strands, multiplied top to bottom."""
-    lpos = [i for i in range(len(left_states)) if i not in skip_left]
-    rpos = [i for i in range(len(right_states)) if i not in skip_right]
-    if len(lpos) != len(rpos):
-        raise TangleError("through-strand mismatch")
-    letters = []
-    for i, j in zip(reversed(lpos), reversed(rpos)):
-        letters.append(_GEN[(left_states[i], right_states[j])])
-    return "".join(letters)
-
-
-def _slice_element(s, nu, eta):
-    """Stated first slice as an algebra element (None when a state kills it)."""
-    p = s.position
-    if s.kind == "id":
-        return OqElement.from_word(_through_word(nu, eta))
-    if s.kind == "cap":
-        w = ARC.get((nu[p + 1], nu[p]))
-        if w is None:
-            return None
-        word = _through_word(nu, eta, skip_left=(p, p + 1))
-        return OqElement.from_word(word, w)
-    if s.kind == "cup":
-        w = CUP_ARC.get((eta[p + 1], eta[p]))
-        if w is None:
-            return None
-        word = _through_word(nu, eta, skip_right=(p, p + 1))
-        return OqElement.from_word(word, w)
-    raise TangleError("crossings must be resolved before lifting")
-
-
 def skein_element(t):
-    """The element of the bigon algebra represented by the stated diagram."""
-    slices = t.slices
-    nu = t.left_states
-    if not slices or all(s.kind == "id" for s in slices):
-        return OqElement.from_word(_through_word(nu, t.right_states))
-    first = slices[0]
-    rest = slices[1:]
-    if first.kind in ("x+", "x-"):
-        # resolve the leading crossing, then lift each resolution
-        straight = SlicedTangle(rest, nu, t.right_states)
-        p = first.position
-        turn = SlicedTangle(
-            (Slice("cap", p, first.in_strands), Slice("cup", p, first.in_strands - 2))
-            + rest,
-            nu,
-            t.right_states,
-        )
-        ws, wt = (q_power(1), q_power(-1)) if first.kind == "x+" else (q_power(-1), q_power(1))
-        return skein_element(straight).scale(ws) + skein_element(turn).scale(wt)
-    if first.kind == "id":
-        return skein_element(SlicedTangle(rest, nu, t.right_states))
-    # all left-boundary values of the remainder at once: {eta: invariant}
-    back = _sweep({t.right_states: ONE}, reversed(rest), _BACKWARD)
-    out = OqElement()
-    for eta, scalar in back.items():
-        if len(eta) != first.out_strands:
-            continue
-        piece = _slice_element(first, nu, eta)
-        if piece is not None:
-            out = out + piece.scale(scalar)
-    return out
+    """The element of the bigon algebra represented by the stated diagram.
+
+    The diagram is its own left part glued to parallel strands at the right
+    edge, so it lifts to the sum over the states eta on that cut of the
+    invariant from the left states to eta times the strands from eta to the
+    right states.  The strands multiply on from the top down, and terms that
+    agree on the states still to come and on the product so far merge, so a
+    sum that collapses (as it does under a cup) stays small.
+    """
+    terms = {(eta, ""): c for eta, c in _sweep({t.left_states: ONE}, t.slices).items()}
+    for i in reversed(range(len(t.right_states))):
+        nxt = {}
+        for (eta, word), c in terms.items():
+            for mono, s in normal_word(word + _GEN[(eta[i], t.right_states[i])]):
+                add_to(nxt, (eta[:i], mono), c * s)
+        terms = nxt
+    return OqElement({word: c for (_, word), c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +403,13 @@ def evaluate_matching(pairs, left_states, right_states, loops=0):
 
 def kauffman_reduce(t):
     """Resolve all crossings, then evaluate each flat diagram directly."""
-    out = OqElement()
+    out = {}
     for coeff, slices in _resolutions(t.slices):
         loops, pairs = _flat_components(slices, len(t.left_states))
         piece = evaluate_matching(pairs, t.left_states, t.right_states, loops)
-        out = out + piece.scale(coeff)
-    return out
+        for mono, c in piece.terms.items():
+            add_to(out, mono, c * coeff)
+    return OqElement(out)
 
 
 # ---------------------------------------------------------------------------

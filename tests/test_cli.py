@@ -16,7 +16,7 @@ from bigon.cli import (
     parse_leg_terms,
 )
 from bigon.braided import BraidedElement, braided_product
-from bigon.hopf import OqElement, element_to_string, multiply
+from bigon.hopf import OqElement, element_to_string, multiply, normal_word
 from bigon.ring import format_qform, half, parse_vform, q_power
 from bigon.tangle import format_tangle_word, parse_tangle_word
 
@@ -201,6 +201,54 @@ def test_huge_exponent_is_one_error_line():
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+
+
+def test_sum_of_deep_pairs_fails_before_any_normal_form(capsys):
+    text = "(d^40+d^39+d^38)*(a^40+a^39+a^38)"
+    # the two factors parse on their own; the product of them must not start
+    parse_expression(text[: text.index("*")])
+    parse_expression(text[text.index("*") + 1 :])
+    misses = normal_word.cache_info().misses
+    code, out, err = run_cli(capsys, "normal-form", text)
+    assert normal_word.cache_info().misses == misses
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "swaps" in err
+
+
+def _run_subprocess(*argv):
+    cmd = [sys.executable, "-m", "bigon.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hopf", "rho", "--left", "a^64", "--right", "d^64"),
+        ("hopf", "rho", "--left", "a^13", "--right", "d"),
+        ("hopf", "rho", "--left", "b", "--right", "(a+d)^5", "--kind", "bar"),
+        ("hopf", "coproduct", "--expr", "a^128"),
+        ("hopf", "coproduct", "--expr", "a^12*d^13"),
+    ],
+)
+def test_hopf_operand_past_its_budget_is_one_error_line(argv):
+    done = _run_subprocess(*argv)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert "letters" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hopf", "rho", "--left", "a^3*b^9", "--right", "c^6*d^6", "--kind", "mirror"),
+        ("hopf", "coproduct", "--expr", "a^12*d^12"),
+    ],
+)
+def test_hopf_operand_at_its_budget_is_answered(argv):
+    done = _run_subprocess(*argv)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.endswith("\n") and len(done.stdout.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from bigon import hopf
+from bigon import hopf, tangle
 from bigon.hopf import (
     GENERATORS,
     OqElement,
@@ -34,7 +34,7 @@ from bigon.hopf import (
 )
 from bigon.ring import HalfLaurent, ONE, ZERO, add_to, half, q_power
 
-from support import basis_words, oq, random_element, seeded, word_triples
+from support import basis_words, oq, random_element, random_word, seeded, word_triples
 
 
 def gens():
@@ -359,7 +359,12 @@ def test_reduce_bigon_is_algebra_map():
 # braiding forms
 # ---------------------------------------------------------------------------
 
-RHO_EXPECTED = {
+# The hard-coded standard table, the candidate-selected inverse table and the
+# reversed recursion that reading the forms off one crossing replaced, kept
+# verbatim as the oracle of the forms.
+
+# Values of the standard form on generator pairs.
+_RHO_TABLE = {
     ("a", "a"): q_power(1),
     ("d", "d"): q_power(1),
     ("a", "d"): q_power(-1),
@@ -367,11 +372,175 @@ RHO_EXPECTED = {
     ("b", "c"): q_power(1) - q_power(-3),
 }
 
+_derived_tables = {}
+
+
+def _inverse_table():
+    """Generator table of the inverse form, computed from the tangle layer.
+
+    The negative crossing admits two boundary-state arrangements (one per
+    mirror choice).  Both candidate tables are built by evaluating the
+    crossing as a two-strand operator, and the convolution-inverse identity
+    against the standard form selects the right one.
+    """
+    if "bar" in _derived_tables:
+        return _derived_tables["bar"]
+
+    states = {"a": ("+", "+"), "b": ("+", "-"), "c": ("-", "+"), "d": ("-", "-")}
+    candidates = []
+    for mirrored in (True, False):
+        table = {}
+        for g1, (n1, m1) in states.items():
+            for g2, (n2, m2) in states.items():
+                if mirrored:
+                    left, right = (n2, n1), (m1, m2)
+                else:
+                    left, right = (n1, n2), (m2, m1)
+                t = tangle.SlicedTangle(
+                    [tangle.Slice("x-", 0, 2)], left_states=left, right_states=right
+                )
+                val = tangle.rt_evaluate(t)
+                if val:
+                    table[(g1, g2)] = val
+        candidates.append(table)
+
+    good = [t for t in candidates if _is_convolution_inverse(t)]
+    if len(good) != 1:
+        raise AssertionError(
+            "inverse-form derivation must single out one arrangement, got %d" % len(good)
+        )
+    _derived_tables["bar"] = good[0]
+    return good[0]
+
+
+def _is_convolution_inverse(table):
+    for g1 in GENERATORS:
+        for g2 in GENERATORS:
+            total = ZERO
+            for u1, v1 in hopf._DELTA[g1]:
+                for u2, v2 in hopf._DELTA[g2]:
+                    lhs = _RHO_TABLE.get((u1, u2))
+                    rhs = table.get((v1, v2))
+                    if lhs and rhs:
+                        total = total + lhs * rhs
+            expected = counit_word(g1) * counit_word(g2)
+            if total != expected:
+                return False
+    return True
+
+
+def _mirror_table():
+    if "mirror" not in _derived_tables:
+        bar = _inverse_table()
+        _derived_tables["mirror"] = {(g2, g1): v for (g1, g2), v in bar.items()}
+    return _derived_tables["mirror"]
+
+
+def _generator_table(kind):
+    if kind == "rho":
+        return _RHO_TABLE
+    if kind == "bar":
+        return _inverse_table()
+    if kind == "mirror":
+        return _mirror_table()
+    raise ValueError("unknown form %r" % kind)
+
+
+_rho_cache = {}
+
+
+def _table_rho_word(w1, w2, kind="rho"):
+    """The chosen bilinear form on a pair of basis words.
+
+    The standard and mirror forms extend by splitting the left slot against
+    the coproduct of the right slot (and the first letter of a two-sided
+    split pairs with the *later* factor); the inverse form uses the same
+    splittings with the two sub-evaluations swapped.
+    """
+    key = (kind, w1, w2)
+    cached = _rho_cache.get(key)
+    if cached is not None:
+        return cached
+    reverse = kind == "bar"
+    if not w1 or not w2:
+        val = counit_word(w1) * counit_word(w2)
+    elif len(w1) == 1 and len(w2) == 1:
+        val = _generator_table(kind).get((w1, w2)) or ZERO
+    elif len(w1) > 1:
+        g, rest = w1[0], w1[1:]
+        total = ZERO
+        for (z1, z2), c in coproduct_word(w2):
+            if reverse:
+                term = _table_rho_word(rest, z1, kind) * _table_rho_word(g, z2, kind)
+            else:
+                term = _table_rho_word(g, z1, kind) * _table_rho_word(rest, z2, kind)
+            total = total + c * term
+        val = total
+    else:
+        g = w1
+        y, rest = w2[0], w2[1:]
+        total = ZERO
+        for u, v in hopf._DELTA[g]:
+            if reverse:
+                term = _table_rho_word(v, rest, kind) * _table_rho_word(u, y, kind)
+            else:
+                term = _table_rho_word(u, rest, kind) * _table_rho_word(v, y, kind)
+            total = total + term
+        val = total
+    _rho_cache[key] = val
+    return val
+
+
+_FORMS = ("rho", "bar", "mirror")
+
+
+def _form_corpus():
+    """Every pair of free words of length <= 3, then seeded pairs up to length 8."""
+    rng = seeded(43)
+    pairs = list(itertools.product(_free_words(3), repeat=2))
+    return pairs + [(random_word(rng, 8), random_word(rng, 8)) for _ in range(100)]
+
+
+def _form_mismatches(pairs):
+    return [
+        (w1, w2, kind)
+        for w1, w2 in pairs
+        for kind in _FORMS
+        if hopf.rho_word(w1, w2, kind) != _table_rho_word(w1, w2, kind)
+    ]
+
+
+def test_forms_match_the_table_recursion():
+    assert _form_mismatches(_form_corpus()) == []
+
+
+def _swap_crossings(m):
+    m.setattr(hopf, "_CROSSING", {"rho": "x-", "mirror": "x+"})
+
+
+def _keep_bar_arguments(m):
+    rho_word = hopf.rho_word
+    m.setattr(hopf, "rho_word", lambda w1, w2, kind: rho_word(w1, w2, "mirror" if kind == "bar" else kind))
+
+
+@pytest.mark.parametrize("mutate", [_swap_crossings, _keep_bar_arguments])
+def test_form_oracle_catches_mutants(mutate, monkeypatch):
+    rho_word = hopf.rho_word
+    try:
+        with monkeypatch.context() as m:
+            hopf._crossing_value.cache_clear()
+            rho_word.cache_clear()
+            mutate(m)
+            assert _form_mismatches(itertools.product(_free_words(2), repeat=2))
+    finally:
+        hopf._crossing_value.cache_clear()
+        rho_word.cache_clear()
+
 
 def test_rho_generator_table():
     for g1 in GENERATORS:
         for g2 in GENERATORS:
-            expected = RHO_EXPECTED.get((g1, g2), ZERO)
+            expected = _RHO_TABLE.get((g1, g2), ZERO)
             assert co_r(oq(g1), oq(g2)) == expected, (g1, g2)
 
 

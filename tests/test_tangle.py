@@ -186,6 +186,15 @@ def test_skein_cap_cup_scalars():
     assert skein_element(tangle("cup@0", "", "+-")) == OqElement.unit() * half(1)
 
 
+def test_skein_stacked_arcs():
+    # twelve arcs on one edge: the lift is the product of their scalars,
+    # and the sum over cut states collapses arc by arc
+    arcs = ";".join(["cap@0"] * 12)
+    assert skein_element(tangle(arcs, "-+" * 12, "")) == OqElement.unit() * half(-1) ** 12
+    arcs = ";".join(["cup@0"] * 12)
+    assert skein_element(tangle(arcs, "", "-+" * 12)) == OqElement.unit() * half(5, -1) ** 12
+
+
 def test_kauffman_positive_crossing_example():
     t = tangle("x+@0", "++", "++")
     assert kauffman_reduce(t) == oq("aa", q_power(1))
