@@ -99,6 +99,14 @@ class GroupoidRep:
 
     @classmethod
     def from_dict(cls, data):
+        """A representation from its JSON object.
+
+        * ``generators`` (required): an object mapping each piece name to its
+          matrix, a list of two rows of two entries.  An entry is an integer
+          or a string that ``fractions.Fraction`` reads (``"3"``, ``"-1/2"``);
+          the determinant must be 1.  ``sqrtO`` and ``O`` may be left out;
+          when given they must equal [[0, -1], [1, 0]] and -Id.
+        """
         return cls(
             {
                 name: SL2Matrix([[Fraction(e) for e in row] for row in rows])
@@ -144,6 +152,15 @@ class StatedPath:
 
     @classmethod
     def from_dict(cls, data):
+        """A stated path from its JSON object.
+
+        * ``word`` (required): a list of tokens in traversal order (see the
+          module docstring).
+        * ``closed`` (default ``false``): whether the path is a loop.
+        * ``states`` (default empty): the start and end states of an open
+          path, as a string such as ``"+-"``; required for an open path,
+          absent or empty for a loop.
+        """
         return cls(
             data["word"],
             states=tuple(data.get("states", "")) or None,

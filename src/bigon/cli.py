@@ -85,14 +85,12 @@ MAX_EXPONENT = 4096
 MAX_SWAPS = 1600
 MAX_SIZE = 2**18
 
-# The hopf subcommands bound their operands: the words of a coproduct operand
-# may have at most MAX_COPRODUCT_LETTERS letters in all, and those of each
-# operand of a pairing form at most MAX_FORM_LETTERS.  Both costs grow faster
-# than linearly in a word's length, so for a given total one long word is the
-# slowest operand: a^12*d^12 takes about 0.5 s to split, and the slowest pair
-# of 12-letter words about 0.7 s to pair.
-MAX_COPRODUCT_LETTERS = 24
-MAX_FORM_LETTERS = 12
+# The words of each operand of a hopf subcommand may have at most
+# MAX_OPERAND_LETTERS letters in all.  A coproduct's cost grows faster than
+# linearly in a word's length, so for a given total one long word is the
+# slowest operand: a^12*d^12 takes about 0.5 s to split.  The pairing forms
+# are read off the normal forms in closed form and stay in milliseconds.
+MAX_OPERAND_LETTERS = 24
 
 
 def _tokenize(text):
@@ -357,11 +355,13 @@ def _cmd_normal_form(args):
     return element_to_string(x), 0
 
 
-def _check_letters(x, name, limit):
-    """Reject an operand whose words have more than `limit` letters in all."""
+def _check_letters(x, name):
+    """Reject an operand whose words have more than MAX_OPERAND_LETTERS letters in all."""
     letters = sum(map(len, x.terms))
-    if letters > limit:
-        raise CliError(2, "%s has %d letters in its words, more than %d" % (name, letters, limit))
+    if letters > MAX_OPERAND_LETTERS:
+        raise CliError(
+            2, "%s has %d letters in its words, more than %d" % (name, letters, MAX_OPERAND_LETTERS)
+        )
 
 
 def _cmd_hopf(args):
@@ -370,7 +370,7 @@ def _cmd_hopf(args):
             raise CliError(2, "%s needs --expr" % args.op)
         x = parse_expression(args.expr)
         if args.op == "coproduct":
-            _check_letters(x, "--expr", MAX_COPRODUCT_LETTERS)
+            _check_letters(x, "--expr")
             terms = coproduct(x).terms
             if args.json:
                 payload = [
@@ -388,8 +388,8 @@ def _cmd_hopf(args):
         raise CliError(2, "rho needs --left and --right")
     x = parse_expression(args.left)
     y = parse_expression(args.right)
-    _check_letters(x, "--left", MAX_FORM_LETTERS)
-    _check_letters(y, "--right", MAX_FORM_LETTERS)
+    _check_letters(x, "--left")
+    _check_letters(y, "--right")
     if args.kind == "rho":
         value = co_r(x, y)
     elif args.kind == "bar":

@@ -326,54 +326,50 @@ def reduce_bigon(x):
 # the dual-braiding bilinear forms
 # ---------------------------------------------------------------------------
 
-# Each form on two generators is the operator invariant of one stated
-# crossing.  The first letter T_ij runs from the bottom left (state i) to the
-# top right (state j), the second T_kl from the top left (state k) to the
-# bottom right (state l).  The standard form reads the positive crossing, the
-# mirror form the negative one, and the inverse form is the mirror form with
-# its two arguments swapped.
-_CROSSING = {"rho": "x+", "mirror": "x-"}
+# The forms in closed form on basis words: the universal R-matrix
+# q^(H⊗H/2) Σ c_n E^n ⊗ F^n of U_q(sl2) read as a pairing.  With s = 1 for
+# the standard form and s = -1 for the mirror form,
+#     form(a^h1 x^k d^l1, a^h2 y^k d^l2)
+#         = q^(s((h1-l1)(h2-l2) + k^2) - k(h1+l1+h2+l2)) Π_{i=1..k} (1 - q^(-4si))
+# where (x, y) = (b, c) for the standard form and (c, b) for the mirror form
+# (k = 0 covers the words in a and d alone); every other pair of basis words
+# gives 0.  The inverse form is the mirror form with its arguments swapped.
+# The paper reads the same values off one stated crossing (x+ for the
+# standard form, x- for the mirror form); the tests keep that reading as an
+# oracle.
+_FORM_SHAPE = {"rho": ("bc", 1), "mirror": ("cb", -1)}
 
-# the stated arc T_ij as a generator, keyed by its letter: (state i, state j)
-LETTER_STATES = {"a": ("+", "+"), "b": ("+", "-"), "c": ("-", "+"), "d": ("-", "-")}
 
-
-@functools.lru_cache(maxsize=None)
-def _crossing_value(kind, g1, g2):
-    """The form `kind` on two generators, read off one crossing."""
-    from . import tangle  # deferred: tangle itself builds on this module
-
-    (i, j), (k, l) = LETTER_STATES[g1], LETTER_STATES[g2]
-    crossing = tangle.SlicedTangle([tangle.Slice(_CROSSING[kind], 0, 2)], (i, k), (l, j))
-    return tangle.rt_evaluate(crossing)
+def _form_exponent(h1, l1, h2, l2, k, s):
+    return s * ((h1 - l1) * (h2 - l2) + k * k) - k * (h1 + l1 + h2 + l2)
 
 
 @functools.lru_cache(maxsize=None)
+def _basis_form(w1, w2, kind):
+    """The form `kind` ("rho" or "mirror") on a pair of basis words."""
+    middle, s = _FORM_SHAPE[kind]
+    h1, x1, k, l1 = mono_parts(w1)
+    h2, x2, k2, l2 = mono_parts(w2)
+    if k != k2 or (k and x1 + x2 != middle):
+        return ZERO
+    value = _q(_form_exponent(h1, l1, h2, l2, k, s))
+    for i in range(1, k + 1):
+        value = value * _one_minus_q(-4 * s * i)
+    return value
+
+
 def rho_word(w1, w2, kind="rho"):
-    """The chosen bilinear form on a pair of basis words.
-
-    The standard and mirror forms extend by splitting the left slot against
-    the coproduct of the right slot (and the first letter of a two-sided
-    split pairs with the *later* factor); the inverse form is the mirror form
-    with its arguments swapped.
-    """
+    """The form `kind` ("rho", "bar" or "mirror") on two words, through their normal forms."""
     if kind == "bar":
-        return rho_word(w2, w1, "mirror")
-    if kind not in _CROSSING:
+        w1, w2, kind = w2, w1, "mirror"
+    if kind not in _FORM_SHAPE:
         raise ValueError("unknown form %r" % kind)
-    if not w1 or not w2:
-        return counit_word(w1) * counit_word(w2)
     total = ZERO
-    if len(w1) > 1:
-        g, rest = w1[0], w1[1:]
-        for (z1, z2), c in coproduct_word(w2):
-            total = total + c * rho_word(g, z1, kind) * rho_word(rest, z2, kind)
-    elif len(w2) == 1:
-        total = _crossing_value(kind, w1, w2)
-    else:
-        y, rest = w2[0], w2[1:]
-        for u, v in _DELTA[w1]:
-            total = total + rho_word(u, rest, kind) * rho_word(v, y, kind)
+    for m1, c1 in normal_word(w1):
+        for m2, c2 in normal_word(w2):
+            value = _basis_form(m1, m2, kind)
+            if value:
+                total = total + c1 * c2 * value
     return total
 
 

@@ -303,6 +303,16 @@ class Triangulation:
 
     @classmethod
     def from_dict(cls, data):
+        """A triangulation from its JSON object.
+
+        * ``faces`` (required): a list of ``{"id": ..., "sides": [s0, s1, s2]}``,
+          the three side labels counterclockwise.  Ids and labels are strings
+          or integers, repeated exactly by the gluings and by curves.
+        * ``gluings`` (default ``[]``): a list of ``[face, side, face, side]``,
+          each gluing two distinct sides; no side may be glued twice.
+        * ``boundary`` (optional): a list of ``[face, side]``; when given it
+          must be exactly the unglued sides, which form the boundary anyway.
+        """
         faces = [(f["id"], tuple(f["sides"])) for f in data["faces"]]
         gluings = [tuple(g) for g in data.get("gluings", [])]
         boundary = data.get("boundary")
@@ -405,6 +415,18 @@ class NormalCurve:
 
     @classmethod
     def from_dict(cls, data):
+        """A normal curve from its JSON object.
+
+        * ``steps`` (required): a non-empty list of
+          ``{"face": id, "enter": side, "exit": side}``, one corner arc per
+          face visit, in order along the curve.
+        * ``closed`` (default ``false``): whether the curve is a loop.
+        * ``states`` (default empty): the states at the first and the last
+          step of an open curve, as a string such as ``"+-"`` or a list of
+          ``"+"``/``"-"``; required for an open curve, absent for a loop.
+        * ``edge_orders`` (default ``{}``): an object recording the crossing
+          order along edges; kept for bookkeeping, it does not enter traces.
+        """
         steps = [(s["face"], s["enter"], s["exit"]) for s in data["steps"]]
         return cls(
             steps,

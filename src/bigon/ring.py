@@ -37,13 +37,6 @@ class HalfLaurent:
         self._c = c
         self._hash = None
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def q_power(cls, m, coeff=1):
-        """coeff * q^m, i.e. coeff * v^(2m)."""
-        return cls({2 * m: coeff})
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
@@ -468,11 +461,6 @@ def _coerce_rf(x):
     return NotImplemented
 
 
-def specialize(p, v_value):
-    """Integer value of p at v = +-1 (module-level spelling of the method)."""
-    return p.specialize(v_value)
-
-
 # ---------------------------------------------------------------------------
 # sparse linear combinations
 # ---------------------------------------------------------------------------
@@ -566,51 +554,42 @@ class Combination:
 # ---------------------------------------------------------------------------
 
 
+def _power_text(e, mag, q_form):
+    """The factor mag * v^e, e.g. '3', 'v^5', '2*q^-1'.
+
+    With q_form the even powers of v are written as powers of q.
+    """
+    if e == 0:
+        return str(mag)
+    if q_form and e % 2 == 0:
+        head = "q" if e == 2 else "q^%d" % (e // 2)
+    else:
+        head = "v" if e == 1 else "v^%d" % e
+    return head if mag == 1 else "%d*%s" % (mag, head)
+
+
+def _join_signed(pieces):
+    """Text of a sum of (sign, body) pieces, in the given order; the empty sum is '0'."""
+    text = "".join(" %s %s" % piece for piece in pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _monomials(p, q_form):
+    """(sign, text) of each term of p, ascending in v, or descending with q_form."""
+    for e, a in sorted(p.items(), reverse=q_form):
+        yield "-" if a < 0 else "+", _power_text(e, abs(a), q_form)
+
+
 def format_vform(p):
     """Canonical ascending text form in v; round-trips through parse_vform."""
-    if p.is_zero():
-        return "0"
-    first = True
-    out = []
-    for e, a in sorted(p.items()):
-        mag = abs(a)
-        if e == 0:
-            body = str(mag)
-        else:
-            head = "v" if e == 1 else "v^%d" % e
-            body = head if mag == 1 else "%d*%s" % (mag, head)
-        if first:
-            out.append(("-" if a < 0 else "") + body)
-            first = False
-        else:
-            out.append((" - " if a < 0 else " + ") + body)
-    return "".join(out)
+    return _join_signed(_monomials(p, False))
 
 
 def format_qform(p):
     """Pretty descending text form: even v-powers shown as q-powers."""
-    if p.is_zero():
-        return "0"
-    out = []
-    first = True
-    for e in sorted(p._c, reverse=True):
-        a = p._c[e]
-        mag = abs(a)
-        if e == 0:
-            body = str(mag)
-        else:
-            if e % 2 == 0:
-                m = e // 2
-                head = "q" if m == 1 else "q^%d" % m
-            else:
-                head = "v" if e == 1 else "v^%d" % e
-            body = head if mag == 1 else "%d*%s" % (mag, head)
-        if first:
-            out.append(("-" if a < 0 else "") + body)
-            first = False
-        else:
-            out.append((" - " if a < 0 else " + ") + body)
-    return "".join(out)
+    return _join_signed(_monomials(p, True))
 
 
 def _scalar_head(coeff):
@@ -619,21 +598,10 @@ def _scalar_head(coeff):
     head is '' for 1, else a grammar-compatible factor; a coefficient of more
     than one term is parenthesised and always carries the sign '+'.
     """
-    items = sorted(coeff.items(), reverse=True)
-    if len(items) != 1:
+    if len(coeff.items()) != 1:
         return "+", "(%s)" % format_qform(coeff)
-    e, n = items[0]
-    sign = "-" if n < 0 else "+"
-    n = abs(n)
-    if e == 0:
-        head = "" if n == 1 else str(n)
-    else:
-        if e % 2 == 0:
-            base = "q" if e == 2 else "q^%d" % (e // 2)
-        else:
-            base = "v" if e == 1 else "v^%d" % e
-        head = base if n == 1 else "%d*%s" % (n, base)
-    return sign, head
+    ((sign, head),) = _monomials(coeff, True)
+    return sign, "" if head == "1" else head
 
 
 def format_sum(terms):
@@ -641,13 +609,11 @@ def format_sum(terms):
 
     An empty factor stands for 1; the empty sum is '0'.
     """
-    text = ""
+    pieces = []
     for coeff, factor in terms:
         sign, head = _scalar_head(coeff)
-        text += " %s %s" % (sign, "*".join(filter(None, (head, factor))) or "1")
-    if not text:
-        return "0"
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+        pieces.append((sign, "*".join(filter(None, (head, factor))) or "1"))
+    return _join_signed(pieces)
 
 
 class ScalarParseError(ValueError):

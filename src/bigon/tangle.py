@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 
-from .hopf import LETTER_STATES, OqElement, normal_word
+from .hopf import OqElement, normal_word
 from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, half, q_int, q_power
 
 LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
@@ -37,7 +37,8 @@ ARC = {("+", "-"): half(-1), ("-", "+"): half(-5, -1)}
 KINK = HalfLaurent({6: -1})
 CUP_ARC = {k: KINK * v for k, v in ARC.items()}
 
-_GEN = {states: g for g, states in LETTER_STATES.items()}
+# the generator T_ij of a stated arc from state i to state j
+_GEN = {("+", "+"): "a", ("+", "-"): "b", ("-", "+"): "c", ("-", "-"): "d"}
 
 STATES = ("+", "-")
 

@@ -225,7 +225,7 @@ def _run_subprocess(*argv):
     "argv",
     [
         ("hopf", "rho", "--left", "a^64", "--right", "d^64"),
-        ("hopf", "rho", "--left", "a^13", "--right", "d"),
+        ("hopf", "rho", "--left", "a^25", "--right", "d"),
         ("hopf", "rho", "--left", "b", "--right", "(a+d)^5", "--kind", "bar"),
         ("hopf", "coproduct", "--expr", "a^128"),
         ("hopf", "coproduct", "--expr", "a^12*d^13"),
@@ -243,6 +243,8 @@ def test_hopf_operand_past_its_budget_is_one_error_line(argv):
     [
         ("hopf", "rho", "--left", "a^3*b^9", "--right", "c^6*d^6", "--kind", "mirror"),
         ("hopf", "coproduct", "--expr", "a^12*d^12"),
+        ("hopf", "rho", "--left", "a^13", "--right", "d"),
+        ("hopf", "rho", "--left", "b^24", "--right", "c^24"),
     ],
 )
 def test_hopf_operand_at_its_budget_is_answered(argv):

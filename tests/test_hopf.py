@@ -514,8 +514,96 @@ def test_forms_match_the_table_recursion():
     assert _form_mismatches(_form_corpus()) == []
 
 
-def _swap_crossings(m):
-    m.setattr(hopf, "_CROSSING", {"rho": "x-", "mirror": "x+"})
+# The crossing reading of the forms and the coproduct recursion that the
+# closed form replaced, kept verbatim as the second oracle of the forms.
+
+# Each form on two generators is the operator invariant of one stated
+# crossing.  The first letter T_ij runs from the bottom left (state i) to the
+# top right (state j), the second T_kl from the top left (state k) to the
+# bottom right (state l).  The standard form reads the positive crossing, the
+# mirror form the negative one, and the inverse form is the mirror form with
+# its two arguments swapped.
+_CROSSING = {"rho": "x+", "mirror": "x-"}
+
+# the stated arc T_ij as a generator, keyed by its letter: (state i, state j)
+LETTER_STATES = {"a": ("+", "+"), "b": ("+", "-"), "c": ("-", "+"), "d": ("-", "-")}
+
+
+@functools.lru_cache(maxsize=None)
+def _crossing_value(kind, g1, g2):
+    """The form `kind` on two generators, read off one crossing."""
+    (i, j), (k, l) = LETTER_STATES[g1], LETTER_STATES[g2]
+    crossing = tangle.SlicedTangle([tangle.Slice(_CROSSING[kind], 0, 2)], (i, k), (l, j))
+    return tangle.rt_evaluate(crossing)
+
+
+@functools.lru_cache(maxsize=None)
+def _crossing_rho_word(w1, w2, kind="rho"):
+    """The chosen bilinear form on a pair of basis words.
+
+    The standard and mirror forms extend by splitting the left slot against
+    the coproduct of the right slot (and the first letter of a two-sided
+    split pairs with the *later* factor); the inverse form is the mirror form
+    with its arguments swapped.
+    """
+    if kind == "bar":
+        return _crossing_rho_word(w2, w1, "mirror")
+    if kind not in _CROSSING:
+        raise ValueError("unknown form %r" % kind)
+    if not w1 or not w2:
+        return counit_word(w1) * counit_word(w2)
+    total = ZERO
+    if len(w1) > 1:
+        g, rest = w1[0], w1[1:]
+        for (z1, z2), c in coproduct_word(w2):
+            total = total + c * _crossing_rho_word(g, z1, kind) * _crossing_rho_word(rest, z2, kind)
+    elif len(w2) == 1:
+        total = _crossing_value(kind, w1, w2)
+    else:
+        y, rest = w2[0], w2[1:]
+        for u, v in hopf._DELTA[w1]:
+            total = total + _crossing_rho_word(u, rest, kind) * _crossing_rho_word(v, y, kind)
+    return total
+
+
+def test_closed_form_matches_the_crossing_recursion():
+    # every basis word a^h x^k d^l with h, k, l <= 2
+    words = [w for w in basis_words(6) if all(w.count(g) <= 2 for g in GENERATORS)]
+    assert len(words) == 45
+    mismatches = [
+        (w1, w2, kind)
+        for w1 in words
+        for w2 in words
+        for kind in _FORMS
+        if rho_word(w1, w2, kind) != _crossing_rho_word(w1, w2, kind)
+    ]
+    assert mismatches == []
+
+
+def test_generator_forms_are_one_stated_crossing():
+    for g1 in GENERATORS:
+        for g2 in GENERATORS:
+            assert rho_word(g1, g2, "rho") == _crossing_value("rho", g1, g2), (g1, g2)
+            assert rho_word(g1, g2, "mirror") == _crossing_value("mirror", g1, g2), (g1, g2)
+            assert rho_word(g1, g2, "bar") == _crossing_value("mirror", g2, g1), (g1, g2)
+
+
+def _swap_middle_letters(m):
+    m.setattr(hopf, "_FORM_SHAPE", {"rho": ("cb", 1), "mirror": ("bc", -1)})
+
+
+def _flip_the_weight_term(m):
+    exponent = hopf._form_exponent
+    m.setattr(
+        hopf,
+        "_form_exponent",
+        lambda h1, l1, h2, l2, k, s: exponent(h1, l1, h2, l2, k, s) - 2 * s * (h1 - l1) * (h2 - l2),
+    )
+
+
+def _drop_the_k_squared_term(m):
+    exponent = hopf._form_exponent
+    m.setattr(hopf, "_form_exponent", lambda h1, l1, h2, l2, k, s: exponent(h1, l1, h2, l2, k, s) - s * k * k)
 
 
 def _keep_bar_arguments(m):
@@ -523,18 +611,17 @@ def _keep_bar_arguments(m):
     m.setattr(hopf, "rho_word", lambda w1, w2, kind: rho_word(w1, w2, "mirror" if kind == "bar" else kind))
 
 
-@pytest.mark.parametrize("mutate", [_swap_crossings, _keep_bar_arguments])
+@pytest.mark.parametrize(
+    "mutate", [_swap_middle_letters, _flip_the_weight_term, _drop_the_k_squared_term, _keep_bar_arguments]
+)
 def test_form_oracle_catches_mutants(mutate, monkeypatch):
-    rho_word = hopf.rho_word
     try:
         with monkeypatch.context() as m:
-            hopf._crossing_value.cache_clear()
-            rho_word.cache_clear()
+            hopf._basis_form.cache_clear()
             mutate(m)
             assert _form_mismatches(itertools.product(_free_words(2), repeat=2))
     finally:
-        hopf._crossing_value.cache_clear()
-        rho_word.cache_clear()
+        hopf._basis_form.cache_clear()
 
 
 def test_rho_generator_table():
@@ -549,6 +636,7 @@ def test_rho_worked_examples():
     assert co_r(oq("a"), oq("b")) == ZERO
     assert co_r(oq("a") * oq("a"), oq("a") * oq("a")) == q_power(4)
     assert co_r(OqElement.unit(), oq("ad")) == ONE
+    assert co_r(oq("a" * 10 + "d" * 10), oq("a" * 10 + "d" * 10)) == ONE
 
 
 def test_rho_bilinear():

@@ -1,0 +1,55 @@
+"""Each module of the package imports only the layers below it.
+
+Every import statement counts, including those inside functions.
+"""
+
+import ast
+import pathlib
+import re
+
+import bigon
+
+PACKAGE = pathlib.Path(bigon.__file__).parent
+# lowest first, as the package docstring lists them
+LAYERS = ["ring", "hopf", "tangle", "braided", "qtorus", "classical", "cli"]
+
+
+def imported_modules(path):
+    """The package modules that one source file imports, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+            elif node.level == 0 and node.module and node.module.split(".")[0] == "bigon":
+                parts = node.module.split(".")
+                names = parts[1:2] or [alias.name for alias in node.names]
+            else:
+                continue
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[1] for alias in node.names if alias.name.startswith("bigon.")]
+        else:
+            continue
+        out.update(name.split(".")[0] for name in names)
+    return out
+
+
+def test_the_layers_are_every_module_in_the_docstring_order():
+    assert re.findall(r"^\* ``(\w+)``", bigon.__doc__, re.M) == LAYERS
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert sorted(LAYERS) == sorted(modules)
+
+
+def test_each_module_imports_only_earlier_layers():
+    upward = []
+    for rank, name in enumerate(LAYERS):
+        for dep in sorted(imported_modules(PACKAGE / (name + ".py"))):
+            if dep not in LAYERS[:rank]:
+                upward.append((name, dep))
+    assert upward == []
+
+
+def test_an_upward_import_inside_a_function_is_seen(tmp_path):
+    source = tmp_path / "low.py"
+    source.write_text("def f():\n    from . import cli\n    from .tangle import rt_evaluate\n    import bigon.qtorus\n")
+    assert imported_modules(source) == {"cli", "tangle", "qtorus"}
