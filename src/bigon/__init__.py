@@ -10,7 +10,8 @@ The package is organised in layers:
 * ``braided`` -- braided tensor powers, the twisted multiplication rule, and
   the self-braided (transmutation-style) product.
 * ``qtorus`` -- quantum tori, triangulated surfaces, and the state-sum trace
-  of a curve as a Laurent polynomial in edge variables.
+  of a curve, valued in the per-face torus (three corner generators per
+  face, ``ambient_torus``); the edge torus is ``chekhov_fock``.
 * ``classical`` -- the v = 1 shadow: SL(2) holonomies with sign twists, and
   the comparison dictionary against the quantum side.
 * ``cli`` -- the ``bigon`` console script wrapping all of the above.

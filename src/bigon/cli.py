@@ -90,6 +90,10 @@ MAX_SIZE = 2**18
 # linearly in a word's length, so for a given total one long word is the
 # slowest operand: a^12*d^12 takes about 0.5 s to split.  The pairing forms
 # are read off the normal forms in closed form and stay in milliseconds.
+# A braided product's cost grows exponentially in its legs, so there the two
+# operands share the budget, each leg of each term counting one letter more
+# than it has as written; it is checked before any leg is brought to normal
+# form.  (cb|cb|cb|cb|cb|cb) times the unit (|||||) takes about 2 s.
 MAX_OPERAND_LETTERS = 24
 
 
@@ -123,10 +127,6 @@ def _tokenize(text):
     return tokens
 
 
-def _scalar_element(coeff):
-    return OqElement.from_word("", coeff)
-
-
 def _swaps(w1, w2):
     """Out-of-order letter pairs (one from each basis word) in the word w1 w2."""
     h1, x1, k1, l1 = mono_parts(w1)
@@ -152,20 +152,15 @@ def _power(x, n, pos):
     if abs(n) > MAX_EXPONENT:
         raise ExpressionError("exponent %d exceeds %d in size" % (n, MAX_EXPONENT), pos)
     if n >= 0:
-        out = _scalar_element(ONE)
+        out = OqElement.unit()
         for _ in range(n):
             out = _product(out, x, pos)
         return out
-    items = list(x.terms.items())
-    if len(items) == 1 and items[0][0] == "":
-        scalar = list(items[0][1].items())
-        if len(scalar) == 1 and scalar[0][1] in (1, -1):
-            e, s = scalar[0]
-            base = HalfLaurent({-e: s})
-            out = ONE
-            for _ in range(-n):
-                out = out * base
-            return _scalar_element(out)
+    if set(x.terms) == {""}:
+        try:
+            return OqElement.unit(x.terms[""] ** n)
+        except ValueError:
+            pass
     raise ExpressionError("negative power of a non-invertible factor", pos)
 
 
@@ -227,12 +222,12 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.take()
         if kind == "int":
-            return _scalar_element(HalfLaurent({0: value}))
+            return OqElement.unit(value)
         if kind == "name":
             if value == "q":
-                return _scalar_element(q_power(1))
+                return OqElement.unit(q_power(1))
             if value == "v":
-                return _scalar_element(half(1))
+                return OqElement.unit(half(1))
             return OqElement.from_word(value)
         if kind == "(":
             x = self.expr()
@@ -315,17 +310,25 @@ def parse_leg_terms(text):
     return terms
 
 
-def parse_braided(text):
+def _braided_terms(text):
+    """The leg terms of a braided element, as written: one leg count, not zero."""
     terms = parse_leg_terms(text)
     if not terms:
         raise ExpressionError("cannot infer leg count of the zero element", 0)
-    arities = {len(k) for k in terms}
-    if len(arities) != 1:
+    if len({len(k) for k in terms}) != 1:
         raise ExpressionError("mixed leg counts", 0)
-    x = BraidedElement((arities.pop()))
+    return terms
+
+
+def _braided_element(terms):
+    x = BraidedElement(len(next(iter(terms))))
     for legs, coeff in terms.items():
         x = x + BraidedElement.from_legs(legs, coeff)
     return x
+
+
+def parse_braided(text):
+    return _braided_element(_braided_terms(text))
 
 
 def format_qtorus(x):
@@ -340,19 +343,24 @@ def format_qtorus(x):
 # ---------------------------------------------------------------------------
 
 
-def _element_json(x):
+def _element_reply(x):
+    text = element_to_string(x)
     words = sorted(x.terms, key=lambda w: (len(w), w))
-    return {
-        "terms": [{"word": w, "coefficient": format_qform(x.terms[w])} for w in words],
-        "text": element_to_string(x),
-    }
+    terms = [{"word": w, "coefficient": format_qform(x.terms[w])} for w in words]
+    return text, {"terms": terms, "text": text}
+
+
+def _legs_reply(terms):
+    payload = [{"legs": list(k), "coefficient": format_qform(terms[k])} for k in sorted(terms)]
+    return format_leg_terms(terms), {"terms": payload}
+
+
+def _value_reply(text):
+    return text, {"value": text}
 
 
 def _cmd_normal_form(args):
-    x = parse_expression(args.expression)
-    if args.json:
-        return json.dumps(_element_json(x), sort_keys=True), 0
-    return element_to_string(x), 0
+    return _element_reply(parse_expression(args.expression))
 
 
 def _check_letters(x, name):
@@ -371,18 +379,10 @@ def _cmd_hopf(args):
         x = parse_expression(args.expr)
         if args.op == "coproduct":
             _check_letters(x, "--expr")
-            terms = coproduct(x).terms
-            if args.json:
-                payload = [
-                    {"legs": list(k), "coefficient": format_qform(terms[k])} for k in sorted(terms)
-                ]
-                return json.dumps({"terms": payload}, sort_keys=True), 0
-            return format_leg_terms(terms), 0
+            return _legs_reply(coproduct(x).terms)
         if args.op == "counit":
-            value = counit(x)
-            return (json.dumps({"value": format_qform(value)}) if args.json else format_qform(value)), 0
-        y = antipode(x)
-        return (json.dumps(_element_json(y), sort_keys=True) if args.json else element_to_string(y)), 0
+            return _value_reply(format_qform(counit(x)))
+        return _element_reply(antipode(x))
     # pairing form
     if args.left is None or args.right is None:
         raise CliError(2, "rho needs --left and --right")
@@ -396,7 +396,7 @@ def _cmd_hopf(args):
         value = co_r(x, y, inverse=True)
     else:
         value = co_r_mirror(x, y)
-    return (json.dumps({"value": format_qform(value)}) if args.json else format_qform(value)), 0
+    return _value_reply(format_qform(value))
 
 
 def _parse_states(text, pos_name):
@@ -424,22 +424,23 @@ def _cmd_tangle(args):
         right = ()
     tangle = SlicedTangle(slices, left, right)
     if args.op == "eval":
-        value = rt_evaluate(tangle)
-        return (json.dumps({"value": format_qform(value)}) if args.json else format_qform(value)), 0
-    x = skein_element(tangle)
-    return (json.dumps(_element_json(x), sort_keys=True) if args.json else element_to_string(x)), 0
+        return _value_reply(format_qform(rt_evaluate(tangle)))
+    return _element_reply(skein_element(tangle))
 
 
 def _cmd_braided(args):
-    x = parse_braided(args.x)
-    y = parse_braided(args.y)
-    out = braided_product(x, y, rho_variant=args.variant)
-    if args.json:
-        payload = [
-            {"legs": list(k), "coefficient": format_qform(out.terms[k])} for k in sorted(out.terms)
-        ]
-        return json.dumps({"terms": payload}, sort_keys=True), 0
-    return format_leg_terms(out.terms), 0
+    x = _braided_terms(args.x)
+    y = _braided_terms(args.y)
+    legs = sum(len(key) for terms in (x, y) for key in terms)
+    letters = sum(len(word) for terms in (x, y) for key in terms for word in key)
+    if legs + letters > MAX_OPERAND_LETTERS:
+        raise CliError(
+            2,
+            "--x and --y have %d legs and %d letters in their terms, more than %d in all"
+            % (legs, letters, MAX_OPERAND_LETTERS),
+        )
+    out = braided_product(_braided_element(x), _braided_element(y), rho_variant=args.variant)
+    return _legs_reply(out.terms)
 
 
 def _load_json(path):
@@ -461,13 +462,10 @@ def _cmd_qtrace(args):
     x = quantum_trace(tri, curve)
     if not check_balanced(tri, x):
         raise CliError(1, "trace is not balanced")
-    if args.json:
-        payload = [
-            {"coefficient": format_qform(x.terms[v]), "exponents": list(v)}
-            for v in sorted(x.terms)
-        ]
-        return json.dumps({"terms": payload}, sort_keys=True), 0
-    return format_qtorus(x), 0
+    payload = [
+        {"coefficient": format_qform(x.terms[v]), "exponents": list(v)} for v in sorted(x.terms)
+    ]
+    return format_qtorus(x), {"terms": payload}
 
 
 def _cmd_classical(args):
@@ -480,7 +478,7 @@ def _cmd_classical(args):
         value = trace_loop(rep, path) if path.closed else trace_arc(rep, path)
     else:
         value = cut_check(rep, path)
-    return (json.dumps({"value": str(value)}) if args.json else str(value)), 0
+    return _value_reply(str(value))
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +690,7 @@ def _cmd_selftest(args):
             lines.append("ok   %s" % name)
             results.append({"name": name, "ok": True})
     lines.append("%d passed, %d failed" % (passed, failed))
-    code = 0 if failed == 0 else 1
-    if args.json:
-        return json.dumps({"failed": failed, "passed": passed, "results": results}, sort_keys=True), code
-    return "\n".join(lines), code
+    return "\n".join(lines), {"failed": failed, "passed": passed, "results": results}
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +706,6 @@ def build_parser():
 
     p = sub.add_parser("normal-form", help="normal form of an algebra expression")
     p.add_argument("expression")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_normal_form)
 
     p = sub.add_parser("hopf", help="coproduct, counit, antipode, pairing form")
@@ -720,7 +714,6 @@ def build_parser():
     p.add_argument("--left")
     p.add_argument("--right")
     p.add_argument("--kind", choices=["rho", "bar", "mirror"], default="rho")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hopf)
 
     p = sub.add_parser("tangle", help="evaluate sliced tangle words")
@@ -728,33 +721,30 @@ def build_parser():
     p.add_argument("--word", required=True)
     p.add_argument("--left")
     p.add_argument("--right")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_tangle)
 
     p = sub.add_parser("braided", help="multiply braided polygon elements")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--variant", choices=["standard", "mirror"], default="standard")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_braided)
 
     p = sub.add_parser("qtrace", help="quantum trace of a normal curve")
     p.add_argument("--surface", required=True)
     p.add_argument("--curve", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_qtrace)
 
     p = sub.add_parser("classical", help="rational traces of stated paths")
     p.add_argument("op", choices=["trace", "cut"])
     p.add_argument("--rep", required=True)
     p.add_argument("--path", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classical)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_selftest)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -762,7 +752,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text, code = args.func(args)
+        text, payload = args.func(args)
     except ExpressionError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
@@ -772,9 +762,9 @@ def main(argv=None):
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
-    if text:
-        print(text)
-    return code
+    print(json.dumps(payload, sort_keys=True) if args.json else text)
+    # a failed selftest check is the one reply that exits nonzero
+    return 1 if payload.get("failed") else 0
 
 
 if __name__ == "__main__":

@@ -262,11 +262,7 @@ def counit_word(word):
 
 
 def counit(x):
-    total = ZERO
-    for w, c in x.terms.items():
-        if all(ch in "ad" for ch in w):
-            total = total + c
-    return total
+    return sum((counit_word(w) * c for w, c in x.terms.items()), ZERO)
 
 
 _ANTIPODE = {

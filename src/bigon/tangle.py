@@ -319,11 +319,9 @@ class _Strands:
         self.parent = {}
         self.ends = {}
         self.loops = 0
-        self._next = 0
 
     def fresh(self, end=None):
-        sid = self._next
-        self._next += 1
+        sid = len(self.parent)
         self.parent[sid] = sid
         self.ends[sid] = [end] if end is not None else []
         return sid
@@ -346,6 +344,12 @@ class _Strands:
     def close(self, sid, end):
         self.ends[self.find(sid)].append(end)
 
+    def pairs(self):
+        """The endpoint pairs of the traced arcs; every arc must have two ends."""
+        if any(len(ends) != 2 for ends in self.ends.values()):
+            raise TangleError("open strand in flat tracing")
+        return [tuple(sorted(ends)) for ends in self.ends.values()]
+
 
 def _flat_components(slices, n_left):
     """Trace a crossingless slice word into loops and endpoint pairs."""
@@ -367,14 +371,7 @@ def _flat_components(slices, n_left):
             raise TangleError("crossing survived resolution")
     for j, sid in enumerate(current):
         tr.close(sid, ("R", j))
-    pairs = []
-    for root, ends in tr.ends.items():
-        if tr.find(root) != root:
-            continue
-        if len(ends) != 2:
-            raise TangleError("open strand in flat tracing")
-        pairs.append(tuple(sorted(ends)))
-    return tr.loops, pairs
+    return tr.loops, tr.pairs()
 
 
 def evaluate_matching(pairs, left_states, right_states, loops=0):
@@ -466,67 +463,21 @@ class TLDiagram:
         )
 
 
-def _concat_diagrams(d1, d2):
-    """Glue d1's right side to d2's left side; return (diagram pairs, loops)."""
-    adj = {}
-
-    def add_edge(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for p in d1.pairs:
-        u, v = tuple(p)
-        add_edge(("A",) + u, ("A",) + v)
-    for p in d2.pairs:
-        u, v = tuple(p)
-        add_edge(("B",) + u, ("B",) + v)
-    for i in range(d1.n):
-        add_edge(("A", "R", i), ("B", "L", i))
-
-    seen = set()
-    pairs = []
-    loops = 0
-
-    def boundary(node):
-        tag, side, i = node
-        if tag == "A" and side == "L":
-            return ("L", i)
-        if tag == "B" and side == "R":
-            return ("R", i)
-        return None
-
-    # boundary nodes have one edge, glued interior nodes have two, so every
-    # component is either a boundary-to-boundary path or an interior cycle
-    for start in list(adj):
-        if start in seen or boundary(start) is None:
-            continue
-        seen.add(start)
-        path_ends = [boundary(start)]
-        prev, node = None, start
-        while True:
-            step = [x for x in adj[node] if x != prev]
-            if not step:
-                break
-            prev, node = node, step[0]
-            seen.add(node)
-            b = boundary(node)
-            if b is not None:
-                path_ends.append(b)
-                break
-        if len(path_ends) != 2:
-            raise TangleError("glued diagram left an open strand")
-        pairs.append(tuple(path_ends))
-
-    for start in list(adj):
-        if start in seen:
-            continue
-        loops += 1
-        prev, node = None, start
-        while node not in seen:
-            seen.add(node)
-            step = [x for x in adj[node] if x != prev]
-            prev, node = node, step[0]
-    return pairs, loops
+def _glue_diagrams(d1, d2):
+    """Glue d1's right side to d2's left side; return (loops, endpoint pairs)."""
+    tr = _Strands()
+    middle = {}  # glued point -> the arc of d1 ending there
+    for inner, d in (("R", d1), ("L", d2)):
+        for pair in d.pairs:
+            sid = tr.fresh()
+            for side, i in pair:
+                if side != inner:
+                    tr.close(sid, (side, i))
+                elif inner == "R":
+                    middle[i] = sid
+                else:
+                    tr.join(middle[i], sid)
+    return tr.loops, tr.pairs()
 
 
 class TLElement(Combination):
@@ -569,7 +520,7 @@ def tl_product(x, y):
     out = {}
     for d1, c1 in x.terms.items():
         for d2, c2 in y.terms.items():
-            pairs, loops = _concat_diagrams(d1, d2)
+            loops, pairs = _glue_diagrams(d1, d2)
             coeff = c1 * c2
             for _ in range(loops):
                 coeff = coeff * DELTA

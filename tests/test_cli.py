@@ -253,6 +253,31 @@ def test_hopf_operand_at_its_budget_is_answered(argv):
     assert done.stdout.endswith("\n") and len(done.stdout.splitlines()) == 1
 
 
+BRAIDED_PAST_BUDGET = {
+    "1200 legs": ("(%sa)" % ("|" * 1199), "(a%s)" % ("|" * 1199)),
+    "(ad)^6 squared": ("(%s)" % "|".join(["ad"] * 6), "(%s)" % "|".join(["ad"] * 6)),
+    "ten d legs by ten a legs": ("(%s)" % "|".join(["d"] * 10), "(%s)" % "|".join(["a"] * 10)),
+    "one leg d^80 a^80": ("(%s|)" % ("d" * 80 + "a" * 80), "(|)"),
+    "one letter past the budget": ("(d|d|d|d|d|d)", "(a|a|a|a|a|aa)"),
+}
+
+
+@pytest.mark.parametrize("x, y", BRAIDED_PAST_BUDGET.values(), ids=BRAIDED_PAST_BUDGET)
+def test_braided_operands_past_the_budget_are_one_error_line(x, y):
+    done = _run_subprocess("braided", "--x", x, "--y", y)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert "letters" in done.stderr
+
+
+@pytest.mark.parametrize("x, y", [(("aad", "bb"), ("ccc", "ad")), (("d",) * 6, ("a",) * 6)])
+def test_braided_operands_within_the_budget_are_answered(x, y):
+    done = _run_subprocess("braided", "--x", "(%s)" % "|".join(x), "--y", "(%s)" % "|".join(y))
+    product = braided_product(BraidedElement.from_legs(x), BraidedElement.from_legs(y))
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == format_leg_terms(product.terms) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # file-driven subcommands
 # ---------------------------------------------------------------------------
@@ -335,6 +360,48 @@ def test_classical_domain_error(capsys, tmp_path):
     path = _write(tmp_path, "arc.json", {"word": ["h"], "states": "++", "closed": False})
     code, _, _ = run_cli(capsys, "classical", "trace", "--rep", rep, "--path", path)
     assert code == 1
+
+
+def _reply_cases(tmp_path):
+    surface = _write(tmp_path, "tri.json", SQUARE)
+    curve = _write(tmp_path, "arc.json", ARC)
+    rep = _write(tmp_path, "rep.json", REP)
+    path = _write(tmp_path, "path.json", {"word": ["g"], "states": "+-", "closed": False})
+    cut = _write(tmp_path, "cut.json", {"word": ["g", "CUT", "g"], "states": "++", "closed": False})
+    return [
+        ("normal-form", "b*c"),
+        ("normal-form", "a + e"),
+        ("tangle", "eval", "--word", "cup@0;cap@0"),
+        ("tangle", "element", "--word", "cup@1;x+@0;cap@1", "--left", "+", "--right", "-"),
+        ("tangle", "eval", "--word", "id2"),
+        ("hopf", "rho", "--left", "b", "--right", "c"),
+        ("hopf", "coproduct", "--expr", "a"),
+        ("hopf", "counit", "--expr", "a*d"),
+        ("hopf", "antipode", "--expr", "b*c"),
+        ("hopf", "rho", "--left", "a^25", "--right", "d"),
+        ("braided", "--x", "(|a)", "--y", "(a|)"),
+        ("braided", "--x", "(a|)", "--y", "(a)"),
+        ("qtrace", "--surface", surface, "--curve", curve),
+        ("classical", "trace", "--rep", rep, "--path", path),
+        ("classical", "cut", "--rep", rep, "--path", cut),
+        ("classical", "trace", "--rep", rep, "--path", surface),
+        ("selftest",),
+    ]
+
+
+def test_text_and_json_replies_agree(capsys, tmp_path):
+    for argv in _reply_cases(tmp_path):
+        code, text, err = run_cli(capsys, *argv)
+        json_code, out, json_err = run_cli(capsys, *argv, "--json")
+        assert (json_code, json_err) == (code, err), argv
+        if code and err:
+            assert text == out == "", argv
+            continue
+        payload = json.loads(out)
+        assert isinstance(payload, dict) and out == json.dumps(payload, sort_keys=True) + "\n", argv
+        for key in ("value", "text"):
+            if key in payload:
+                assert payload[key] + "\n" == text, argv
 
 
 # ---------------------------------------------------------------------------

@@ -53,3 +53,56 @@ def test_an_upward_import_inside_a_function_is_seen(tmp_path):
     source = tmp_path / "low.py"
     source.write_text("def f():\n    from . import cli\n    from .tangle import rt_evaluate\n    import bigon.qtorus\n")
     assert imported_modules(source) == {"cli", "tangle", "qtorus"}
+
+
+def _defined_names(statement):
+    """The names one top-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = []
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    return {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def _used_names(statement):
+    """The names one top-level statement reads, imports or looks up as attributes."""
+    out = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def stranded_helpers(paths):
+    """Private top-level names that no other top-level statement of `paths` uses."""
+    statements = [st for path in paths for st in ast.parse(path.read_text(), str(path)).body]
+    uses = [_used_names(st) for st in statements]
+    stranded = []
+    for i, st in enumerate(statements):
+        for name in sorted(_defined_names(st)):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in used for j, used in enumerate(uses) if j != i):
+                stranded.append(name)
+    return stranded
+
+
+def test_every_private_helper_is_used():
+    assert stranded_helpers(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_a_stranded_helper_is_seen(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "_TABLE = {}\n\n\ndef _used():\n    return _TABLE\n\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n\n"
+        "def public():\n    return _used()\n"
+    )
+    assert stranded_helpers([source]) == ["_recursive"]

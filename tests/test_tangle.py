@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from bigon.hopf import OqElement, OqTensor, coproduct, coproduct_word, counit
-from bigon.ring import ONE, RatFunc, ZERO, half, q_binom, q_int, q_power
+from bigon.ring import ONE, RatFunc, ZERO, add_to, half, q_binom, q_int, q_power
 from bigon.tangle import (
     LOOP,
+    STATES,
     Slice,
     SlicedTangle,
     TangleError,
@@ -18,6 +21,8 @@ from bigon.tangle import (
     stated_diagram_element,
     tl_product,
     _flat_components,
+    _glue_diagrams,
+    _sweep,
 )
 from support import exhaustive_tangles, oq, random_tangle, seeded, state_vectors
 
@@ -324,6 +329,69 @@ def test_jw_absorbs_everything():
         eps = x.identity_coefficient()
         assert jw * x == jw.scale(eps)
         assert x * jw == jw.scale(eps)
+
+
+# --- TL gluing against the operator invariant ----------------------------------
+
+
+def _tl_basis(n):
+    """Every crossingless matching of n left and n right points, built directly."""
+    boundary = [("L", i) for i in range(n)] + [("R", i) for i in reversed(range(n))]
+
+    def matchings(points):
+        if not points:
+            yield []
+        for k in range(1, len(points), 2):
+            for inside in matchings(points[1:k]):
+                for outside in matchings(points[k + 1 :]):
+                    yield [(points[0], points[k])] + inside + outside
+
+    return [TLDiagram(n, m) for m in matchings(boundary)]
+
+
+def _rt_rows(d):
+    """{left states: {right states: value}} of a diagram, swept over the transfer tables."""
+    slices = matching_to_slices(d.pairs, d.n, d.n)
+    return {left: _sweep({left: ONE}, slices) for left in itertools.product(STATES, repeat=d.n)}
+
+
+def _gluing_mismatches(max_n):
+    """Basis pairs and left states where LOOP^loops * rt(d1*d2) is not rt(d1) rt(d2).
+
+    The operator invariant is a functor, so composing the two diagrams'
+    operators state by state must give the traced gluing, each closed loop
+    worth LOOP.  The sweep never sees the strand tracer behind tl_product.
+    """
+    bad = []
+    for n in range(1, max_n + 1):
+        basis = _tl_basis(n)
+        assert len(basis) == _catalan(n)
+        rows = {d: _rt_rows(d) for d in basis}
+        for d1, d2 in itertools.product(basis, repeat=2):
+            product = tl_product(TLElement(n, {d1: RatFunc(ONE)}), TLElement(n, {d2: RatFunc(ONE)}))
+            ((glued, coeff),) = product.terms.items()
+            for left, glued_row in _rt_rows(glued).items():
+                composed = {}
+                for eta, w1 in rows[d1][left].items():
+                    for right, w2 in rows[d2][eta].items():
+                        add_to(composed, right, w1 * w2)
+                if {right: coeff.as_half() * w for right, w in glued_row.items()} != composed:
+                    bad.append((d1, d2, left))
+    return bad
+
+
+def test_tl_gluing_is_the_composition_of_operators():
+    assert _gluing_mismatches(4) == []
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_gluing_check_catches_a_loop_count_off_by_one(shift, monkeypatch):
+    def mutant(d1, d2):
+        loops, pairs = _glue_diagrams(d1, d2)
+        return max(loops + shift, 0), pairs
+
+    monkeypatch.setattr("bigon.tangle._glue_diagrams", mutant)
+    assert _gluing_mismatches(2)
 
 
 # --- stated TL diagrams through the lift --------------------------------------
