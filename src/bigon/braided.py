@@ -4,9 +4,12 @@ An n-sided polygon algebra is modelled as the (n-1)-fold braided tensor
 power: tuples of normal-form monomial legs with scalar coefficients.  Legs
 with increasing index multiply freely; exchanging a high leg past a low one
 inserts the co-R weight of their coproduct tails.  The module also carries
-the self-braided product of two commuting coactions, the covariantized
-(transmuted) product of the algebra itself, and the diagonal splitting of a
-polygon element into a sum of smaller-polygon pairs.
+the self-braided product of two commuting coactions; the co-R-twisted
+product and the covariantized (transmuted) product of the algebra itself are
+instances of it, the latter over the adjoint and the antipode-flipped
+coactions.  One co-R exchange serves every braided and twisted product.
+Last, a polygon element splits along a diagonal into a sum of
+smaller-polygon pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .hopf import (
     antipode,
     coproduct,
     coproduct_word,
-    co_r,
     multiply,
     normal_word,
     rho_word,
@@ -92,6 +94,21 @@ def _block_coproduct(words):
     return tuple(sorted(acc.items()))
 
 
+def _exchange(left, right, kind):
+    """The co-R exchange of two coactions, each given as ((leg, tail), coeff) pairs.
+
+    Returns {(left leg, right leg): sum of coeff * coeff' * form(tail, tail')},
+    the pairing form of the given kind, without zero weights.
+    """
+    out = {}
+    for (xleg, uw), cu in left:
+        for (yleg, vw), cv in right:
+            weight = rho_word(uw, vw, kind)
+            if weight:
+                add_to(out, (xleg, yleg), cu * cv * weight)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _mul_legs(xlegs, ylegs, kind):
     """Product of two single leg tuples, as a sorted tuple of (leg tuple, coeff)."""
@@ -99,20 +116,14 @@ def _mul_legs(xlegs, ylegs, kind):
         return (((), ONE),)
     if len(xlegs) == 1:
         return tuple(((w,), c) for w, c in normal_word(xlegs[0] + ylegs[0]))
-    x1, xrest = xlegs[0], xlegs[1:]
-    y1, yrest = ylegs[0], ylegs[1:]
     out = {}
     # slide the whole tail block of x leftwards past the first leg of y,
     # paying the co-R weight of the exchanged coproduct tails
-    for (block, uw), cu in _block_coproduct(xrest):
-        for (y1p, vw), cv in coproduct_word(y1):
-            weight = rho_word(uw, vw, kind)
-            if not weight:
-                continue
-            weight = weight * cu * cv
-            for first, cf in normal_word(x1 + y1p):
-                for rest, cr in _mul_legs(block, yrest, kind):
-                    add_to(out, (first,) + rest, weight * cf * cr)
+    exchanged = _exchange(_block_coproduct(xlegs[1:]), coproduct_word(ylegs[0]), kind)
+    for (block, y1), weight in exchanged.items():
+        for first, cf in normal_word(xlegs[0] + y1):
+            for rest, cr in _mul_legs(block, ylegs[1:], kind):
+                add_to(out, (first,) + rest, weight * cf * cr)
     return tuple(sorted(out.items()))
 
 
@@ -212,47 +223,32 @@ def self_braided_product(x, y, coaction1, coaction2, product=multiply):
     the twist is built on.
     """
     out = {}
-    for (xw, uw), cx in coaction2(x).terms.items():
-        for (yw, vw), cy in coaction1(y).terms.items():
-            weight = rho_word(uw, vw, "rho")
-            if weight:
-                weight = cx * cy * weight
-                for w, c in product(OqElement.from_word(xw), OqElement.from_word(yw)).terms.items():
-                    add_to(out, w, c * weight)
+    exchanged = _exchange(coaction2(x).terms.items(), coaction1(y).terms.items(), "rho")
+    for (xw, yw), weight in exchanged.items():
+        for w, c in product(OqElement.from_word(xw), OqElement.from_word(yw)).terms.items():
+            add_to(out, w, c * weight)
     return OqElement(out)
+
+
+def _flipped_coproduct(x):
+    """The coproduct with its legs swapped: x maps to sum of x'' tensor x'."""
+    return OqTensor({(w2, w1): c for (w1, w2), c in coproduct(x).terms.items()})
 
 
 def rho_twisted_multiply(x, y):
-    """The co-R-twisted product: sum of co-R(x',y') times x''y''."""
-    out = {}
-    for wx, cx in x.terms.items():
-        for (x1, x2), d1 in coproduct_word(wx):
-            for wy, cy in y.terms.items():
-                for (y1, y2), d2 in coproduct_word(wy):
-                    weight = rho_word(x1, y1, "rho")
-                    if weight:
-                        weight = cx * cy * d1 * d2 * weight
-                        for w, c in normal_word(x2 + y2):
-                            add_to(out, w, c * weight)
-    return OqElement(out)
+    """The co-R-twisted product: sum of co-R(x',y') times x''y''.
+
+    It is the self-braided product over the coproduct with its legs swapped.
+    """
+    return self_braided_product(x, y, _flipped_coproduct, _flipped_coproduct)
 
 
 def transmutation_product(x, y):
-    """Covariantized product via triple coproducts and antipode wings.
+    """Covariantized product: the self-braided product of the adjoint coaction
+    (left factor) and the antipode-flipped coaction (right factor).
 
     The wing pairing the left factor is S(head leg) times tail leg; applying
     the antipode to the whole head*tail product instead breaks associativity,
     which is the cross-check that pins this reading.
     """
-    out = {}
-    for wx, cx in x.terms.items():
-        for (x1, x2, x3), d in _triple_coproduct_word(wx):
-            wing = multiply(antipode(OqElement.from_word(x1)), OqElement.from_word(x3))
-            for wy, cy in y.terms.items():
-                for (y1, y2), e in coproduct_word(wy):
-                    weight = co_r(wing, antipode(OqElement.from_word(y1)))
-                    if weight:
-                        weight = cx * cy * d * e * weight
-                        for w, c in normal_word(x2 + y2):
-                            add_to(out, w, c * weight)
-    return OqElement(out)
+    return self_braided_product(x, y, antipode_flip_coaction, adjoint_coaction)

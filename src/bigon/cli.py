@@ -90,10 +90,11 @@ MAX_SIZE = 2**18
 # linearly in a word's length, so for a given total one long word is the
 # slowest operand: a^12*d^12 takes about 0.5 s to split.  The pairing forms
 # are read off the normal forms in closed form and stay in milliseconds.
-# A braided product's cost grows exponentially in its legs, so there the two
+# A braided product's cost grows steeply with its legs, so there the two
 # operands share the budget, each leg of each term counting one letter more
 # than it has as written; it is checked before any leg is brought to normal
-# form.  (cb|cb|cb|cb|cb|cb) times the unit (|||||) takes about 2 s.
+# form.  (cb|cb|cb|cb|cb|cb) times the unit (|||||) takes about 0.5 s in a
+# fresh process (2-core machine, Python 3.11.7).
 MAX_OPERAND_LETTERS = 24
 
 
@@ -238,7 +239,12 @@ class _Parser:
 
 def parse_expression(text):
     """Parse the expression grammar into a normal-form element."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # each parenthesis costs a few frames of the recursive descent
+        raise ExpressionError("expression nests too deeply", parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +457,8 @@ def _load_json(path):
         raise CliError(2, str(err))
     except json.JSONDecodeError as err:
         raise CliError(2, "%s: %s" % (path, err))
+    except RecursionError:
+        raise CliError(2, "%s: JSON nests too deeply" % path) from None
 
 
 def _cmd_qtrace(args):

@@ -394,8 +394,6 @@ def co_r_mirror(x, y):
 # A UWord is a tuple of (letter, n) tokens: ("K", ±1), ("E", n), ("F", n),
 # the E/F exponents meaning divided powers E^(n) = E^n / [n]!.
 
-_K_VALUES = {1: {"a": q_power(2), "d": q_power(-2)}, -1: {"a": q_power(-2), "d": q_power(2)}}
-
 
 def parse_uword(text):
     """Parse 'K K- E F(2)'-style token strings into a UWord."""
@@ -422,34 +420,20 @@ def parse_uword(text):
 
 @functools.lru_cache(maxsize=None)
 def _pair_letter_word(letter, sign, word):
-    """Pairing of a single K/E/F generator with a basis word."""
+    """Pairing of one generator K^sign, E or F with a basis word, in closed form:
+
+        <K^s, a^h d^l> = q^(2s(h-l))    <E, a^h b d^l> = q^(-2l)    <F, a^h c d^l> = q^(-2h)
+
+    and 0 on every other basis word.
+    """
+    h, x, k, l = mono_parts(word)
     if letter == "K":
-        val = ONE
-        for ch in word:
-            v = _K_VALUES[sign].get(ch)
-            if v is None:
-                return ZERO
-            val = val * v
-        return val
-    if not word:
+        return ZERO if k else _q(2 * sign * (h - l))
+    if k != 1:
         return ZERO
-    g, rest = word[0], word[1:]
     if letter == "E":
-        # split against 1⊗E + E⊗K
-        head = ONE if all(c in "ad" for c in g) else ZERO
-        return head * _pair_letter_word("E", 1, rest) + (
-            (ONE if g == "b" else ZERO) * _pair_letter_word("K", 1, rest)
-        )
-    if letter == "F":
-        # split against K^{-1}⊗F + F⊗1
-        kval = _K_VALUES[-1].get(g)
-        out = ZERO
-        if kval is not None:
-            out = kval * _pair_letter_word("F", 1, rest)
-        if g == "c":
-            out = out + counit_word(rest)
-        return out
-    raise ValueError(letter)
+        return _q(-2 * l) if x == "b" else ZERO
+    return _q(-2 * h) if x == "c" else ZERO
 
 
 def _expand_uword(u):

@@ -353,19 +353,18 @@ class Triangulation:
         return 3 * self.face_position(fid) + self.slot(fid, side)
 
 
-# per-face commutation of the side torus: sides in counterclockwise order
-# satisfy (later)(earlier) = q (earlier)(later) cyclically
-_FACE_BLOCK = ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
-
-
 def ambient_torus(tri):
-    """Tensor product over faces of the side torus; blocks commute."""
+    """Tensor product over faces of the side torus; blocks commute.
+
+    Each face block is the triangle's matrix: sides in counterclockwise order
+    satisfy (later)(earlier) = q (earlier)(later) cyclically.
+    """
     rank = 3 * len(tri.faces)
     matrix = [[0] * rank for _ in range(rank)]
     for pos in range(len(tri.faces)):
         for i in range(3):
             for j in range(3):
-                matrix[3 * pos + i][3 * pos + j] = _FACE_BLOCK[i][j]
+                matrix[3 * pos + i][3 * pos + j] = TRIANGLE.matrix[i][j]
     return QuantumTorus(rank, matrix)
 
 
@@ -499,7 +498,7 @@ def _push(e):
     is `_reorder_power` and w = (e_1 + e_2, e_2 + e_0, e_0 + e_1).
     """
     w = (e[1] + e[2], e[2] + e[0], e[0] + e[1])
-    return _reorder_power(_FACE_BLOCK, w, w) - _reorder_power(TRIANGLE.matrix, e, e), w
+    return _reorder_power(TRIANGLE.matrix, w, w) - _reorder_power(TRIANGLE.matrix, e, e), w
 
 
 def quantum_trace(tri, curve):

@@ -137,8 +137,8 @@ def parse_tangle_word(text, left_states=None, n0=None):
     """Parse `cap@i`/`cup@i`/`x+@i`/`x-@i`/`idN` words into slice lists.
 
     The incoming strand count is taken from `left_states` or `n0` when given,
-    from a leading `idN` otherwise, and failing that the smallest count that
-    makes every slice legal is used.
+    from a leading `idN` otherwise, and failing that it is the least count
+    that makes every slice legal, found in one pass over the slices.
     """
     text = text.strip()
     tokens = [t.strip() for t in text.split(";") if t.strip()] if text else []
@@ -176,15 +176,14 @@ def parse_tangle_word(text, left_states=None, n0=None):
         n0 = len(left_states)
     if n0 is None and parsed and parsed[0][0] == "id":
         n0 = parsed[0][1]
-    if n0 is not None:
-        return build(n0)
-    last_err = None
-    for guess in range(0, 65):
-        try:
-            return build(guess)
-        except TangleError as err:
-            last_err = err
-    raise last_err
+    if n0 is None:
+        # each slice needs a least strand count where it stands (an identity
+        # slice an exact one); `shift` is the count gained since the left edge
+        n0 = shift = 0
+        for kind, arg in parsed:
+            n0 = max(n0, (arg if kind in ("cup", "id") else arg + 2) - shift)
+            shift += {"cap": -2, "cup": 2}.get(kind, 0)
+    return build(n0)
 
 
 def format_tangle_word(slices, n0=None):

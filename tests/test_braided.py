@@ -1,5 +1,6 @@
 """Braided tensor powers, twisted products, and polygon splitting."""
 
+import functools
 import itertools
 
 import pytest
@@ -17,10 +18,22 @@ from bigon.braided import (
     trivial_coaction,
     _block_coproduct,
     _mul_legs,
+    _triple_coproduct_word,
 )
-from bigon.hopf import GENERATORS, OqTensor, coproduct_word, counit_word, multiply
+from bigon.hopf import (
+    GENERATORS,
+    OqElement,
+    OqTensor,
+    antipode,
+    co_r,
+    coproduct_word,
+    counit_word,
+    multiply,
+    normal_word,
+    rho_word,
+)
 from bigon.ring import ONE, ZERO, add_to, q_power
-from support import basis_words, oq, random_scalar, random_word, seeded
+from support import basis_words, oq, random_element, random_scalar, random_word, seeded
 
 
 def _legs(*words):
@@ -229,6 +242,109 @@ def test_covariantized_product_is_a_comodule_algebra_map():
                             elif key in acc:
                                 del acc[key]
             assert lhs == OqTensor(acc)
+
+
+# ---------------------------------------------------------------------------
+# the tail-pair loops: one co-R exchange per pair of coproduct tails, kept as
+# the oracles of the single exchange the products now share
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _pairwise_mul_legs(xlegs, ylegs, kind):
+    """Product of two single leg tuples, as a sorted tuple of (leg tuple, coeff)."""
+    if not xlegs:
+        return (((), ONE),)
+    if len(xlegs) == 1:
+        return tuple(((w,), c) for w, c in normal_word(xlegs[0] + ylegs[0]))
+    x1, xrest = xlegs[0], xlegs[1:]
+    y1, yrest = ylegs[0], ylegs[1:]
+    out = {}
+    # slide the whole tail block of x leftwards past the first leg of y,
+    # paying the co-R weight of the exchanged coproduct tails
+    for (block, uw), cu in _block_coproduct(xrest):
+        for (y1p, vw), cv in coproduct_word(y1):
+            weight = rho_word(uw, vw, kind)
+            if not weight:
+                continue
+            weight = weight * cu * cv
+            for first, cf in normal_word(x1 + y1p):
+                for rest, cr in _pairwise_mul_legs(block, yrest, kind):
+                    add_to(out, (first,) + rest, weight * cf * cr)
+    return tuple(sorted(out.items()))
+
+
+def _pairwise_braided_product(x, y, variant):
+    kind = {"standard": "rho", "mirror": "mirror"}[variant]
+    terms = {}
+    for xlegs, cx in x.terms.items():
+        for ylegs, cy in y.terms.items():
+            for legs, c in _pairwise_mul_legs(xlegs, ylegs, kind):
+                add_to(terms, legs, cx * cy * c)
+    return BraidedElement(x.arity, terms)
+
+
+def _pairwise_rho_twisted_multiply(x, y):
+    """The co-R-twisted product: sum of co-R(x',y') times x''y''."""
+    out = {}
+    for wx, cx in x.terms.items():
+        for (x1, x2), d1 in coproduct_word(wx):
+            for wy, cy in y.terms.items():
+                for (y1, y2), d2 in coproduct_word(wy):
+                    weight = rho_word(x1, y1, "rho")
+                    if weight:
+                        weight = cx * cy * d1 * d2 * weight
+                        for w, c in normal_word(x2 + y2):
+                            add_to(out, w, c * weight)
+    return OqElement(out)
+
+
+def _pairwise_transmutation_product(x, y):
+    """Covariantized product via triple coproducts and antipode wings.
+
+    The wing pairing the left factor is S(head leg) times tail leg; applying
+    the antipode to the whole head*tail product instead breaks associativity,
+    which is the cross-check that pins this reading.
+    """
+    out = {}
+    for wx, cx in x.terms.items():
+        for (x1, x2, x3), d in _triple_coproduct_word(wx):
+            wing = multiply(antipode(OqElement.from_word(x1)), OqElement.from_word(x3))
+            for wy, cy in y.terms.items():
+                for (y1, y2), e in coproduct_word(wy):
+                    weight = co_r(wing, antipode(OqElement.from_word(y1)))
+                    if weight:
+                        weight = cx * cy * d * e * weight
+                        for w, c in normal_word(x2 + y2):
+                            add_to(out, w, c * weight)
+    return OqElement(out)
+
+
+@pytest.mark.parametrize("arity", (2, 3, 4))
+def test_braided_product_matches_the_tail_pair_loop(arity):
+    rng = seeded(90 + arity)
+    for variant in ("standard", "mirror"):
+        for _ in range(12):
+            x = _random_braided(rng, arity, max_total=5, n_terms=3)
+            y = _random_braided(rng, arity, max_total=5, n_terms=3)
+            assert braided_product(x, y, variant) == _pairwise_braided_product(x, y, variant)
+
+
+def test_twisted_products_match_the_tail_pair_loops():
+    rng = seeded(94)
+    for _ in range(25):
+        x = random_element(rng, 3)
+        y = random_element(rng, 3)
+        assert rho_twisted_multiply(x, y) == _pairwise_rho_twisted_multiply(x, y)
+        assert transmutation_product(x, y) == _pairwise_transmutation_product(x, y)
+
+
+def test_leg_products_recurse_once_per_surviving_block():
+    # summing the exchange weights over tails first leaves one block per level
+    # here; recursing per tail pair took 517 leg products
+    _mul_legs.cache_clear()
+    braided_product(_legs(*["ad"] * 6), _legs(*["a"] * 6), "mirror")
+    assert _mul_legs.cache_info().misses <= 10
 
 
 # ---------------------------------------------------------------------------

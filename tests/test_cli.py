@@ -133,6 +133,13 @@ def test_tangle_missing_states_is_domain_error(capsys):
     assert code == 1 and "--left" in err
 
 
+@pytest.mark.parametrize("word, n_in", [("cap@70", 72), ("cup@70", 70)])
+def test_tangle_far_slice_asks_for_left_states(capsys, word, n_in):
+    code, out, err = run_cli(capsys, "tangle", "eval", "--word", word)
+    assert (code, out) == (1, "")
+    assert err == "error: word has %d incoming strands; give --left\n" % n_in
+
+
 def test_tangle_bad_word_is_parse_error(capsys):
     code, _, _ = run_cli(capsys, "tangle", "eval", "--word", "zap@0")
     assert code == 2
@@ -219,6 +226,35 @@ def test_sum_of_deep_pairs_fails_before_any_normal_form(capsys):
 def _run_subprocess(*argv):
     cmd = [sys.executable, "-m", "bigon.cli", *argv]
     return subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+
+
+@pytest.mark.parametrize("depth", (300, 1000))
+def test_deep_nesting_is_one_error_line(depth):
+    done = _run_subprocess("normal-form", "(" * depth + "a" + ")" * depth)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert "nests too deeply" in done.stderr
+
+
+def test_nesting_within_the_stack_is_answered():
+    done = _run_subprocess("normal-form", "(" * 200 + "a" + ")" * 200)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "a\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qtrace", "--surface", "{0}", "--curve", "{0}"),
+        ("classical", "trace", "--rep", "{0}", "--path", "{0}"),
+    ],
+)
+def test_deeply_nested_json_is_one_error_line(tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    done = _run_subprocess(*(arg.format(deep) for arg in argv))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert "nests too deeply" in done.stderr
 
 
 @pytest.mark.parametrize(

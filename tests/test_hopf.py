@@ -727,6 +727,50 @@ def test_pairing_generator_values():
         assert hopf_pairing(u, oq(w)) == expected, (u, w)
 
 
+# The recursion that split a word against the letter's coproduct, kept as the
+# oracle of the closed form.
+_K_VALUES = {1: {"a": q_power(2), "d": q_power(-2)}, -1: {"a": q_power(-2), "d": q_power(2)}}
+
+
+@functools.lru_cache(maxsize=None)
+def _recursive_pair_letter_word(letter, sign, word):
+    """Pairing of a single K/E/F generator with a basis word."""
+    if letter == "K":
+        val = ONE
+        for ch in word:
+            v = _K_VALUES[sign].get(ch)
+            if v is None:
+                return ZERO
+            val = val * v
+        return val
+    if not word:
+        return ZERO
+    g, rest = word[0], word[1:]
+    if letter == "E":
+        # split against 1⊗E + E⊗K
+        head = ONE if all(c in "ad" for c in g) else ZERO
+        return head * _recursive_pair_letter_word("E", 1, rest) + (
+            (ONE if g == "b" else ZERO) * _recursive_pair_letter_word("K", 1, rest)
+        )
+    if letter == "F":
+        # split against K^{-1}⊗F + F⊗1
+        kval = _K_VALUES[-1].get(g)
+        out = ZERO
+        if kval is not None:
+            out = kval * _recursive_pair_letter_word("F", 1, rest)
+        if g == "c":
+            out = out + counit_word(rest)
+        return out
+    raise ValueError(letter)
+
+
+def test_letter_pairing_matches_the_recursion():
+    for w in basis_words(6):
+        for letter, sign in (("K", 1), ("K", -1), ("E", 1), ("F", 1)):
+            expected = _recursive_pair_letter_word(letter, sign, w)
+            assert hopf._pair_letter_word(letter, sign, w) == expected, (letter, sign, w)
+
+
 def test_pairing_duality_law():
     # ⟨u, x·y⟩ = Σ ⟨u', x⟩⟨u'', y⟩ spot-checked through single-letter splits
     rng = seeded(37)

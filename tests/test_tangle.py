@@ -53,6 +53,15 @@ def test_parse_infers_strand_count():
     assert slices == [] and n == 0
 
 
+def test_parse_infers_strand_counts_past_64():
+    slices, n = parse_tangle_word("cup@70")
+    assert slices[0].in_strands == 70 and n == 72
+    slices, n = parse_tangle_word("cap@70")
+    assert slices[0].in_strands == 72 and n == 70
+    slices, n = parse_tangle_word("cup@0;cap@66;x+@3")
+    assert [s.in_strands for s in slices] == [66, 68, 66] and n == 66
+
+
 @pytest.mark.parametrize(
     "bad",
     ["cap", "twist@0", "cap@x", "idq", "x*@1"],
