@@ -449,28 +449,24 @@ def _expand_uword(u):
     return letters, denom
 
 
-def _pair_letters_word(letters, word):
-    if not letters:
-        return counit_word(word)
-    head, rest = letters[0], letters[1:]
-    if not rest:
-        return _pair_letter_word(head[0], head[1], word)
-    total = ZERO
-    for (z1, z2), c in coproduct_word(word):
-        first = _pair_letter_word(head[0], head[1], z1)
-        if not first:
-            continue
-        total = total + c * first * _pair_letters_word(rest, z2)
-    return total
-
-
 def hopf_pairing(u, x):
-    """Pairing of a UWord against an element; exact in the ground ring."""
+    """Pairing of a UWord against an element; exact in the ground ring.
+
+    <u1 u2 ... un, x> = sum <u1, x'> <u2 ... un, x''>: each letter pairs with
+    the first coproduct leg of what is left, and equal remaining words merge
+    before the next letter.
+    """
     letters, denom = _expand_uword(u)
-    total = ZERO
-    for w, c in x.terms.items():
-        total = total + c * _pair_letters_word(letters, w)
-    return divexact(total, denom)
+    words = dict(x.terms)
+    for letter, sign in letters:
+        out = {}
+        for w, c in words.items():
+            for (z1, z2), d in coproduct_word(w):
+                val = _pair_letter_word(letter, sign, z1)
+                if val:
+                    add_to(out, z2, c * d * val)
+        words = out
+    return divexact(sum((c * counit_word(w) for w, c in words.items()), ZERO), denom)
 
 
 def u_action(u, x):

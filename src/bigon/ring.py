@@ -10,11 +10,17 @@ Temperley-Lieb idempotents, quantum integers/binomials, the two canonical
 text forms (an ascending v-form that round-trips bit-exactly, and a prettier
 q-form used by the command line), and the sparse linear-combination core
 (`add_to` and `Combination`) that every element type of the package uses.
+
+Last comes the one tokenizer and recursive-descent parser of the package's
+text grammar (`parse_grammar`).  `parse_vform` reads scalars with it; the
+command line reads algebra expressions and leg terms with the same parser,
+supplying only its own names, product and power.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 
 class HalfLaurent:
@@ -617,72 +623,115 @@ def format_sum(terms):
 
 
 class ScalarParseError(ValueError):
+    """A malformed text form; `pos` counts from the start of the parsed text."""
+
     def __init__(self, msg, pos):
         super().__init__("%s (at position %d)" % (msg, pos))
         self.pos = pos
 
 
+_SCALAR_NAMES = {"q": q_power(1), "v": half(1)}
+
+
+def _tokens(text, names):
+    """(kind, value, position) tokens: ints, matches of `names`, operators."""
+    tokens = []
+    for found in re.finditer(r"([0-9]+)|(%s)|([-^*+()])|(\S)" % names, text):
+        digits, name, op, other = found.groups()
+        pos = found.start()
+        if other:
+            kind = "unknown identifier" if other.isalpha() else "unexpected character"
+            raise ScalarParseError("%s %r" % (kind, other), pos)
+        if digits:
+            try:
+                tokens.append(("int", int(digits), pos))
+            except ValueError:  # past the interpreter's digit limit
+                raise ScalarParseError("integer too long", pos) from None
+        else:
+            tokens.append(("name", name, pos) if name else (op, op, pos))
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def parse_grammar(text, names, atom, product, power):
+    """Read `text` in the one grammar of every text form of the package:
+
+        expr   := ['-'] term (('+' | '-') term)*
+        term   := factor ('*' factor)*
+        factor := atom ['^' ['-'] int]
+        atom   := int | name | '(' expr ')'
+
+    A caller supplies what differs: the regular expression `names` of its
+    names, `atom(x)` for the value of one (x is the scalar of an int, q or v,
+    else the name's text), and `product(x, y, pos)` and `power(x, n, pos)`.
+    Sums and negation are the values' own.  Errors are ScalarParseError.
+    """
+    tokens = _tokens(text, names)
+    at = 0
+
+    def take(kind=None):
+        nonlocal at
+        token = tokens[at]
+        if kind is not None and token[0] != kind:
+            raise ScalarParseError("expected %s" % kind, token[2])
+        at += 1
+        return token
+
+    def expr():
+        negate = tokens[at][0] == "-" and take()
+        x = term()
+        if negate:
+            x = -x
+        while tokens[at][0] in ("+", "-"):
+            op = take()[0]
+            y = term()
+            x = x + y if op == "+" else x - y
+        return x
+
+    def term():
+        x = factor()
+        while tokens[at][0] == "*":
+            pos = take()[2]
+            x = product(x, factor(), pos)
+        return x
+
+    def factor():
+        x = primary()
+        if tokens[at][0] == "^":
+            pos = take()[2]
+            sign = -1 if tokens[at][0] == "-" and take() else 1
+            x = power(x, sign * take("int")[1], pos)
+        return x
+
+    def primary():
+        kind, value, pos = take()
+        if kind == "int":
+            return atom(HalfLaurent({0: value}))
+        if kind == "name":
+            return atom(_SCALAR_NAMES.get(value, value))
+        if kind != "(":
+            raise ScalarParseError("expected a value", pos)
+        x = expr()
+        take(")")
+        return x
+
+    try:
+        x = expr()
+    except RecursionError:
+        # each parenthesis costs a few frames of the recursive descent
+        raise ScalarParseError("expression nests too deeply", tokens[at][2]) from None
+    if tokens[at][0] != "end":
+        raise ScalarParseError("trailing input", tokens[at][2])
+    return x
+
+
+def _scalar_power(x, n, pos):
+    try:
+        return x**n
+    except ValueError:
+        raise ScalarParseError("negative power of a non-invertible factor", pos) from None
+
+
 def parse_vform(text):
-    """Parse the scalar text forms emitted above (both v-form and q-form)."""
-    s = text.strip()
-    if s == "0":
-        return ZERO
-    i = 0
-    total = ZERO
-    sign = 1
-    expect_term = True
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-":
-            if expect_term and ch == "-":
-                sign = -sign
-                i += 1
-                continue
-            if not expect_term:
-                sign = 1 if ch == "+" else -1
-                expect_term = True
-                i += 1
-                continue
-            raise ScalarParseError("unexpected sign", i)
-        if not expect_term:
-            raise ScalarParseError("expected + or -", i)
-        coeff = 1
-        if ch.isdigit():
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
-            coeff = int(s[i:j])
-            i = j
-            if i < n and s[i] == "*":
-                i += 1
-            else:
-                total = total + HalfLaurent({0: sign * coeff})
-                sign, expect_term = 1, False
-                continue
-        if i >= n or s[i] not in "vq":
-            raise ScalarParseError("expected v or q", i)
-        unit = 2 if s[i] == "q" else 1
-        i += 1
-        exp = 1
-        if i < n and s[i] == "^":
-            i += 1
-            esign = 1
-            if i < n and s[i] == "-":
-                esign = -1
-                i += 1
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
-            if j == i:
-                raise ScalarParseError("expected integer exponent", i)
-            exp = esign * int(s[i:j])
-            i = j
-        total = total + HalfLaurent({unit * exp: sign * coeff})
-        sign, expect_term = 1, False
-    if expect_term:
-        raise ScalarParseError("dangling operator", n)
-    return total
+    """Parse a scalar written in the grammar over q and v, e.g. either text form above."""
+    return parse_grammar(text, "[qv]", lambda x: x, lambda x, y, pos: x * y, _scalar_power)

@@ -423,9 +423,17 @@ class TLDiagram:
 
     def __init__(self, n, pairs):
         pairs = frozenset(frozenset(p) for p in pairs)
-        count = sum(len(p) for p in pairs)
-        if count != 2 * n or len(pairs) != n:
-            raise TangleError("matching must pair up all 2n points")
+        pair_of = {point: pair for pair in pairs for point in pair}
+        # read the points around the boundary, up the left edge and down the
+        # right one: a crossingless matching closes its pairs like brackets
+        unclosed = []
+        for point in [("L", i) for i in range(n)] + [("R", i) for i in reversed(range(n))]:
+            if unclosed and pair_of.get(point) == {point, unclosed[-1]}:
+                unclosed.pop()
+            else:
+                unclosed.append(point)
+        if unclosed or len(pairs) != n:
+            raise TangleError("not a crossingless matching of %d left and %d right points" % (n, n))
         self.n = n
         self.pairs = pairs
 

@@ -495,3 +495,63 @@ def test_splitting_is_an_algebra_map_on_the_last_square_diagonal():
         lhs = _split_sum(4, braided_product(x, y, "mirror"), 2)
         rhs = _blockwise_product(4, 2, _split_sum(4, x, 2), _split_sum(4, y, 2), "mirror")
         assert lhs == rhs
+
+
+def _cotensor_sides(split):
+    """Both sides of the cutting theorem on {(left legs, right legs): coeff}.
+
+    The left side expands the left piece's diagonal leg by the coproduct; the
+    right side expands the right piece by its leg-wise coaction, the second
+    halves multiplied in leg order.  The image lies in the cotensor product
+    (the Hochschild H^0) exactly when the two agree.
+    """
+    lhs, rhs = {}, {}
+    for (left, block), c in split.items():
+        head, tail = left[:-1], left[-1]
+        for (t1, t2), d in coproduct_word(tail):
+            add_to(lhs, (head, block, t1, t2), c * d)
+        for halves in itertools.product(*(coproduct_word(w) for w in block)):
+            second, coeff = OqElement.unit(), c
+            for (_, w2), d in halves:
+                second, coeff = second * oq(w2), coeff * d
+            firsts = tuple(w1 for (w1, _), _ in halves)
+            for w, e in second.terms.items():
+                add_to(rhs, (head, firsts, w, tail), coeff * e)
+    return lhs, rhs
+
+
+def _cotensor_failures(split):
+    rng = seeded(72)
+    failures = []
+    for arity in (2, 3, 4):
+        for _ in range(4):
+            x = _random_braided(rng, arity, max_total=4)
+            for cut in range(1, arity):
+                lhs, rhs = _cotensor_sides(split(arity + 1, x, cut))
+                if lhs != rhs:
+                    failures.append((x, cut))
+    return failures
+
+
+def test_split_lies_in_the_cotensor_product():
+    assert _cotensor_failures(_split_sum) == []
+
+
+def test_cotensor_check_catches_a_reversed_tail_product(monkeypatch):
+    def reversed_tails(words):
+        acc = {((), ""): ONE}
+        for w in words:
+            nxt = {}
+            for (block, tail), c in acc.items():
+                for (w1, w2), d in coproduct_word(w):
+                    for merged, e in normal_word(w2 + tail):
+                        add_to(nxt, (block + (w1,), merged), c * d * e)
+            acc = nxt
+        return tuple(acc.items())
+
+    monkeypatch.setattr("bigon.braided._block_coproduct", reversed_tails)
+    assert _cotensor_failures(_split_sum)
+
+
+def test_cotensor_check_catches_the_single_leg_split():
+    assert _cotensor_failures(_single_leg_split)

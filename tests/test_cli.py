@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from support import random_element, random_scalar, random_tangle, seeded
@@ -145,6 +146,31 @@ def test_tangle_bad_word_is_parse_error(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "tangle", "eval", "--word", "cap@x")
     assert code == 2
+
+
+def _stacked_cups(k, step=0):
+    return ";".join("cup@%d" % (i * step) for i in range(k)), "+-" * k
+
+
+@pytest.mark.parametrize("op", ["eval", "element"])
+def test_tangle_past_the_state_budget_is_one_error_line(op):
+    word, right = _stacked_cups(40)
+    start = time.perf_counter()
+    done = _run_subprocess("tangle", op, "--word", word, "--right", right)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: word may need 4096 state vectors, more than 2048\n"
+
+
+@pytest.mark.parametrize("step", [0, 1])
+def test_tangle_at_the_state_budget_is_answered(capsys, step):
+    word, right = _stacked_cups(11, step)
+    for op in ("eval", "element"):
+        code, out, err = run_cli(capsys, "tangle", op, "--word", word, "--right", right)
+        assert code == 0 and err == "" and len(out.splitlines()) == 1
+    argv = ("tangle", "eval", "--word", word + ";cup@0", "--right", right + "+-")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "state vectors" in err
 
 
 def test_hopf_subcommand(capsys):
@@ -312,6 +338,57 @@ def test_braided_operands_within_the_budget_are_answered(x, y):
     product = braided_product(BraidedElement.from_legs(x), BraidedElement.from_legs(y))
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout == format_leg_terms(product.terms) + "\n"
+
+
+FUZZ_ALPHABET = "abcdqv0123456789^*+-()| e"
+
+
+def _fuzz_text(rng):
+    return "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(0, 12)))
+
+
+def _rejects(parse, texts):
+    try:
+        for text in texts:
+            parse(text)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("text", ["a\u00b2", "1" * 5000, "(q^)*(a|b)"])
+def test_unreadable_numbers_and_coefficients_exit_two(capsys, text):
+    # a superscript digit, an integer past the interpreter's digit limit and
+    # a malformed leg coefficient are parse errors, not domain errors
+    argv = ("braided", "--x", text, "--y", "(|)") if "|" in text else ("normal-form", text)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "position" in err
+
+
+def test_malformed_operands_keep_the_exit_contract(capsys):
+    # every reply exits 0, 1 or 2, a failure is one error line, and an operand
+    # the grammar rejects exits 2; half the braided operands are a random
+    # coefficient times a leg group, so the coefficient grammar is reached
+    rng = seeded(90)
+    for i in range(510):
+        x, y = _fuzz_text(rng), _fuzz_text(rng)
+        if i % 3 == 0:
+            argv, parse, texts = ("normal-form", "--", x), parse_expression, (x,)
+        elif i % 3 == 1:
+            argv = ("hopf", "rho", "--left=" + x, "--right=" + y)
+            parse, texts = parse_expression, (x, y)
+        else:
+            if i % 2:
+                x = "%s*(%s)" % (x, "|".join(rng.choice(["", "a", "bd"]) for _ in range(2)))
+                y = "(a|)"
+            argv, parse, texts = ("braided", "--x=" + x, "--y=" + y), parse_leg_terms, (x, y)
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        if code:
+            assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, argv
+        if _rejects(parse, texts):
+            assert code == 2, (argv, err)
 
 
 # ---------------------------------------------------------------------------

@@ -771,6 +771,55 @@ def test_letter_pairing_matches_the_recursion():
             assert hopf._pair_letter_word(letter, sign, w) == expected, (letter, sign, w)
 
 
+# The recursion that split the word once per coproduct branch, kept as the
+# oracle of the left-to-right pass in hopf_pairing.
+def _recursive_pair_letters_word(letters, word):
+    if not letters:
+        return counit_word(word)
+    head, rest = letters[0], letters[1:]
+    if not rest:
+        return hopf._pair_letter_word(head[0], head[1], word)
+    total = ZERO
+    for (z1, z2), c in coproduct_word(word):
+        first = hopf._pair_letter_word(head[0], head[1], z1)
+        if first:
+            total = total + c * first * _recursive_pair_letters_word(rest, z2)
+    return total
+
+
+def _recursive_pairing(u, x):
+    letters, denom = hopf._expand_uword(u)
+    total = sum((c * _recursive_pair_letters_word(letters, w) for w, c in x.terms.items()), ZERO)
+    return hopf.divexact(total, denom)
+
+
+_ORACLE_UWORDS = ["K", "K-", "E", "F", "E(2)", "F(2)"]
+
+
+def test_pairing_matches_the_recursion():
+    for text in _ORACLE_UWORDS:
+        u = parse_uword(text)
+        for w in basis_words(6):
+            assert hopf_pairing(u, oq(w)) == _recursive_pairing(u, oq(w)), (text, w)
+    for text in ("E F", "F K- E", "E(2) K F(2)", "K E(3) F"):
+        u = parse_uword(text)
+        for w in basis_words(4):
+            assert hopf_pairing(u, oq(w)) == _recursive_pairing(u, oq(w)), (text, w)
+    rng = seeded(38)
+    for _ in range(10):
+        x = random_element(rng, 4, n_terms=3)
+        assert hopf_pairing(parse_uword("E K F"), x) == _recursive_pairing(parse_uword("E K F"), x)
+
+
+def test_pairing_oracle_catches_peeling_the_second_leg(monkeypatch):
+    def flipped(word):
+        return tuple(((z2, z1), c) for (z1, z2), c in coproduct_word(word))
+
+    monkeypatch.setattr(hopf, "coproduct_word", flipped)
+    u = parse_uword("E F")
+    assert any(hopf_pairing(u, oq(w)) != _recursive_pairing(u, oq(w)) for w in basis_words(2))
+
+
 def test_pairing_duality_law():
     # ⟨u, x·y⟩ = Σ ⟨u', x⟩⟨u'', y⟩ spot-checked through single-letter splits
     rng = seeded(37)

@@ -192,6 +192,17 @@ def test_parse_errors_carry_position():
         parse_vform("2 *")
 
 
+def test_scalars_read_the_whole_grammar():
+    assert parse_vform("(q + 1)*(q - 1)") == q_power(2) - 1
+    assert parse_vform("q*q") == parse_vform("q^2") == parse_vform("v^4")
+    assert parse_vform("-(v^-1)^3") == half(-3, -1)
+    with pytest.raises(ScalarParseError):
+        parse_vform("(q + 1)^-1")
+    with pytest.raises(ScalarParseError) as exc:
+        parse_vform("  q + x")
+    assert exc.value.pos == 6
+
+
 # ---------------------------------------------------------------------------
 # the linear-combination core shared by every element type
 # ---------------------------------------------------------------------------

@@ -358,6 +358,26 @@ def _tl_basis(n):
     return [TLDiagram(n, m) for m in matchings(boundary)]
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(("L", 0), ("R", 1)), (("L", 1), ("R", 0))],  # the two strands cross
+        [(("L", 0), ("R", 0)), (("L", 1), ("X", 9))],  # a point off the boundary
+        [(("L", 0), ("R", 0)), (("L", 0), ("L", 1)), (("L", 1), ("R", 1))],  # L0 used twice
+        [(("L", 0), ("L", 1), ("R", 0)), (("R", 1),)],
+    ],
+)
+def test_tl_diagram_rejects_what_is_not_a_crossingless_matching(pairs):
+    with pytest.raises(TangleError):
+        TLDiagram(2, pairs)
+
+
+def test_every_crossingless_matching_is_a_tl_diagram():
+    for n in range(1, 6):
+        basis = _tl_basis(n)
+        assert len(set(basis)) == _catalan(n)
+
+
 def _rt_rows(d):
     """{left states: {right states: value}} of a diagram, swept over the transfer tables."""
     slices = matching_to_slices(d.pairs, d.n, d.n)
