@@ -80,8 +80,8 @@ MAX_EXPONENT = 4096
 # Every product is bounded before it runs: its pairs of basis words may need
 # at most MAX_SWAPS out-of-order letter pairs straightened in all, and the
 # product may generate at most MAX_SIZE coefficient monomials before equal
-# terms merge.  d^40*a^40 is the deepest product allowed; (a+d)^n stops at
-# n = 35.
+# terms merge, the products of one power all counted together.  d^40*a^40 is
+# the deepest product allowed; (a+d)^n stops at n = 24, (q+1)^n at n = 512.
 MAX_SWAPS = 1600
 MAX_SIZE = 2**18
 
@@ -114,17 +114,21 @@ def _swaps(w1, w2):
     return (k1 + l1) * h2 + l1 * k2 + (k1 * k2 if x1 != x2 else 0)
 
 
-def _product(x, y, pos):
-    """x*y, or an ExpressionError when it would exceed the budgets above."""
+def _spend(x, y, pos, generated=0):
+    """`generated` plus the monomials x*y generates; an ExpressionError past the budgets above."""
     if sum(_swaps(w1, w2) for w1 in x.terms for w2 in y.terms) > MAX_SWAPS:
         raise ExpressionError("product needs more than %d letter swaps" % MAX_SWAPS, pos)
-    generated = 0
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
             size = sum(len(c.items()) for _, c in normal_word(w1 + w2))
             generated += len(c1.items()) * len(c2.items()) * size
             if generated > MAX_SIZE:
                 raise ExpressionError("product makes more than %d coefficient terms" % MAX_SIZE, pos)
+    return generated
+
+
+def _product(x, y, pos):
+    _spend(x, y, pos)
     return multiply(x, y)
 
 
@@ -132,9 +136,10 @@ def _power(x, n, pos):
     if abs(n) > MAX_EXPONENT:
         raise ExpressionError("exponent %d exceeds %d in size" % (n, MAX_EXPONENT), pos)
     if n >= 0:
-        out = OqElement.unit()
+        out, generated = OqElement.unit(), 0
         for _ in range(n):
-            out = _product(out, x, pos)
+            generated = _spend(out, x, pos, generated)
+            out = multiply(out, x)
         return out
     if set(x.terms) == {""}:
         try:

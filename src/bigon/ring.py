@@ -324,12 +324,15 @@ def _poly_gcd(a, b):
         if len(a) < len(b):
             a, b = b, a
             continue
-        # pseudo-remainder of a by b: scale by the lead so division stays in Z
+        # pseudo-remainder of a by b: scale by the lead only where dividing by it is inexact
         r = list(a)
         lead = b[-1]
         for k in range(len(a) - len(b), -1, -1):
             f = r[k + len(b) - 1]
-            r = [x * lead for x in r]
+            if f % lead:
+                r = [x * lead for x in r]
+            else:
+                f //= lead
             for j, bj in enumerate(b):
                 r[k + j] -= f * bj
         r, _ = _dense_trim(r)
@@ -344,14 +347,15 @@ def _poly_gcd(a, b):
 
 
 def laurent_gcd(p, q):
-    """A gcd of two elements of Z[v, v^-1], normalised to lowest exponent 0."""
+    """A gcd in Z[v, v^-1], normalised to lowest exponent 0, taken in v^step where both live."""
     if p.is_zero():
         return q
     if q.is_zero():
         return p
     _, pc = _to_dense(p)
     _, qc = _to_dense(q)
-    return _from_dense(0, _poly_gcd(pc, qc))
+    step = math.gcd(*(i for cs in (pc, qc) for i, a in enumerate(cs) if a)) or 1
+    return HalfLaurent({i * step: a for i, a in enumerate(_poly_gcd(pc[::step], qc[::step])) if a})
 
 
 class RatFunc:

@@ -19,7 +19,8 @@ Three evaluations are provided:
   crossingless picture.
 
 The same flat machinery drives the Temperley-Lieb diagram algebra and the
-Jones-Wenzl idempotents at the end of the module.
+Jones-Wenzl idempotents at the end of the module.  Their products run
+fraction-free and reduce once per output coefficient.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 import functools
 
 from .hopf import OqElement, normal_word
-from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, half, q_int, q_power
+from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, divexact, half
+from .ring import laurent_gcd, q_int, q_power
 
 LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
 
@@ -413,8 +415,6 @@ def kauffman_reduce(t):
 # Temperley-Lieb algebra and Jones-Wenzl idempotents
 # ---------------------------------------------------------------------------
 
-DELTA = RatFunc(LOOP)
-
 
 class TLDiagram:
     """A crossingless perfect matching of n left and n right points."""
@@ -436,6 +436,13 @@ class TLDiagram:
             raise TangleError("not a crossingless matching of %d left and %d right points" % (n, n))
         self.n = n
         self.pairs = pairs
+
+    @classmethod
+    def _matching(cls, n, pairs):
+        """The diagram of pairs already known to be a crossingless matching."""
+        d = object.__new__(cls)
+        d.n, d.pairs = n, frozenset(frozenset(p) for p in pairs)
+        return d
 
     @classmethod
     def identity(cls, n):
@@ -487,8 +494,21 @@ def _glue_diagrams(d1, d2):
     return tr.loops, tr.pairs()
 
 
+def _glue_sum(x, y):
+    """The {diagram: numerator} product of two such maps; right numerators summed per gluing."""
+    out = {}
+    for d1, c1 in x.items():
+        glued = {}
+        for d2, c2 in y.items():
+            loops, pairs = _glue_diagrams(d1, d2)
+            add_to(glued, (TLDiagram._matching(d1.n, pairs), loops), c2)
+        for (d, loops), c in glued.items():
+            add_to(out, d, c1 * c * LOOP**loops)
+    return out
+
+
 class TLElement(Combination):
-    __slots__ = ()
+    __slots__ = ("_common",)
 
     frame_name = "strand count"
     frame_error = TangleError
@@ -521,31 +541,39 @@ class TLElement(Combination):
     def identity_coefficient(self):
         return self.terms.get(TLDiagram.identity(self.n), RatFunc(ZERO))
 
+    def _fraction_free(self):
+        """(D, {diagram: c * D}), D the lcm of the denominators: built once, no gcd if all are 1."""
+        if not hasattr(self, "_common"):
+            den = ONE
+            for other in {c.den for c in self.terms.values()} - {ONE}:
+                den = other if den == ONE else den * divexact(other, laurent_gcd(den, other))
+            self._common = den, {k: c.num * divexact(den, c.den) for k, c in self.terms.items()}
+        return self._common
+
 
 def tl_product(x, y):
+    """x*y, fraction-free: numerators over the product of the common denominators."""
     x._check_frame(y)
-    out = {}
-    for d1, c1 in x.terms.items():
-        for d2, c2 in y.terms.items():
-            loops, pairs = _glue_diagrams(d1, d2)
-            coeff = c1 * c2
-            for _ in range(loops):
-                coeff = coeff * DELTA
-            add_to(out, TLDiagram(x.n, pairs), coeff)
-    return x._with(out)
+    (dx, nx), (dy, ny) = x._fraction_free(), y._fraction_free()
+    den = dx * dy
+    return x._with({d: RatFunc(c, den) for d, c in _glue_sum(nx, ny).items()})
 
 
 @functools.lru_cache(maxsize=None)
 def jones_wenzl(n):
-    """The n-strand idempotent killing every hook generator."""
+    """The n-strand idempotent killing every hook generator: with JW(n-1) = N / D,
+    JW(n) = JW(n-1) + [n-1]/[n] JW(n-1) e JW(n-1) = ([n] D N + [n-1] N e N) / ([n] D^2)."""
     if n < 1:
         raise TangleError("defined for n >= 1")
     if n == 1:
         return TLElement.identity(1)
-    prev = jones_wenzl(n - 1).embed(n)
-    coeff = RatFunc(q_int(n - 1), q_int(n))
-    hook = TLElement.hook(n, n - 2)
-    return prev + (prev * hook * prev).scale(coeff)
+    den, prev = jones_wenzl(n - 1)._fraction_free()
+    prev = {d.embed(n): c for d, c in prev.items()}
+    terms = _glue_sum(_glue_sum(prev, {TLDiagram.e(n, n - 2): q_int(n - 1)}), prev)
+    for d, c in prev.items():
+        add_to(terms, d, c * q_int(n) * den)
+    den = q_int(n) * den * den
+    return TLElement(n)._with({d: RatFunc(c, den) for d, c in terms.items()})
 
 
 def matching_to_slices(pairs, n_left, n_right):

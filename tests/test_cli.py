@@ -229,6 +229,27 @@ def test_huge_product_is_one_error_line():
     assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normal-form", "(q+1)^4096"),
+        ("normal-form", "(q+1)^512"),
+        ("braided", "--x", "(q+1)^4096*(a|)", "--y", "(|)"),
+    ],
+)
+def test_power_shares_one_size_budget(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_power_just_inside_the_size_budget_is_answered(capsys):
+    code, out, _ = run_cli(capsys, "normal-form", "(q+1)^511")
+    assert code == 0 and out.count("q^") == 510
+
+
 def test_huge_exponent_is_one_error_line():
     cmd = [sys.executable, "-m", "bigon.cli", "normal-form", "a^99999999"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)

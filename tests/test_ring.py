@@ -1,5 +1,8 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
+from support import seeded
 
 from bigon.braided import BraidedElement
 from bigon.hopf import OqElement, OqTensor
@@ -21,6 +24,11 @@ from bigon.ring import (
     format_qform,
     parse_vform,
     ScalarParseError,
+    _dense_content,
+    _dense_primitive,
+    _dense_trim,
+    _poly_gcd,
+    _to_dense,
 )
 
 small_poly = st.dictionaries(
@@ -124,6 +132,65 @@ def test_laurent_gcd():
     divexact(a, g)
     divexact(b, g)
     assert divexact(a, g) * g == a
+
+
+def _scaling_prs_gcd(a, b):
+    """gcd of dense integer polynomials (ascending, nonzero), primitive PRS.
+
+    The PRS that scales the remainder by the lead at every step, kept as the
+    oracle of `_poly_gcd`, which divides instead where that is exact.
+    """
+    a, _ = _dense_trim(list(a))
+    b, _ = _dense_trim(list(b))
+    ca = _dense_content(a)
+    cb = _dense_content(b)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    while b:
+        if len(a) < len(b):
+            a, b = b, a
+            continue
+        # pseudo-remainder of a by b: scale by the lead so division stays in Z
+        r = list(a)
+        lead = b[-1]
+        for k in range(len(a) - len(b), -1, -1):
+            f = r[k + len(b) - 1]
+            r = [x * lead for x in r]
+            for j, bj in enumerate(b):
+                r[k + j] -= f * bj
+        r, _ = _dense_trim(r)
+        if r:
+            r, _ = _dense_primitive(r)
+        a, b = b, r
+    a, _ = _dense_primitive(a)
+    if a and a[-1] < 0:
+        a = [-x for x in a]
+    g = math.gcd(ca, cb)
+    return [x * g for x in a]
+
+
+def _gcd_cases():
+    """Seeded pairs with a common factor, some in v^2 or v^4, and products of quantum integers."""
+    rng = seeded()
+
+    def poly(step):
+        return HalfLaurent({step * rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(4)}) or ONE
+
+    for _ in range(300):
+        step = rng.choice((1, 1, 2, 4))
+        common = poly(step)
+        yield common * poly(step), common * poly(step)
+    for i in range(1, 7):
+        for j in range(1, 7):
+            yield q_int(i) * q_int(j), q_int(j) * q_int(i + j) * (q_power(1) + 1)
+
+
+def test_poly_gcd_matches_the_scaling_prs_exactly():
+    for p, q in _gcd_cases():
+        expected = _scaling_prs_gcd(_to_dense(p)[1], _to_dense(q)[1])
+        assert _poly_gcd(_to_dense(p)[1], _to_dense(q)[1]) == expected
+        # laurent_gcd may work in v^step; it must still give the same polynomial
+        assert laurent_gcd(p, q) == HalfLaurent(dict(enumerate(expected))), (p, q)
 
 
 def test_ratfunc_arithmetic():

@@ -1,7 +1,10 @@
+import functools
+import inspect
 import itertools
 
 import pytest
 
+from bigon import tangle as tangle_module
 from bigon.hopf import OqElement, OqTensor, coproduct, coproduct_word, counit
 from bigon.ring import ONE, RatFunc, ZERO, add_to, half, q_binom, q_int, q_power
 from bigon.tangle import (
@@ -20,6 +23,7 @@ from bigon.tangle import (
     skein_element,
     stated_diagram_element,
     tl_product,
+    _Strands,
     _flat_components,
     _glue_diagrams,
     _sweep,
@@ -320,7 +324,7 @@ def test_jw_two():
 
 
 def test_jw_properties():
-    for n in range(1, 6):
+    for n in range(1, 7):
         jw = jones_wenzl(n)
         assert jw.identity_coefficient() == RatFunc(ONE)
         assert jw * jw == jw
@@ -421,6 +425,112 @@ def test_gluing_check_catches_a_loop_count_off_by_one(shift, monkeypatch):
 
     monkeypatch.setattr("bigon.tangle._glue_diagrams", mutant)
     assert _gluing_mismatches(2)
+
+
+# --- the per-pair RatFunc product, kept as the oracle of the fraction-free one --
+
+DELTA = RatFunc(LOOP)
+
+
+def ratfunc_tl_product(x, y):
+    x._check_frame(y)
+    out = {}
+    for d1, c1 in x.terms.items():
+        for d2, c2 in y.terms.items():
+            loops, pairs = _glue_diagrams(d1, d2)
+            coeff = c1 * c2
+            for _ in range(loops):
+                coeff = coeff * DELTA
+            add_to(out, TLDiagram(x.n, pairs), coeff)
+    return x._with(out)
+
+
+@functools.lru_cache(maxsize=None)
+def ratfunc_jones_wenzl(n):
+    """The n-strand idempotent killing every hook generator."""
+    if n < 1:
+        raise TangleError("defined for n >= 1")
+    if n == 1:
+        return TLElement.identity(1)
+    prev = ratfunc_jones_wenzl(n - 1).embed(n)
+    coeff = RatFunc(q_int(n - 1), q_int(n))
+    hook = TLElement.hook(n, n - 2)
+    return prev + ratfunc_tl_product(ratfunc_tl_product(prev, hook), prev).scale(coeff)
+
+
+def _coefficient_pool():
+    """Coefficients with denominators 1, [k], q+1 and their products."""
+    v, q = half(1), q_power(1)
+    pool = [RatFunc(ONE), RatFunc(q_power(-1, -2)), RatFunc(v, q + 1)]
+    pool += [RatFunc(ONE, q_int(k)) for k in (2, 3, 4)]
+    pool += [pool[2] + pool[3], pool[4] - pool[5] * v]
+    return pool
+
+
+def _products_match_the_oracle(max_n):
+    """x*y against the oracle for every basis pair (d1, d2), with seeded two-term x on d1, y on d2."""
+    rng = seeded()
+    pool = _coefficient_pool()
+    for n in range(1, max_n + 1):
+        basis = _tl_basis(n)
+        for d1, d2 in itertools.product(basis, repeat=2):
+            x = TLElement(n, {d1: rng.choice(pool), rng.choice(basis): rng.choice(pool)})
+            y = TLElement(n, {d2: rng.choice(pool), rng.choice(basis): rng.choice(pool)})
+            if x * y != ratfunc_tl_product(x, y):
+                return False
+    return True
+
+
+def test_fraction_free_products_match_the_ratfunc_oracle():
+    assert _products_match_the_oracle(4)
+    for n in range(1, 5):
+        jw = jones_wenzl(n)
+        for d in _tl_basis(n):
+            x = TLElement(n, {d: RatFunc(half(1), q_power(1) + 1)})
+            assert jw * x == ratfunc_tl_product(jw, x)
+            assert x * jw == ratfunc_tl_product(x, jw)
+
+
+def test_fraction_free_jones_wenzl_matches_the_ratfunc_oracle():
+    for n in range(1, 6):
+        assert jones_wenzl(n) == ratfunc_jones_wenzl(n)
+        assert all(type(c) is RatFunc for c in jones_wenzl(n).terms.values())
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("tl_product", "dx * dy", "dx"),  # drops the right operand's common denominator
+        ("_glue_sum", " * LOOP**loops", ""),  # loses the loop factor
+    ],
+)
+def test_oracle_catches_fraction_free_mutants(name, old, new, monkeypatch):
+    source = inspect.getsource(getattr(tangle_module, name))
+    assert old in source
+    namespace = dict(vars(tangle_module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(tangle_module, name, namespace[name])
+    assert not _products_match_the_oracle(3)
+
+
+def _closure_loops(d):
+    """Loops of the Markov closure of d (L_i joined to R_i), by the strand tracer."""
+    tr = _Strands()
+    arc_at = {}
+    for pair in d.pairs:
+        sid = tr.fresh()
+        for point in pair:
+            arc_at[point] = sid
+    for i in range(d.n):
+        tr.join(arc_at[("L", i)], arc_at[("R", i)])
+    return tr.loops
+
+
+def test_jw_markov_closure_is_the_quantum_integer():
+    """The closed JW(n) is the loop value of the n-th Chebyshev polynomial: (-1)^n [n+1]."""
+    for n in range(1, 7):
+        closure = sum(c * RatFunc(LOOP ** _closure_loops(d)) for d, c in jones_wenzl(n).terms.items())
+        assert closure == RatFunc((-1) ** n * q_int(n + 1)), n
 
 
 # --- stated TL diagrams through the lift --------------------------------------
