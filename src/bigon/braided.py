@@ -26,7 +26,7 @@ from .hopf import (
     normal_word,
     rho_word,
 )
-from .ring import ONE, Combination, add_to
+from .ring import ONE, Combination, expand, sweep
 
 _RHO_KINDS = {"standard": "rho", "mirror": "mirror"}
 
@@ -58,14 +58,7 @@ class BraidedElement(Combination):
     def from_legs(cls, legs, coeff=ONE):
         """Build from one tuple of words, normalizing each leg."""
         legs = tuple(legs)
-        out = {(): coeff}
-        for leg in legs:
-            nxt = {}
-            for done, c in out.items():
-                for w, d in normal_word(leg):
-                    add_to(nxt, done + (w,), c * d)
-            out = nxt
-        return cls(len(legs), out)
+        return cls(len(legs), sweep({(): coeff}, legs, _append_leg))
 
     def __repr__(self):
         bits = []
@@ -75,23 +68,29 @@ class BraidedElement(Combination):
         return " + ".join(bits) if bits else "0"
 
 
+def _append_leg(done, leg):
+    """The legs so far, followed by the normal form of one more leg."""
+    for w, d in normal_word(leg):
+        yield done + (w,), d
+
+
+def _coact_leg(key, w):
+    """Split one more leg by its coproduct: head to the block, tail onto the tail."""
+    block, tail = key
+    for (w1, w2), d in coproduct_word(w):
+        for merged, e in normal_word(tail + w2):
+            yield (block + (w1,), merged), d * e
+
+
 @functools.lru_cache(maxsize=None)
 def _block_coproduct(words):
     """Leg-wise coaction of a block, as a sorted tuple of
     ((split block, tail word), coeff).
 
-    The tail is the product of the per-leg coproduct tails taken in leg
-    order, already in normal form.
+    Each leg is a step (`_coact_leg`): the tail is the product of the per-leg
+    coproduct tails taken in leg order, already in normal form.
     """
-    acc = {((), ""): ONE}
-    for w in words:
-        nxt = {}
-        for (block, tail), c in acc.items():
-            for (w1, w2), d in coproduct_word(w):
-                for merged, e in normal_word(tail + w2):
-                    add_to(nxt, (block + (w1,), merged), c * d * e)
-        acc = nxt
-    return tuple(sorted(acc.items()))
+    return tuple(sorted(sweep({((), ""): ONE}, words, _coact_leg).items()))
 
 
 def _exchange(left, right, kind):
@@ -100,13 +99,10 @@ def _exchange(left, right, kind):
     Returns {(left leg, right leg): sum of coeff * coeff' * form(tail, tail')},
     the pairing form of the given kind, without zero weights.
     """
-    out = {}
-    for (xleg, uw), cu in left:
-        for (yleg, vw), cv in right:
-            weight = rho_word(uw, vw, kind)
-            if weight:
-                add_to(out, (xleg, yleg), cu * cv * weight)
-    return out
+    right = tuple(right)
+    return expand(dict(left), lambda x: [
+        ((x[0], yleg), cv * weight) for (yleg, vw), cv in right if (weight := rho_word(x[1], vw, kind))
+    ])
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,15 +112,14 @@ def _mul_legs(xlegs, ylegs, kind):
         return (((), ONE),)
     if len(xlegs) == 1:
         return tuple(((w,), c) for w, c in normal_word(xlegs[0] + ylegs[0]))
-    out = {}
     # slide the whole tail block of x leftwards past the first leg of y,
     # paying the co-R weight of the exchanged coproduct tails
     exchanged = _exchange(_block_coproduct(xlegs[1:]), coproduct_word(ylegs[0]), kind)
-    for (block, y1), weight in exchanged.items():
-        for first, cf in normal_word(xlegs[0] + y1):
-            for rest, cr in _mul_legs(block, ylegs[1:], kind):
-                add_to(out, (first,) + rest, weight * cf * cr)
-    return tuple(sorted(out.items()))
+    return tuple(sorted(expand(exchanged, lambda pair: [
+        ((first,) + rest, cf * cr)
+        for first, cf in normal_word(xlegs[0] + pair[1])
+        for rest, cr in _mul_legs(pair[0], ylegs[1:], kind)
+    ]).items()))
 
 
 def braided_product(x, y, rho_variant="standard"):
@@ -132,13 +127,8 @@ def braided_product(x, y, rho_variant="standard"):
     if rho_variant not in _RHO_KINDS:
         raise ValueError("rho_variant must be one of %s" % sorted(_RHO_KINDS))
     kind = _RHO_KINDS[rho_variant]
-    terms = {}
-    for xlegs, cx in x.terms.items():
-        for ylegs, cy in y.terms.items():
-            cxy = cx * cy
-            for legs, c in _mul_legs(xlegs, ylegs, kind):
-                add_to(terms, legs, cxy * c)
-    return x._with(terms)
+    pairs = {(xlegs, ylegs): cx * cy for xlegs, cx in x.terms.items() for ylegs, cy in y.terms.items()}
+    return x._with(expand(pairs, lambda pair: _mul_legs(pair[0], pair[1], kind)))
 
 
 def polygon_split(n, x, cut):
@@ -160,11 +150,9 @@ def polygon_split(n, x, cut):
         raise ValueError("an %d-gon element needs %d legs" % (n, n - 1))
     if not 1 <= cut <= n - 2:
         raise ValueError("cut must lie in 1..%d" % (n - 2))
-    acc = {}
-    for legs, c in x.terms.items():
-        head = legs[:cut]
-        for (block, tail), d in _block_coproduct(legs[cut:]):
-            add_to(acc, (head + (tail,), block), c * d)
+    acc = expand(x.terms, lambda legs: [
+        ((legs[:cut] + (tail,), block), d) for (block, tail), d in _block_coproduct(legs[cut:])
+    ])
     return [
         (BraidedElement(cut + 1, {left: coeff}), BraidedElement(n - 1 - cut, {right: ONE}))
         for (left, right), coeff in acc.items()
@@ -185,34 +173,38 @@ def standard_coaction(x):
     return coproduct(x)
 
 
+def _antipode_flipped(w):
+    """One word's image: sum of x'' tensor S(x') over its coproduct."""
+    for (w1, w2), d in coproduct_word(w):
+        for sw, e in antipode(OqElement.from_word(w1)).terms.items():
+            yield (w2, sw), d * e
+
+
 def antipode_flip_coaction(x):
     """The left coaction turned right: x maps to sum of x'' tensor S(x')."""
-    out = {}
-    for w, c in x.terms.items():
-        for (w1, w2), d in coproduct_word(w):
-            for sw, e in antipode(OqElement.from_word(w1)).terms.items():
-                add_to(out, (w2, sw), c * d * e)
-    return OqTensor(out)
+    return OqTensor(expand(x.terms, _antipode_flipped))
+
+
+def _split_second(pair):
+    return [((pair[0], w2, w3), d) for (w2, w3), d in coproduct_word(pair[1])]
 
 
 @functools.lru_cache(maxsize=None)
 def _triple_coproduct_word(w):
-    out = {}
-    for (w1, rest), c in coproduct_word(w):
-        for (w2, w3), d in coproduct_word(rest):
-            add_to(out, (w1, w2, w3), c * d)
-    return tuple(out.items())
+    return tuple(expand(dict(coproduct_word(w)), _split_second).items())
+
+
+def _adjoint_word(w):
+    """One word's image: x'' tensor S(x')x''' over its triple coproduct."""
+    for (w1, w2, w3), d in _triple_coproduct_word(w):
+        wing = multiply(antipode(OqElement.from_word(w1)), OqElement.from_word(w3))
+        for uw, e in wing.terms.items():
+            yield (w2, uw), d * e
 
 
 def adjoint_coaction(x):
     """Right adjoint coaction: x'' tensor S(x')x''' over the triple coproduct."""
-    out = {}
-    for w, c in x.terms.items():
-        for (w1, w2, w3), d in _triple_coproduct_word(w):
-            wing = multiply(antipode(OqElement.from_word(w1)), OqElement.from_word(w3))
-            for uw, e in wing.terms.items():
-                add_to(out, (w2, uw), c * d * e)
-    return OqTensor(out)
+    return OqTensor(expand(x.terms, _adjoint_word))
 
 
 def self_braided_product(x, y, coaction1, coaction2, product=multiply):
@@ -222,12 +214,8 @@ def self_braided_product(x, y, coaction1, coaction2, product=multiply):
     tails pay the co-R weight.  `product` is the underlying multiplication
     the twist is built on.
     """
-    out = {}
     exchanged = _exchange(coaction2(x).terms.items(), coaction1(y).terms.items(), "rho")
-    for (xw, yw), weight in exchanged.items():
-        for w, c in product(OqElement.from_word(xw), OqElement.from_word(yw)).terms.items():
-            add_to(out, w, c * weight)
-    return OqElement(out)
+    return OqElement(expand(exchanged, lambda pair: product(*map(OqElement.from_word, pair)).terms.items()))
 
 
 def _flipped_coproduct(x):

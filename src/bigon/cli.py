@@ -51,7 +51,7 @@ from .qtorus import (
     quantum_trace,
     triangle_element,
 )
-from .ring import ONE, ZERO, Combination, add_to, format_qform, format_sum, half, parse_grammar, q_power
+from .ring import ONE, ZERO, Combination, expand, format_qform, format_sum, half, parse_grammar, q_power
 from .ring import ScalarParseError as ExpressionError  # one error class for every text form
 from .tangle import (
     SlicedTangle,
@@ -391,13 +391,9 @@ def _small_words():
 
 def _st_coassociativity():
     for w in _small_words():
-        left = {}
-        right = {}
-        for (w1, w2), c in coproduct_word(w):
-            for (u1, u2), c1 in coproduct_word(w1):
-                add_to(left, (u1, u2, w2), c * c1)
-            for (u1, u2), c2 in coproduct_word(w2):
-                add_to(right, (w1, u1, u2), c * c2)
+        pairs = dict(coproduct_word(w))
+        left = expand(pairs, lambda p: [((u1, u2, p[1]), c) for (u1, u2), c in coproduct_word(p[0])])
+        right = expand(pairs, lambda p: [((p[0], u1, u2), c) for (u1, u2), c in coproduct_word(p[1])])
         assert left == right
 
 

@@ -14,13 +14,12 @@ algebra acting by E/F/K, the reflection and rotation involutions, the
 canonical basis change, and the one-variable quotient of the algebra.
 
 Monomials are stored as plain strings over the alphabet "abcd" in normal
-order.  Every normal form is a left-to-right fold of one closed-form
-straightening step -- a basis word times one generator on the right gives at
-most two basis words -- so there is no rewriting recursion.  The coproduct is
-multiplicative: Delta of a word is the product of the letters' Delta, with both
-legs straightened after each factor, so its cost follows the number of terms
-rather than the 2^n raw words of the expansion.  Both folds are memoised per
-word.
+order.  Every normal form is a `ring.sweep` of one closed-form straightening
+step over the letters -- a basis word times one generator on the right gives
+at most two basis words -- so there is no rewriting recursion.  The coproduct
+is multiplicative: Delta of a word sweeps the letters' Delta on one leg at a
+time, so its cost follows the number of terms rather than the 2^n raw words
+of the expansion.  Both sweeps are memoised per word.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ import functools
 import itertools
 import re
 
-from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, format_sum, q_factorial, q_power
+from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, expand, format_sum
+from .ring import half, q_factorial, q_power, sweep
 
 GENERATORS = "abcd"
 
@@ -82,24 +82,24 @@ def _step(word, g):
 
 # the longest prefix of a word that is already a basis word
 _BASIS_PREFIX = re.compile("a*(?:b+|c+)?d*")
+_NOT_A_GENERATOR = re.compile("[^abcd]")
+
+
+def _check_word(word):
+    if bad := _NOT_A_GENERATOR.search(word):
+        raise ValueError("unknown generator %r in word %r" % (bad.group(), word))
 
 
 @functools.lru_cache(maxsize=None)
 def normal_word(word):
     """Normal form of a free word, as a sorted tuple of (basis word, coefficient).
 
-    The basis prefix of the word is kept as it is; the remaining letters are
-    multiplied on one at a time with the straightening step.
+    The basis prefix of the word is kept as it is; each remaining letter is a
+    step that straightens a basis word times that letter (`_step`).
     """
+    _check_word(word)
     n = _BASIS_PREFIX.match(word).end()
-    terms = {word[:n]: ONE}
-    for g in word[n:]:
-        nxt = {}
-        for w, c in terms.items():
-            for m, s in _step(w, g):
-                add_to(nxt, m, c * s)
-        terms = nxt
-    return tuple(sorted(terms.items()))
+    return tuple(sorted(sweep({word[:n]: ONE}, word[n:], _step).items()))
 
 
 _WEIGHTS = {"a": (1, 1), "b": (1, -1), "c": (-1, 1), "d": (-1, -1)}
@@ -141,23 +141,15 @@ class OqElement(Combination):
     def from_word(cls, word, coeff=ONE):
         """Normal-form the free word and scale it."""
         coeff = _as_scalar(coeff)
-        out = {}
-        for mono, c in normal_word(word):
-            out[mono] = coeff * c
-        return cls(out)
+        return cls({mono: coeff * c for mono, c in normal_word(word)})
 
     def __mul__(self, other):
         if isinstance(other, (HalfLaurent, int)):
             return self.scale(other)
         if not isinstance(other, OqElement):
             return NotImplemented
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for mono, c in normal_word(w1 + w2):
-                    add_to(out, mono, c12 * c)
-        return self._with(out)
+        pairs = {(w1, w2): c1 * c2 for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()}
+        return self._with(expand(pairs, lambda pair: normal_word(pair[0] + pair[1])))
 
     def __rmul__(self, other):
         if isinstance(other, (HalfLaurent, int)):
@@ -202,24 +194,28 @@ _DELTA = {
 }
 
 
+def _coproduct_step(key, g):
+    """Leg 1 times u for each u ⊗ v in Delta(g), v waiting in the key; then
+    (g = None) leg 2 times v, once per distinct key."""
+    if g:
+        for u, v in _DELTA[g]:
+            for m1, c1 in _step(key[0], u):
+                yield (m1, key[1], v), c1
+    else:
+        for m2, c2 in _step(key[1], key[2]):
+            yield (key[0], m2), c2
+
+
 @functools.lru_cache(maxsize=None)
 def coproduct_word(word):
     """Coproduct of a word as a sorted tuple of ((w1, w2), coefficient).
 
-    Delta is an algebra map, so the letters' coproducts multiply on one at a
-    time, both legs straightened after each factor.
+    Delta is an algebra map, so each letter is a step that multiplies the
+    leg pairs by the letter's coproduct, one leg at a time (`_coproduct_step`).
     """
-    pairs = {("", ""): ONE}
-    for g in word:
-        nxt = {}
-        for (w1, w2), c in pairs.items():
-            for u, v in _DELTA[g]:
-                for m1, c1 in _step(w1, u):
-                    cm = c * c1
-                    for m2, c2 in _step(w2, v):
-                        add_to(nxt, (m1, m2), cm * c2)
-        pairs = nxt
-    return tuple(sorted(pairs.items()))
+    _check_word(word)
+    steps = [step for g in word for step in (g, None)]
+    return tuple(sorted(sweep({("", ""): ONE}, steps, _coproduct_step).items()))
 
 
 class OqTensor(Combination):
@@ -250,11 +246,7 @@ class OqTensor(Combination):
 
 
 def coproduct(x):
-    out = {}
-    for w, c in x.terms.items():
-        for key, d in coproduct_word(w):
-            add_to(out, key, c * d)
-    return OqTensor(out)
+    return OqTensor(expand(x.terms, coproduct_word))
 
 
 def counit_word(word):
@@ -265,36 +257,21 @@ def counit(x):
     return sum((counit_word(w) * c for w, c in x.terms.items()), ZERO)
 
 
-_ANTIPODE = {
-    "a": (ONE, "d"),
-    "d": (ONE, "a"),
-    "b": (-q_power(2), "b"),
-    "c": (-q_power(-2), "c"),
-}
+_SWAP_AD = str.maketrans("ad", "da")
 
 
 def antipode(x):
-    out = {}
+    """The anti-automorphism a -> d, d -> a, b -> -q^2 b, c -> -q^-2 c."""
+    images = {}
     for w, c in x.terms.items():
-        coeff = c
-        image = []
-        for ch in reversed(w):
-            s, letter = _ANTIPODE[ch]
-            coeff = coeff * s
-            image.append(letter)
-        for mono, d in normal_word("".join(image)):
-            add_to(out, mono, coeff * d)
-    return OqElement(out)
+        nb, nc = w.count("b"), w.count("c")
+        images[w[::-1].translate(_SWAP_AD)] = c * half(4 * (nb - nc), (-1) ** (nb + nc))
+    return OqElement(expand(images, normal_word))
 
 
 def bar_involution(x):
     """Order-reversing involution fixing the generators, conjugating v."""
-    out = {}
-    for w, c in x.terms.items():
-        cbar = c.conjugate()
-        for mono, d in normal_word(w[::-1]):
-            add_to(out, mono, cbar * d)
-    return OqElement(out)
+    return OqElement(expand({w[::-1]: c.conjugate() for w, c in x.terms.items()}, normal_word))
 
 
 def rotation(x):
@@ -449,40 +426,33 @@ def _expand_uword(u):
     return letters, denom
 
 
+def _pair_leg(word, step):
+    """The other coproduct leg, weighted by leg `leg` paired (nonzero) with K^sign, E or F."""
+    letter, sign, leg = step
+    for pair, d in coproduct_word(word):
+        val = _pair_letter_word(letter, sign, pair[leg])
+        if val:
+            yield pair[1 - leg], d * val
+
+
 def hopf_pairing(u, x):
     """Pairing of a UWord against an element; exact in the ground ring.
 
-    <u1 u2 ... un, x> = sum <u1, x'> <u2 ... un, x''>: each letter pairs with
-    the first coproduct leg of what is left, and equal remaining words merge
-    before the next letter.
+    <u1 u2 ... un, x> = sum <u1, x'> <u2 ... un, x''>: each letter is a step
+    that pairs with the first coproduct leg of what is left (`_pair_leg`).
     """
     letters, denom = _expand_uword(u)
-    words = dict(x.terms)
-    for letter, sign in letters:
-        out = {}
-        for w, c in words.items():
-            for (z1, z2), d in coproduct_word(w):
-                val = _pair_letter_word(letter, sign, z1)
-                if val:
-                    add_to(out, z2, c * d * val)
-        words = out
+    words = sweep(x.terms, [(letter, sign, 0) for letter, sign in letters], _pair_leg)
     return divexact(sum((c * counit_word(w) for w, c in words.items()), ZERO), denom)
 
 
 def u_action(u, x):
     """Left action dual to the coproduct: u·x = Σ x' ⟨u, x''⟩."""
     letters, denom = _expand_uword(u)
-    for letter in reversed(letters):
-        out = {}
-        for w, c in x.terms.items():
-            for (z1, z2), d in coproduct_word(w):
-                val = _pair_letter_word(letter[0], letter[1], z2)
-                if val:
-                    add_to(out, z1, c * d * val)
-        x = OqElement(out)
+    terms = sweep(x.terms, [(letter, sign, 1) for letter, sign in reversed(letters)], _pair_leg)
     if denom != ONE:
-        x = OqElement({w: divexact(c, denom) for w, c in x.terms.items()})
-    return x
+        terms = {w: divexact(c, denom) for w, c in terms.items()}
+    return OqElement(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +520,7 @@ def to_canonical(x):
 
 
 def from_canonical(coords):
-    out = {}
-    for word, coeff in coords.items():
-        for mono, c in normal_word(word):
-            add_to(out, mono, coeff * c)
-    return OqElement(out)
+    return OqElement(expand(coords, normal_word))
 
 
 def is_positive(coords):

@@ -19,7 +19,7 @@ On top of that sit:
 
 import json
 
-from .ring import ONE, Combination, add_to, half
+from .ring import ONE, Combination, add_to, half, sweep
 
 
 class SurfaceError(ValueError):
@@ -501,30 +501,49 @@ def _push(e):
     return _reorder_power(TRIANGLE.matrix, w, w) - _reorder_power(TRIANGLE.matrix, e, e), w
 
 
+def _lift_step(key, step):
+    """Extend a partial lift by the stated corner arc of one curve step.
+
+    Face blocks commute, and within a face the arcs multiply in (corner,
+    step) order, which the curve fixes; so the arc's q-power comes from the
+    running sums of the face's arcs at the corners up to its own and after
+    it.  On the face's last visit its sums are pushed into its block."""
+    pos, corner, forward, last, states = step
+    state, faces = key
+    sums = faces[pos]
+    before, after = _vsum(sums[: corner + 1]), _vsum(sums[corner + 1 :])
+    for nxt in states:
+        arc = _ARCS.get((corner, state, nxt) if forward else (corner, nxt, state))
+        if arc is None:
+            continue
+        exp, sign, vec = arc
+        exp += 2 * _reorder_power(TRIANGLE.matrix, before, vec)
+        exp += 2 * _reorder_power(TRIANGLE.matrix, vec, after)
+        entry = sums[:corner] + (_vsum((sums[corner], vec)),) + sums[corner + 1 :]
+        if last:
+            push, entry = _push(_vsum(entry))
+            exp += push
+        yield (nxt, faces[:pos] + (entry,) + faces[pos + 1 :]), half(exp, sign)
+
+
 def quantum_trace(tri, curve):
     """The curve's state sum over lifts, valued in the per-face torus.
 
-    One sweep along the curve carries partial lifts, keyed by (state at the
-    current junction, per-face data), each with its coefficient.  A step
-    reads its stated corner arc from `_ARCS`, drops the lifts that meet a
-    bad arc and merges the lifts that reach the same key.  Face blocks
-    commute, and within a face the arcs multiply in (corner, step) order,
-    which the curve fixes; so an arriving arc's q-power comes from the
-    running sums of the face's arcs at the corners up to its own and after
-    it.  A closed curve runs once per initial state and keeps the lifts that
-    return to it.  The cost is steps times live partial monomials, not
-    2^junctions.
+    A sweep along the curve carries partial lifts, keyed by (state at the
+    current junction, per-face data); each curve step is a step of it
+    (`_lift_step`).  A closed curve runs once per initial state and keeps
+    the lifts that return to it.  The cost is steps times live partial
+    monomials, not 2^junctions.
     """
     _validate_curve(tri, curve)
-    m = len(curve.steps)
-    steps, last_visit = [], {}
+    last_visit = {tri.face_position(fid): k for k, (fid, _, _) in enumerate(curve.steps)}
+    steps = []
     for k, (fid, enter, leave) in enumerate(curve.steps):
         e_slot = tri.slot(fid, enter)
         corner = 3 - e_slot - tri.slot(fid, leave)
         pos = tri.face_position(fid)
-        last_visit[pos] = k
         # the arc's state pair runs counterclockwise from slot corner + 2
-        steps.append((pos, corner, e_slot == (corner + 2) % 3))
+        steps.append((pos, corner, e_slot == (corner + 2) % 3, k == last_visit[pos], STATES))
     # a face holds its three corner sums until its last visit, then its
     # pushed exponent vector; a face the curve misses holds y^0 throughout
     start = tuple(
@@ -532,26 +551,8 @@ def quantum_trace(tri, curve):
     )
     total = {}
     for first, final in ((s, s) for s in STATES) if curve.closed else (curve.end_states,):
-        live = {(first, start): ONE}
-        for k, (pos, corner, forward) in enumerate(steps):
-            grown = {}
-            for (state, faces), coeff in live.items():
-                sums = faces[pos]
-                before, after = _vsum(sums[: corner + 1]), _vsum(sums[corner + 1 :])
-                for nxt in (final,) if k == m - 1 else STATES:
-                    arc = _ARCS.get((corner, state, nxt) if forward else (corner, nxt, state))
-                    if arc is None:
-                        continue
-                    exp, sign, vec = arc
-                    exp += 2 * _reorder_power(TRIANGLE.matrix, before, vec)
-                    exp += 2 * _reorder_power(TRIANGLE.matrix, vec, after)
-                    entry = sums[:corner] + (_vsum((sums[corner], vec)),) + sums[corner + 1 :]
-                    if k == last_visit[pos]:
-                        push, entry = _push(_vsum(entry))
-                        exp += push
-                    key = (nxt, faces[:pos] + (entry,) + faces[pos + 1 :])
-                    add_to(grown, key, coeff * half(exp, sign))
-            live = grown
+        # the last step may only reach the final state
+        live = sweep({(first, start): ONE}, steps[:-1] + [steps[-1][:-1] + ((final,),)], _lift_step)
         for (_, faces), coeff in live.items():
             add_to(total, sum(faces, ()), coeff)
     return QTElement(ambient_torus(tri), total)

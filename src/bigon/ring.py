@@ -8,8 +8,8 @@ directly keeps values like q^(5/2) exact integers of v-degree 5.
 The module also provides the small field-of-fractions type used by the
 Temperley-Lieb idempotents, quantum integers/binomials, the two canonical
 text forms (an ascending v-form that round-trips bit-exactly, and a prettier
-q-form used by the command line), and the sparse linear-combination core
-(`add_to` and `Combination`) that every element type of the package uses.
+q-form used by the command line), and the sparse linear-combination core of
+every element type: `add_to`, `Combination` and `sweep`, the package's one fold.
 
 Last comes the one tokenizer and recursive-descent parser of the package's
 text grammar (`parse_grammar`).  `parse_vform` reads scalars with it; the
@@ -486,6 +486,27 @@ def add_to(terms, key, coeff):
         del terms[key]
 
 
+def expand(terms, image):
+    """The sum over {key: c} of c times image(key), an iterable of (key, coeff) pairs."""
+    out = {}
+    for key, c in terms.items():
+        for new, d in image(key):
+            add_to(out, new, c * d)
+    return out
+
+
+def sweep(terms, steps, image):
+    """`expand` {key: c} by image(key, step) for each step in turn, its loop
+    inlined: the package's one fold, whose cost follows the live keys."""
+    for step in steps:
+        out = {}
+        for key, c in terms.items():
+            for new, d in image(key, step):
+                add_to(out, new, c * d)
+        terms = out
+    return terms
+
+
 class Combination:
     """A finite linear combination of basis keys over the ground ring.
 
@@ -542,10 +563,7 @@ class Combination:
         return self + (-other)
 
     def scale(self, coeff):
-        terms = {}
-        for key, c in self.terms.items():
-            add_to(terms, key, c * coeff)
-        return self._with(terms)
+        return self._with(expand(self.terms, lambda key: ((key, coeff),)))
 
     def __eq__(self, other):
         if type(other) is not type(self):

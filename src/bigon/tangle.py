@@ -29,7 +29,7 @@ import functools
 
 from .hopf import OqElement, normal_word
 from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, divexact, half
-from .ring import laurent_gcd, q_int, q_power
+from .ring import laurent_gcd, q_int, q_power, sweep
 
 LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
 
@@ -234,23 +234,21 @@ def _transfer_tables():
 
 
 _TABLES = _transfer_tables()
+_WIDTH = {kind: len(next(iter(table))) for kind, table in _TABLES.items()}  # states consumed
+
+
+def _slice_step(vec, step):
+    """The states a slice consumes at [p, end) replaced by each row of its table."""
+    table, p, end = step
+    for local, w in table.get(vec[p:end], ()):
+        yield vec[:p] + local + vec[end:], w
 
 
 def _sweep(states, slices):
-    """Push {state tuple: weight} through `slices`, left to right."""
-    for s in slices:
-        if s.kind == "id":
-            continue
-        table = _TABLES[s.kind]
-        p = s.position
-        width = len(next(iter(table)))
-        out = {}
-        for vec, c in states.items():
-            head, tail = vec[:p], vec[p + width :]
-            for local, w in table.get(vec[p : p + width], ()):
-                add_to(out, head + local + tail, c * w)
-        states = out
-    return states
+    """Push {state tuple: weight} through `slices`, left to right, one step
+    (`_slice_step`: table, position, end of the consumed states) per slice."""
+    steps = [(_TABLES[s.kind], s.position, s.position + _WIDTH[s.kind]) for s in slices if s.kind != "id"]
+    return sweep(states, steps, _slice_step)
 
 
 def rt_evaluate(t):
@@ -263,23 +261,26 @@ def rt_evaluate(t):
 # ---------------------------------------------------------------------------
 
 
+def _strand_step(key, step):
+    """Multiply on the strand from the cut's state eta[i] to the right state at i."""
+    eta, word = key
+    i, right = step
+    for mono, s in normal_word(word + _GEN[(eta[i], right)]):
+        yield (eta[:i], mono), s
+
+
 def skein_element(t):
     """The element of the bigon algebra represented by the stated diagram.
 
     The diagram is its own left part glued to parallel strands at the right
     edge, so it lifts to the sum over the states eta on that cut of the
     invariant from the left states to eta times the strands from eta to the
-    right states.  The strands multiply on from the top down, and terms that
-    agree on the states still to come and on the product so far merge, so a
-    sum that collapses (as it does under a cup) stays small.
+    right states.  Each strand is a step from the top down (`_strand_step`),
+    and terms that agree on the states still to come and on the product so
+    far merge, so a sum that collapses (as it does under a cup) stays small.
     """
     terms = {(eta, ""): c for eta, c in _sweep({t.left_states: ONE}, t.slices).items()}
-    for i in reversed(range(len(t.right_states))):
-        nxt = {}
-        for (eta, word), c in terms.items():
-            for mono, s in normal_word(word + _GEN[(eta[i], t.right_states[i])]):
-                add_to(nxt, (eta[:i], mono), c * s)
-        terms = nxt
+    terms = sweep(terms, reversed(list(enumerate(t.right_states))), _strand_step)
     return OqElement({word: c for (_, word), c in terms.items()})
 
 

@@ -66,6 +66,11 @@ def test_from_legs_normalizes_each_leg():
     assert _legs("ba", "") == BraidedElement.from_legs(("ab", ""), q_power(2))
 
 
+def test_from_legs_rejects_letters_outside_abcd():
+    with pytest.raises(ValueError, match="unknown generator 'e'"):
+        BraidedElement.from_legs(("ex", "a"))
+
+
 def test_constructor_checks_leg_count():
     with pytest.raises(ValueError):
         BraidedElement(2, {("a",): ONE})

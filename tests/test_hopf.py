@@ -156,6 +156,13 @@ def test_oracles_catch_a_one_exponent_mutant(letter):
         coproduct_word.cache_clear()
 
 
+@pytest.mark.parametrize("word, letter", [("xa", "x"), ("ax", "x"), ("abe", "e"), ("A", "A")])
+def test_word_folds_reject_letters_outside_abcd(word, letter):
+    for fold in (normal_word, coproduct_word):
+        with pytest.raises(ValueError, match="unknown generator '%s'" % letter):
+            fold(word)
+
+
 def test_deep_product_normal_form():
     z = OqElement.from_word("d" * 32 + "a" * 32)
     assert len(normal_word("d" * 32 + "a" * 32)) == 33

@@ -19,11 +19,13 @@ from bigon.ring import (
     q_factorial,
     q_binom,
     divexact,
+    expand,
     laurent_gcd,
     format_vform,
     format_qform,
     parse_vform,
     ScalarParseError,
+    sweep,
     _dense_content,
     _dense_primitive,
     _dense_trim,
@@ -325,3 +327,50 @@ def test_combination_core(x, y, other, error):
         with pytest.raises(error) as err:
             x + other
         assert err.type is error
+
+
+# ---------------------------------------------------------------------------
+# the fold: sweep and expand
+# ---------------------------------------------------------------------------
+
+
+def test_expand_merges_equal_keys_and_drops_cancelled_ones():
+    assert expand({"a": ONE, "b": half(1)}, lambda key: [("x", ONE)]) == {"x": ONE + half(1)}
+    # the x terms cancel, the y terms survive
+    image = {"a": [("x", ONE), ("y", ONE)], "b": [("x", -ONE), ("y", half(2))]}
+    assert expand({"a": ONE, "b": ONE}, image.get) == {"y": ONE + half(2)}
+    assert expand({"a": half(3), "b": half(3)}, image.get) == {"y": half(3) + half(5)}
+
+
+def test_sweep_over_no_steps_returns_its_input():
+    terms = {"a": half(1), "b": half(-2, 3)}
+    assert sweep(terms, [], lambda key, step: [(key + step, ONE)]) == terms
+
+
+def test_an_empty_image_gives_the_zero_combination():
+    assert expand({"a": ONE, "b": half(1)}, lambda key: ()) == {}
+    assert sweep({"a": ONE}, "xyz", lambda key, step: [] if step == "y" else [(key + step, ONE)]) == {}
+
+
+def _nested_expands(terms, steps, image):
+    if not steps:
+        return terms
+    return _nested_expands(expand(terms, lambda key: image(key, steps[0])), steps[1:], image)
+
+
+def test_sweep_equals_nested_expands():
+    rng = seeded(11)
+    for _ in range(40):
+        table = {}  # a fixed random image per (key, step), whose coefficients can cancel
+
+        def image(key, step):
+            if (key, step) not in table:
+                table[key, step] = [
+                    (rng.randrange(6), half(rng.randint(-2, 2), rng.choice((-1, 1))))
+                    for _ in range(rng.randint(0, 3))
+                ]
+            return table[key, step]
+
+        terms = {rng.randrange(6): half(rng.randint(-2, 2), rng.randint(-3, 3) or 1) for _ in range(4)}
+        steps = [rng.randrange(3) for _ in range(rng.randint(1, 5))]
+        assert sweep(terms, steps, image) == _nested_expands(terms, steps, image)
