@@ -126,6 +126,11 @@ class OqElement(Combination):
 
     __slots__ = ()
 
+    def _key(self, word):
+        if not _BASIS_PREFIX.fullmatch(word):
+            raise ValueError("%r is not a normal-form basis word" % (word,))
+        return word
+
     @classmethod
     def unit(cls, coeff=ONE):
         coeff = _as_scalar(coeff)

@@ -14,9 +14,10 @@ Three evaluations are provided:
   counit of the left piece is the scalar invariant, so the same sweep gives
   the weight of every state vector on the cut; each vector then contributes
   the parallel strands from it to the right states.
-* ``kauffman_reduce`` -- an independent oracle that resolves every crossing,
-  then reads off loops, returning arcs and through strands from the flat
-  crossingless picture.
+* ``kauffman_reduce`` -- an independent oracle, the Kauffman bracket: a sweep
+  over flat pictures that resolves each crossing both ways, counts closed
+  loops as it goes and merges equal pictures, then reads returning arcs and
+  through strands off each distinct picture at the right edge.
 
 The same flat machinery drives the Temperley-Lieb diagram algebra and the
 Jones-Wenzl idempotents at the end of the module.  Their products run
@@ -29,7 +30,7 @@ import functools
 
 from .hopf import OqElement, normal_word
 from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, divexact, half
-from .ring import laurent_gcd, q_int, q_power, sweep
+from .ring import expand, laurent_gcd, q_int, q_power, sweep
 
 LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
 
@@ -285,100 +286,67 @@ def skein_element(t):
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: full crossing resolution
+# independent oracle: Kauffman bracket resolution
 # ---------------------------------------------------------------------------
 
-
-def _resolutions(slices):
-    """All crossingless resolutions as (coefficient, slice tuple) pairs."""
-    out = [(ONE, [])]
-    for s in slices:
-        if s.kind in ("x+", "x-"):
-            ws, wt = (q_power(1), q_power(-1)) if s.kind == "x+" else (q_power(-1), q_power(1))
-            nxt = []
-            for c, acc in out:
-                nxt.append((c * ws, acc))
-                nxt.append(
-                    (
-                        c * wt,
-                        acc
-                        + [Slice("cap", s.position, s.in_strands),
-                           Slice("cup", s.position, s.in_strands - 2)],
-                    )
-                )
-            out = nxt
-        elif s.kind == "id":
-            continue
-        else:
-            out = [(c, acc + [s]) for c, acc in out]
-    return out
+# (straight, turn-back) weights of the two resolutions of a crossing
+_KAUFFMAN = {"x+": (q_power(1), q_power(-1)), "x-": (q_power(-1), q_power(1))}
+_FRESH = ("C", -1)  # the token of a new cup's two strands, before renumbering
 
 
-class _Strands:
-    """Union-find over strand segments, tracking boundary ends and loops."""
-
-    def __init__(self):
-        self.parent = {}
-        self.ends = {}
-        self.loops = 0
-
-    def fresh(self, end=None):
-        sid = len(self.parent)
-        self.parent[sid] = sid
-        self.ends[sid] = [end] if end is not None else []
-        return sid
-
-    def find(self, sid):
-        while self.parent[sid] != sid:
-            self.parent[sid] = self.parent[self.parent[sid]]
-            sid = self.parent[sid]
-        return sid
-
-    def join(self, s1, s2):
-        r1, r2 = self.find(s1), self.find(s2)
-        if r1 == r2:
-            self.loops += 1
-            del self.ends[r1]
-            return
-        self.parent[r2] = r1
-        self.ends[r1] += self.ends.pop(r2)
-
-    def close(self, sid, end):
-        self.ends[self.find(sid)].append(end)
-
-    def pairs(self):
-        """The endpoint pairs of the traced arcs; every arc must have two ends."""
-        if any(len(ends) != 2 for ends in self.ends.values()):
-            raise TangleError("open strand in flat tracing")
-        return [tuple(sorted(ends)) for ends in self.ends.values()]
+def _canonical(labels):
+    """Cup tokens renumbered in order of position, so equal pictures are equal keys."""
+    names = {}
+    return tuple(x if x[0] == "L" else names.setdefault(x, ("C", len(names))) for x in labels)
 
 
-def _flat_components(slices, n_left):
-    """Trace a crossingless slice word into loops and endpoint pairs."""
-    tr = _Strands()
-    current = [tr.fresh(("L", i)) for i in range(n_left)]
-    for s in slices:
-        p = s.position
-        if s.kind == "cap":
-            tr.join(current[p], current[p + 1])
-            del current[p : p + 2]
-        elif s.kind == "cup":
-            fresh = tr.fresh()
-            other = tr.fresh()
-            tr.join(fresh, other)
-            current[p:p] = [fresh, other]
-        elif s.kind == "id":
-            continue
-        else:
-            raise TangleError("crossing survived resolution")
-    for j, sid in enumerate(current):
-        tr.close(sid, ("R", j))
-    return tr.loops, tr.pairs()
+def _cap(key, p):
+    """Join strands p and p+1 of a flat picture: (picture, factor)."""
+    labels, closed = key
+    a, b = labels[p], labels[p + 1]
+    rest = labels[:p] + labels[p + 2 :]
+    if a == b:  # the two ends of one arc: a closed loop
+        return (_canonical(rest), closed), LOOP
+    if a[0] == b[0] == "L":
+        return (rest, closed | {(a, b)}), ONE
+    if a[0] == "L":
+        a, b = b, a
+    # the other strand carrying a's token now ends where b's far end does
+    return (_canonical(tuple(b if x == a else x for x in rest)), closed), ONE
 
 
-def evaluate_matching(pairs, left_states, right_states, loops=0):
+def _cup(key, p):
+    labels, closed = key
+    return _canonical(labels[:p] + (_FRESH, _FRESH) + labels[p:]), closed
+
+
+def _flat_step(key, step):
+    """One slice on a flat picture; a crossing yields both its resolutions,
+    straight through and turned back (a cap, then a cup)."""
+    kind, p = step
+    if kind == "cup":
+        yield _cup(key, p), ONE
+    elif kind == "cap":
+        yield _cap(key, p)
+    else:
+        straight, turn = _KAUFFMAN[kind]
+        yield key, straight
+        capped, w = _cap(key, p)
+        yield _cup(capped, p), w * turn
+
+
+def _picture_value(key, left_states, right_states):
+    """The stated element of a flat picture at the right edge, as (word, coeff) pairs."""
+    labels, closed = key
+    ends = {}
+    for j, x in enumerate(labels):
+        ends.setdefault(x, [x] if x[0] == "L" else []).append(("R", j))
+    return evaluate_matching(list(closed) + list(ends.values()), left_states, right_states).terms.items()
+
+
+def evaluate_matching(pairs, left_states, right_states):
     """Value of a crossingless stated diagram given as endpoint pairs."""
-    scalar = LOOP ** loops
+    scalar = ONE
     through = []
     for e1, e2 in pairs:
         side1, i1 = e1
@@ -402,14 +370,19 @@ def evaluate_matching(pairs, left_states, right_states, loops=0):
 
 
 def kauffman_reduce(t):
-    """Resolve all crossings, then evaluate each flat diagram directly."""
-    out = {}
-    for coeff, slices in _resolutions(t.slices):
-        loops, pairs = _flat_components(slices, len(t.left_states))
-        piece = evaluate_matching(pairs, t.left_states, t.right_states, loops)
-        for mono, c in piece.terms.items():
-            add_to(out, mono, c * coeff)
-    return OqElement(out)
+    """Resolve every crossing both ways, slice by slice, as a sweep over flat
+    pictures (`_flat_step`); then evaluate each distinct picture once.
+
+    A picture is one label per current strand and the set of left-left arcs
+    already closed.  A strand whose far end is on the left edge carries that
+    end, ("L", i); the two ends of an arc born in cups share a token ("C", n).
+    Equal pictures merge, so the cost follows the pictures, not the 2^c
+    resolutions.
+    """
+    start = {(tuple(("L", i) for i in range(len(t.left_states))), frozenset()): ONE}
+    steps = [(s.kind, s.position) for s in t.slices if s.kind != "id"]
+    pictures = sweep(start, steps, _flat_step)
+    return OqElement(expand(pictures, lambda key: _picture_value(key, t.left_states, t.right_states)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +449,45 @@ class TLDiagram:
             self.n,
             ", ".join("%s%d:%s%d" % (p[0][0], p[0][1], p[1][0], p[1][1]) for p in bits),
         )
+
+
+class _Strands:
+    """Union-find over strand segments, tracking boundary ends and loops."""
+
+    def __init__(self):
+        self.parent = {}
+        self.ends = {}
+        self.loops = 0
+
+    def fresh(self, end=None):
+        sid = len(self.parent)
+        self.parent[sid] = sid
+        self.ends[sid] = [end] if end is not None else []
+        return sid
+
+    def find(self, sid):
+        while self.parent[sid] != sid:
+            self.parent[sid] = self.parent[self.parent[sid]]
+            sid = self.parent[sid]
+        return sid
+
+    def join(self, s1, s2):
+        r1, r2 = self.find(s1), self.find(s2)
+        if r1 == r2:
+            self.loops += 1
+            del self.ends[r1]
+            return
+        self.parent[r2] = r1
+        self.ends[r1] += self.ends.pop(r2)
+
+    def close(self, sid, end):
+        self.ends[self.find(sid)].append(end)
+
+    def pairs(self):
+        """The endpoint pairs of the traced arcs; every arc must have two ends."""
+        if any(len(ends) != 2 for ends in self.ends.values()):
+            raise TangleError("open strand in flat tracing")
+        return [tuple(sorted(ends)) for ends in self.ends.values()]
 
 
 def _glue_diagrams(d1, d2):

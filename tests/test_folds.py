@@ -79,7 +79,7 @@ def test_a_hand_written_fold_is_seen(tmp_path):
         "        x = Element(out)\n"
         "    return x\n"
         "\n\n"
-        # one accumulator filled across the loop, as kauffman_reduce does, is not a fold
+        # one accumulator filled across the loop, as tangle._glue_sum does, is not a fold
         "def accumulated(pieces):\n"
         "    out = {}\n"
         "    for piece in pieces:\n"

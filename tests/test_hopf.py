@@ -163,6 +163,16 @@ def test_word_folds_reject_letters_outside_abcd(word, letter):
             fold(word)
 
 
+@pytest.mark.parametrize("word", ["ba", "da", "bc", "ax", "dab"])
+def test_elements_reject_keys_outside_the_basis(word):
+    # a free word is normal-formed by from_word; as a raw key it would print
+    # unstraightened and compare unequal to its own normal form
+    with pytest.raises(ValueError, match="'%s' is not a normal-form basis word" % word):
+        OqElement({word: ONE})
+    for w in basis_words(3):
+        assert OqElement({w: ONE}).terms == {w: ONE}
+
+
 def test_deep_product_normal_form():
     z = OqElement.from_word("d" * 32 + "a" * 32)
     assert len(normal_word("d" * 32 + "a" * 32)) == 33

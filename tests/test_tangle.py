@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from bigon.tangle import (
     TangleError,
     TLDiagram,
     TLElement,
+    evaluate_matching,
     jones_wenzl,
     kauffman_reduce,
     matching_to_slices,
@@ -24,7 +26,6 @@ from bigon.tangle import (
     stated_diagram_element,
     tl_product,
     _Strands,
-    _flat_components,
     _glue_diagrams,
     _sweep,
 )
@@ -243,6 +244,144 @@ def test_lift_and_oracle_random():
         x = skein_element(t)
         assert counit(x) == rt_evaluate(t), t
         assert x == kauffman_reduce(t), t
+
+
+# The 2^c resolution enumerator that the sweep over flat pictures replaced,
+# kept verbatim as the oracle of the bracket.
+
+
+def _enumerated_resolutions(slices):
+    """All crossingless resolutions as (coefficient, slice tuple) pairs."""
+    out = [(ONE, [])]
+    for s in slices:
+        if s.kind in ("x+", "x-"):
+            ws, wt = (q_power(1), q_power(-1)) if s.kind == "x+" else (q_power(-1), q_power(1))
+            nxt = []
+            for c, acc in out:
+                nxt.append((c * ws, acc))
+                nxt.append(
+                    (
+                        c * wt,
+                        acc
+                        + [Slice("cap", s.position, s.in_strands),
+                           Slice("cup", s.position, s.in_strands - 2)],
+                    )
+                )
+            out = nxt
+        elif s.kind == "id":
+            continue
+        else:
+            out = [(c, acc + [s]) for c, acc in out]
+    return out
+
+
+def _traced_components(slices, n_left):
+    """Trace a crossingless slice word into loops and endpoint pairs."""
+    tr = _Strands()
+    current = [tr.fresh(("L", i)) for i in range(n_left)]
+    for s in slices:
+        p = s.position
+        if s.kind == "cap":
+            tr.join(current[p], current[p + 1])
+            del current[p : p + 2]
+        elif s.kind == "cup":
+            fresh = tr.fresh()
+            other = tr.fresh()
+            tr.join(fresh, other)
+            current[p:p] = [fresh, other]
+        elif s.kind == "id":
+            continue
+        else:
+            raise TangleError("crossing survived resolution")
+    for j, sid in enumerate(current):
+        tr.close(sid, ("R", j))
+    return tr.loops, tr.pairs()
+
+
+def _enumerated_kauffman(t):
+    """Resolve all crossings, then evaluate each flat diagram directly."""
+    out = {}
+    for coeff, slices in _enumerated_resolutions(t.slices):
+        loops, pairs = _traced_components(slices, len(t.left_states))
+        piece = evaluate_matching(pairs, t.left_states, t.right_states)
+        for mono, c in piece.terms.items():
+            add_to(out, mono, c * coeff * LOOP**loops)
+    return OqElement(out)
+
+
+def _crossings(t):
+    return sum(s.kind in ("x+", "x-") for s in t.slices)
+
+
+def _bracket_corpus():
+    """Every tangle of exhaustive_tangles(2, 2), and seeded ones up to width 6
+    with cups, caps and at most 10 crossings anywhere."""
+    corpus = list(exhaustive_tangles(2, 2))
+    rng = seeded(1212)
+    while len(corpus) < 550:
+        t = random_tangle(rng, max_strands=6, max_slices=16)
+        if _crossings(t) <= 10:
+            corpus.append(t)
+    return corpus
+
+
+def test_bracket_sweep_matches_the_enumerator(monkeypatch):
+    # which two strand labels each cap joins: the corpus must reach every case
+    joined = set()
+    cap = tangle_module._cap
+
+    def spy(key, p):
+        a, b = key[0][p : p + 2]
+        joined.add("loop" if a == b else {"LL": "left-left", "CC": "cup-cup"}.get(a[0] + b[0], "left-cup"))
+        return cap(key, p)
+
+    monkeypatch.setattr(tangle_module, "_cap", spy)
+    corpus = _bracket_corpus()
+    for t in corpus:
+        assert kauffman_reduce(t) == _enumerated_kauffman(t), t
+    assert joined == {"loop", "left-left", "cup-cup", "left-cup"}
+    assert max(map(_crossings, corpus)) == 10
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("_cap", "LOOP", "ONE"),  # loses the loop factor
+        ("_flat_step", "straight, turn =", "turn, straight ="),  # swaps the resolution weights
+    ],
+)
+def test_enumerator_catches_bracket_mutants(name, old, new, monkeypatch):
+    source = inspect.getsource(getattr(tangle_module, name))
+    assert old in source
+    namespace = dict(vars(tangle_module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(tangle_module, name, namespace[name])
+    assert any(kauffman_reduce(t) != _enumerated_kauffman(t) for t in exhaustive_tangles(2, 2))
+
+
+def test_bracket_route_never_reads_the_state_sweep():
+    route = [kauffman_reduce, evaluate_matching] + [
+        getattr(tangle_module, name) for name in ("_flat_step", "_cap", "_cup", "_canonical", "_picture_value")
+    ]
+    codes = [f.__code__ for f in route]
+    codes += [c for code in codes for c in code.co_consts if inspect.iscode(c)]
+    names = set().union(*(code.co_names for code in codes))
+    assert "sweep" in names
+    assert not names & {"_TABLES", "_WIDTH", "_transfer_tables", "_slice_step", "_sweep", "rt_evaluate", "skein_element"}
+
+
+def test_bracket_sweep_grows_with_the_pictures():
+    # the workload's shape: a cup on two strands, crossings at width 4, a cap;
+    # 2^16 and 2^40 resolutions, but only a few flat pictures at each slice
+    rng = seeded(1640)
+    for crossings in (16, 40):
+        slices = [Slice("cup", 1, 2)]
+        slices += [Slice(rng.choice(("x+", "x-")), rng.randint(0, 2), 4) for _ in range(crossings)]
+        t = SlicedTangle(slices + [Slice("cap", 1, 4)], "+-", "-+")
+        start = time.perf_counter()
+        x = kauffman_reduce(t)
+        assert x == skein_element(t) and x
+        assert time.perf_counter() - start < 0.5, crossings
 
 
 def _tensor_of(x, y):
@@ -566,7 +705,7 @@ def test_matching_to_slices_round_trip():
                 frontier += list(prod.terms)
         for d in diagrams:
             slices = matching_to_slices(d.pairs, n, n)
-            loops, pairs = _flat_components(slices, n)
+            loops, pairs = _traced_components(slices, n)
             assert loops == 0
             assert frozenset(frozenset(p) for p in pairs) == d.pairs
 
