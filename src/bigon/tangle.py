@@ -20,8 +20,12 @@ Three evaluations are provided:
   through strands off each distinct picture at the right edge.
 
 The same flat machinery drives the Temperley-Lieb diagram algebra and the
-Jones-Wenzl idempotents at the end of the module.  Their products run
-fraction-free and reduce once per output coefficient.
+Jones-Wenzl idempotents at the end of the module: two diagrams glue by
+running the second one's cap/cup word, slice by slice, on the flat picture
+at the first one's right edge.  One bracket walk over the endpoints
+(``_bracket_walk``) checks that pairs form a crossingless matching and
+writes its cap/cup word.  Temperley-Lieb products run fraction-free and
+reduce once per output coefficient.
 """
 
 from __future__ import annotations
@@ -335,37 +339,71 @@ def _flat_step(key, step):
         yield _cup(capped, p), w * turn
 
 
-def _picture_value(key, left_states, right_states):
-    """The stated element of a flat picture at the right edge, as (word, coeff) pairs."""
+def _left_edge(n):
+    """The flat picture at a left edge of n points: each strand carries its own end."""
+    return tuple(("L", i) for i in range(n)), frozenset()
+
+
+def _endpoint_pairs(key):
+    """The endpoint pairs of a flat picture at the right edge."""
     labels, closed = key
     ends = {}
     for j, x in enumerate(labels):
         ends.setdefault(x, [x] if x[0] == "L" else []).append(("R", j))
-    return evaluate_matching(list(closed) + list(ends.values()), left_states, right_states).terms.items()
+    return list(closed) + list(ends.values())
+
+
+def _picture_value(key, left_states, right_states):
+    """The stated element of a flat picture at the right edge, as (word, coeff) pairs."""
+    return evaluate_matching(_endpoint_pairs(key), left_states, right_states).terms.items()
+
+
+def _bracket_walk(pairs, n_left, n_right):
+    """Walk each edge bottom to top, closing its arcs like brackets.
+
+    Returns (caps, cups, through): the left and the right edge's arcs,
+    innermost first, as (position, bottom, top), where position counts the
+    points still open below the arc as it closes; then the (left, right)
+    ends of the strands across, bottom to top.  Raises TangleError unless
+    `pairs` is a crossingless perfect matching of n_left left and n_right
+    right points.
+    """
+    points = {(side, i) for side, n in (("L", n_left), ("R", n_right)) for i in range(n)}
+    pairs = [tuple(pair) for pair in pairs]
+    partner = {pair[k]: pair[1 - k] for pair in pairs if len(pair) == 2 for k in (0, 1)}
+
+    def walk(side, n):
+        stack, arcs = [], []
+        for i in range(n):
+            if stack and partner.get((side, i)) == (side, stack[-1]):
+                arcs.append((len(stack) - 1, stack.pop(), i))
+            else:
+                stack.append(i)
+        return arcs, stack
+
+    (caps, left), (cups, right) = walk("L", n_left), walk("R", n_right)
+    through = list(zip(left, right))
+    if (
+        partner.keys() != points
+        or 2 * len(pairs) != len(points)
+        or len(left) != len(right)
+        or any(partner[("L", i)] != ("R", j) for i, j in through)
+    ):
+        raise TangleError("not a crossingless matching of %d left and %d right points" % (n_left, n_right))
+    return caps, cups, through
 
 
 def evaluate_matching(pairs, left_states, right_states):
     """Value of a crossingless stated diagram given as endpoint pairs."""
+    caps, cups, through = _bracket_walk(pairs, len(left_states), len(right_states))
     scalar = ONE
-    through = []
-    for e1, e2 in pairs:
-        side1, i1 = e1
-        side2, i2 = e2
-        if side1 == side2:
-            lo, hi = min(i1, i2), max(i1, i2)
-            table = ARC if side1 == "L" else CUP_ARC
-            states = left_states if side1 == "L" else right_states
+    for arcs, table, states in ((caps, ARC, left_states), (cups, CUP_ARC, right_states)):
+        for _, lo, hi in arcs:
             w = table.get((states[hi], states[lo]))
             if w is None:
                 return OqElement()
             scalar = scalar * w
-        else:
-            if side1 == "R":
-                (side1, i1), (side2, i2) = (side2, i2), (side1, i1)
-            through.append((i1, i2))
-    word = "".join(
-        _GEN[(left_states[i], right_states[j])] for i, j in sorted(through, reverse=True)
-    )
+    word = "".join(_GEN[(left_states[i], right_states[j])] for i, j in reversed(through))
     return OqElement.from_word(word, scalar)
 
 
@@ -379,9 +417,8 @@ def kauffman_reduce(t):
     Equal pictures merge, so the cost follows the pictures, not the 2^c
     resolutions.
     """
-    start = {(tuple(("L", i) for i in range(len(t.left_states))), frozenset()): ONE}
     steps = [(s.kind, s.position) for s in t.slices if s.kind != "id"]
-    pictures = sweep(start, steps, _flat_step)
+    pictures = sweep({_left_edge(len(t.left_states)): ONE}, steps, _flat_step)
     return OqElement(expand(pictures, lambda key: _picture_value(key, t.left_states, t.right_states)))
 
 
@@ -397,17 +434,7 @@ class TLDiagram:
 
     def __init__(self, n, pairs):
         pairs = frozenset(frozenset(p) for p in pairs)
-        pair_of = {point: pair for pair in pairs for point in pair}
-        # read the points around the boundary, up the left edge and down the
-        # right one: a crossingless matching closes its pairs like brackets
-        unclosed = []
-        for point in [("L", i) for i in range(n)] + [("R", i) for i in reversed(range(n))]:
-            if unclosed and pair_of.get(point) == {point, unclosed[-1]}:
-                unclosed.pop()
-            else:
-                unclosed.append(point)
-        if unclosed or len(pairs) != n:
-            raise TangleError("not a crossingless matching of %d left and %d right points" % (n, n))
+        _bracket_walk(pairs, n, n)
         self.n = n
         self.pairs = pairs
 
@@ -451,60 +478,27 @@ class TLDiagram:
         )
 
 
-class _Strands:
-    """Union-find over strand segments, tracking boundary ends and loops."""
-
-    def __init__(self):
-        self.parent = {}
-        self.ends = {}
-        self.loops = 0
-
-    def fresh(self, end=None):
-        sid = len(self.parent)
-        self.parent[sid] = sid
-        self.ends[sid] = [end] if end is not None else []
-        return sid
-
-    def find(self, sid):
-        while self.parent[sid] != sid:
-            self.parent[sid] = self.parent[self.parent[sid]]
-            sid = self.parent[sid]
-        return sid
-
-    def join(self, s1, s2):
-        r1, r2 = self.find(s1), self.find(s2)
-        if r1 == r2:
-            self.loops += 1
-            del self.ends[r1]
-            return
-        self.parent[r2] = r1
-        self.ends[r1] += self.ends.pop(r2)
-
-    def close(self, sid, end):
-        self.ends[self.find(sid)].append(end)
-
-    def pairs(self):
-        """The endpoint pairs of the traced arcs; every arc must have two ends."""
-        if any(len(ends) != 2 for ends in self.ends.values()):
-            raise TangleError("open strand in flat tracing")
-        return [tuple(sorted(ends)) for ends in self.ends.values()]
+@functools.lru_cache(maxsize=None)
+def _flat_diagram(d):
+    """The (kind, position) steps of a diagram's cap/cup slice word, and the
+    flat picture they leave at its right edge: at most Catalan(n) entries."""
+    steps = tuple((s.kind, s.position) for s in matching_to_slices(d.pairs, d.n, d.n))
+    (picture,) = sweep({_left_edge(d.n): ONE}, steps, _flat_step)
+    return steps, picture
 
 
 def _glue_diagrams(d1, d2):
-    """Glue d1's right side to d2's left side; return (loops, endpoint pairs)."""
-    tr = _Strands()
-    middle = {}  # glued point -> the arc of d1 ending there
-    for inner, d in (("R", d1), ("L", d2)):
-        for pair in d.pairs:
-            sid = tr.fresh()
-            for side, i in pair:
-                if side != inner:
-                    tr.close(sid, (side, i))
-                elif inner == "R":
-                    middle[i] = sid
-                else:
-                    tr.join(middle[i], sid)
-    return tr.loops, tr.pairs()
+    """Glue d1's right side to d2's left side; return (loops, endpoint pairs).
+
+    d2's cap/cup word runs on the flat picture at d1's right edge, one
+    `_flat_step` of the bracket sweep per slice; a cap that closes a loop
+    is one whose factor is LOOP.
+    """
+    picture, loops = _flat_diagram(d1)[1], 0
+    for step in _flat_diagram(d2)[0]:
+        ((picture, w),) = _flat_step(picture, step)
+        loops += w == LOOP
+    return loops, _endpoint_pairs(picture)
 
 
 def _glue_sum(x, y):
@@ -590,41 +584,13 @@ def jones_wenzl(n):
 
 
 def matching_to_slices(pairs, n_left, n_right):
-    """Express a crossingless matching as a cap/cup slice word."""
-
-    def peel(points, partner):
-        ops = []
-        pts = list(points)
-        changed = True
-        while changed:
-            changed = False
-            for p in range(len(pts) - 1):
-                if partner.get(pts[p]) == pts[p + 1]:
-                    ops.append((p, len(pts)))
-                    del pts[p : p + 2]
-                    changed = True
-                    break
-        return ops, pts
-
-    partner = {}
-    for e1, e2 in (tuple(p) for p in pairs):
-        partner[e1] = e2
-        partner[e2] = e1
-    left_pts = [("L", i) for i in range(n_left)]
-    right_pts = [("R", i) for i in range(n_right)]
-    caps, _ = peel(left_pts, partner)
-    cups_rev, _ = peel(right_pts, partner)
-
-    slices = []
-    n = n_left
-    for p, _total in caps:
-        slices.append(Slice("cap", p, n))
-        n -= 2
-    for p, _total in reversed(cups_rev):
-        slices.append(Slice("cup", p, n))
-        n += 2
-    if n != n_right:
-        raise TangleError("matching is not crossingless")
+    """Express a crossingless matching as a cap/cup slice word: the left
+    edge's arcs close as caps, innermost first, then the right edge's arcs
+    open as cups, outermost first."""
+    caps, cups, _ = _bracket_walk(pairs, n_left, n_right)
+    slices = [Slice("cap", p, n_left - 2 * k) for k, (p, _, _) in enumerate(caps)]
+    n = n_left - 2 * len(caps)
+    slices += [Slice("cup", p, n + 2 * k) for k, (p, _, _) in enumerate(reversed(cups))]
     return slices
 
 

@@ -25,7 +25,6 @@ from bigon.tangle import (
     skein_element,
     stated_diagram_element,
     tl_product,
-    _Strands,
     _glue_diagrams,
     _sweep,
 )
@@ -275,6 +274,49 @@ def _enumerated_resolutions(slices):
     return out
 
 
+# The union-find strand tracer that Temperley-Lieb gluing ran on before it
+# moved onto the flat pictures, kept as the oracle of both flat routes.
+
+
+class _Strands:
+    """Union-find over strand segments, tracking boundary ends and loops."""
+
+    def __init__(self):
+        self.parent = {}
+        self.ends = {}
+        self.loops = 0
+
+    def fresh(self, end=None):
+        sid = len(self.parent)
+        self.parent[sid] = sid
+        self.ends[sid] = [end] if end is not None else []
+        return sid
+
+    def find(self, sid):
+        while self.parent[sid] != sid:
+            self.parent[sid] = self.parent[self.parent[sid]]
+            sid = self.parent[sid]
+        return sid
+
+    def join(self, s1, s2):
+        r1, r2 = self.find(s1), self.find(s2)
+        if r1 == r2:
+            self.loops += 1
+            del self.ends[r1]
+            return
+        self.parent[r2] = r1
+        self.ends[r1] += self.ends.pop(r2)
+
+    def close(self, sid, end):
+        self.ends[self.find(sid)].append(end)
+
+    def pairs(self):
+        """The endpoint pairs of the traced arcs; every arc must have two ends."""
+        if any(len(ends) != 2 for ends in self.ends.values()):
+            raise TangleError("open strand in flat tracing")
+        return [tuple(sorted(ends)) for ends in self.ends.values()]
+
+
 def _traced_components(slices, n_left):
     """Trace a crossingless slice word into loops and endpoint pairs."""
     tr = _Strands()
@@ -361,7 +403,10 @@ def test_enumerator_catches_bracket_mutants(name, old, new, monkeypatch):
 
 def test_bracket_route_never_reads_the_state_sweep():
     route = [kauffman_reduce, evaluate_matching] + [
-        getattr(tangle_module, name) for name in ("_flat_step", "_cap", "_cup", "_canonical", "_picture_value")
+        getattr(tangle_module, name)
+        for name in (
+            "_flat_step", "_cap", "_cup", "_canonical", "_picture_value", "_endpoint_pairs", "_bracket_walk", "_left_edge"
+        )
     ]
     codes = [f.__code__ for f in route]
     codes += [c for code in codes for c in code.co_consts if inspect.iscode(c)]
@@ -486,9 +531,10 @@ def test_jw_absorbs_everything():
 # --- TL gluing against the operator invariant ----------------------------------
 
 
-def _tl_basis(n):
-    """Every crossingless matching of n left and n right points, built directly."""
-    boundary = [("L", i) for i in range(n)] + [("R", i) for i in reversed(range(n))]
+def _crossingless_matchings(n_left, n_right):
+    """Every crossingless matching of n_left left and n_right right points,
+    built directly: around the boundary, up the left edge and down the right."""
+    boundary = [("L", i) for i in range(n_left)] + [("R", i) for i in reversed(range(n_right))]
 
     def matchings(points):
         if not points:
@@ -498,7 +544,12 @@ def _tl_basis(n):
                 for outside in matchings(points[k + 1 :]):
                     yield [(points[0], points[k])] + inside + outside
 
-    return [TLDiagram(n, m) for m in matchings(boundary)]
+    return list(matchings(boundary))
+
+
+def _tl_basis(n):
+    """Every crossingless matching of n left and n right points, built directly."""
+    return [TLDiagram(n, m) for m in _crossingless_matchings(n, n)]
 
 
 @pytest.mark.parametrize(
@@ -513,6 +564,29 @@ def _tl_basis(n):
 def test_tl_diagram_rejects_what_is_not_a_crossingless_matching(pairs):
     with pytest.raises(TangleError):
         TLDiagram(2, pairs)
+
+
+NOT_CROSSINGLESS = [
+    ([(("L", 0), ("R", 1)), (("L", 1), ("R", 0))], 2, 2),  # the two strands cross
+    ([(("L", 0), ("R", 0)), (("L", 1), ("R", 2)), (("L", 2), ("R", 1))], 3, 3),
+    ([(("L", 0), ("R", 0))], 2, 2),  # L1 and R1 left out
+    ([], 1, 1),
+    ([(("L", 0), ("L", 1))], 3, 0),  # L2 left out
+    ([(("L", 0), ("L", 2)), (("L", 1), ("R", 0))], 3, 1),  # an arc around a strand across
+    ([(("L", 0), ("R", 0)), (("L", 0), ("R", 0))], 1, 1),  # one strand given twice
+]
+
+
+@pytest.mark.parametrize("pairs, n_left, n_right", NOT_CROSSINGLESS)
+def test_matching_to_slices_rejects_what_is_not_a_crossingless_matching(pairs, n_left, n_right):
+    with pytest.raises(TangleError):
+        matching_to_slices(pairs, n_left, n_right)
+
+
+@pytest.mark.parametrize("pairs, n_left, n_right", NOT_CROSSINGLESS)
+def test_evaluate_matching_rejects_what_is_not_a_crossingless_matching(pairs, n_left, n_right):
+    with pytest.raises(TangleError):
+        evaluate_matching(pairs, "+-+"[:n_left], "+-+"[:n_right])
 
 
 def test_every_crossingless_matching_is_a_tl_diagram():
@@ -532,7 +606,8 @@ def _gluing_mismatches(max_n):
 
     The operator invariant is a functor, so composing the two diagrams'
     operators state by state must give the traced gluing, each closed loop
-    worth LOOP.  The sweep never sees the strand tracer behind tl_product.
+    worth LOOP.  tl_product glues on the bracket sweep's flat pictures, which
+    never read the transfer tables this sweep runs on.
     """
     bad = []
     for n in range(1, max_n + 1):
@@ -564,6 +639,46 @@ def test_gluing_check_catches_a_loop_count_off_by_one(shift, monkeypatch):
 
     monkeypatch.setattr("bigon.tangle._glue_diagrams", mutant)
     assert _gluing_mismatches(2)
+
+
+def test_gluing_on_flat_pictures_matches_the_strand_tracer():
+    for n in range(1, 6):
+        basis = _tl_basis(n)
+        for d1, d2 in itertools.product(basis, repeat=2):
+            slices = matching_to_slices(d1.pairs, n, n) + matching_to_slices(d2.pairs, n, n)
+            loops, pairs = _glue_diagrams(d1, d2)
+            traced_loops, traced = _traced_components(slices, n)
+            assert loops == traced_loops, (d1, d2)
+            assert {frozenset(p) for p in pairs} == {frozenset(p) for p in traced}, (d1, d2)
+
+
+def _names_read(functions):
+    """The names the code of `functions` reads, following every function and
+    method of the tangle module that it names, and theirs in turn."""
+    own = {}
+    for scope in (vars(tangle_module), vars(TLDiagram), vars(TLElement)):
+        for name, f in scope.items():
+            f = inspect.unwrap(getattr(f, "__func__", f))
+            if inspect.isfunction(f) and f.__module__ == tangle_module.__name__:
+                own.setdefault(name, []).append(f.__code__)
+    todo = [inspect.unwrap(f).__code__ for f in functions]
+    seen, names = set(), set()
+    while todo:
+        code = todo.pop()
+        if code not in seen:
+            seen.add(code)
+            names |= set(code.co_names)
+            todo += [c for c in code.co_consts if inspect.iscode(c)]
+            todo += [c for name in code.co_names for c in own.get(name, ())]
+    return names
+
+
+def test_tl_route_never_reads_the_state_sweep():
+    state_sweep = {"_TABLES", "_WIDTH", "_transfer_tables", "_slice_step", "_sweep"}
+    assert {"_sweep", "_TABLES", "_slice_step"} <= _names_read([rt_evaluate])  # calls are followed
+    names = _names_read([tl_product, jones_wenzl, _glue_diagrams])
+    assert {"_flat_step", "_bracket_walk", "_endpoint_pairs"} <= names
+    assert not names & state_sweep
 
 
 # --- the per-pair RatFunc product, kept as the oracle of the fraction-free one --
@@ -689,25 +804,12 @@ def _stated_tl(el, left, right):
 
 
 def test_matching_to_slices_round_trip():
-    for n in (2, 3):
-        diagrams = set()
-        frontier = [TLDiagram.identity(n)]
-        while frontier:
-            d = frontier.pop()
-            if d in diagrams:
-                continue
-            diagrams.add(d)
-            for i in range(n - 1):
-                prod = tl_product(
-                    TLElement(n, {d: RatFunc(ONE)}),
-                    TLElement.hook(n, i),
-                )
-                frontier += list(prod.terms)
-        for d in diagrams:
-            slices = matching_to_slices(d.pairs, n, n)
-            loops, pairs = _traced_components(slices, n)
+    for n_left, n_right in itertools.product(range(7), repeat=2):
+        for pairs in _crossingless_matchings(n_left, n_right):
+            slices = matching_to_slices(pairs, n_left, n_right)
+            loops, traced = _traced_components(slices, n_left)
             assert loops == 0
-            assert frozenset(frozenset(p) for p in pairs) == d.pairs
+            assert {frozenset(p) for p in traced} == {frozenset(p) for p in pairs}
 
 
 def test_stated_jw_collapses_on_constant_states():
