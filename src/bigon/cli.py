@@ -77,11 +77,14 @@ class CliError(Exception):
 # reads back the q-powers of every normal form the products can reach
 MAX_EXPONENT = 4096
 
-# Every product is bounded before it runs: its pairs of basis words may need
-# at most MAX_SWAPS out-of-order letter pairs straightened in all, and the
-# product may generate at most MAX_SIZE coefficient monomials before equal
-# terms merge, the products of one power all counted together.  d^40*a^40 is
-# the deepest product allowed; (a+d)^n stops at n = 24, (q+1)^n at n = 512.
+# Every product is bounded before it runs: its pairs of basis words may hold
+# at most MAX_SWAPS out-of-order letter pairs in all, and the product may
+# generate at most MAX_SIZE coefficient monomials before equal terms merge,
+# the products of one power all counted together.  d^40*a^40 is the deepest
+# product allowed; with basis words multiplied in closed form it takes about
+# 0.1 s in a fresh process, printing included (1.1 s when each letter was
+# straightened on its own; 2-core machine, Python 3.11.7).  (a+d)^n stops at
+# n = 24, (q+1)^n at n = 512; (a+d)^23 takes about 0.17 s.
 MAX_SWAPS = 1600
 MAX_SIZE = 2**18
 

@@ -14,12 +14,14 @@ algebra acting by E/F/K, the reflection and rotation involutions, the
 canonical basis change, and the one-variable quotient of the algebra.
 
 Monomials are stored as plain strings over the alphabet "abcd" in normal
-order.  Every normal form is a `ring.sweep` of one closed-form straightening
-step over the letters -- a basis word times one generator on the right gives
-at most two basis words -- so there is no rewriting recursion.  The coproduct
-is multiplicative: Delta of a word sweeps the letters' Delta on one leg at a
-time, so its cost follows the number of terms rather than the 2^n raw words
-of the expansion.  Both sweeps are memoised per word.
+order.  Every normal form is a `ring.sweep` over the word's maximal basis
+chunks: each step multiplies a basis word by the next chunk in closed form
+(the PBW product, from the rules for d^l a^m and b^i c^j), so d^k a^k is one
+step and there is no rewriting recursion.  The coproduct is multiplicative:
+Delta of a word sweeps the letters' Delta on one leg at a time, each leg
+straightened by one generator on the right, so its cost follows the number
+of terms rather than the 2^n raw words of the expansion.  Both sweeps are
+memoised per word, and the pairing forms per pair of words.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import itertools
 import re
 
 from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, expand, format_sum
-from .ring import half, q_factorial, q_power, sweep
+from .ring import from_dense, half, one_minus_power, q_factorial, q_power, sweep
 
 GENERATORS = "abcd"
 
@@ -80,8 +82,71 @@ def _step(word, g):
     )
 
 
-# the longest prefix of a word that is already a basis word
-_BASIS_PREFIX = re.compile("a*(?:b+|c+)?d*")
+# The product of two basis words in closed form.  With Q = q^4, the
+# relation da = Q ad + (1 - Q) gives
+#     d^l a^m = Σ_j q^(4(l-j)(m-j)) [l, j]_Q [m, j]_Q (Q; Q)_j a^(m-j) d^(l-j),
+# and with n = min(i, j), δ = |i - j| and z = b if i > j, else c,
+#     b^i c^j = Σ_r (-1)^(n-r) q^(2n + 2r(r-1) + 2rδ) [n, r]_Q a^r z^δ d^r.
+# Each sum's coefficients follow one ratio recurrence in j or r, every step
+# an exact pass over a dense list in Q (`ring.one_minus_power`).
+def _d_times_a(l, m, k1, k2):
+    """The coefficients c_j of x^k1 d^l a^m y^k2 = Σ_j c_j a^(m-j) x^k1 y^k2 d^(l-j).
+
+    Moving a^(m-j) left past x^k1 and d^(l-j) right past y^k2 adds
+    q^(2 k1 (m-j) + 2 k2 (l-j)) to the d^l a^m rule above; its ratio is
+    c_j / c_(j-1) = (1 - Q^(l-j+1)) (1 - Q^(m-j+1)) / (1 - Q^j) up to that monomial.
+    """
+    out, cs = [_q(4 * l * m + 2 * k1 * m + 2 * k2 * l)], [1]
+    for j in range(1, min(l, m) + 1):
+        cs = one_minus_power(one_minus_power(cs, l - j + 1), m - j + 1)
+        cs = one_minus_power(cs, j, divide=True)
+        out.append(from_dense(8 * (l - j) * (m - j) + 4 * k1 * (m - j) + 4 * k2 * (l - j), cs, 8))
+    return out
+
+
+def _b_times_c(n, delta):
+    """The coefficients e_r of b^(n+δ) c^n = Σ_r e_r a^r b^δ d^r.
+
+    b and c commute, so c^(n+δ) b^n is the same sum with c^δ.  The ratio is
+    e_r / e_(r-1) = -(1 - Q^(n-r+1)) / (1 - Q^r) up to the monomial of the rule above.
+    """
+    out, cs = [_q(2 * n, (-1) ** n)], [(-1) ** n]
+    for r in range(1, n + 1):
+        cs = one_minus_power([-a for a in one_minus_power(cs, n - r + 1)], r, divide=True)
+        out.append(from_dense(4 * (n + r * (r - 1) + r * delta), cs, 8))
+    return out
+
+
+def _word_product(w1, w2):
+    """Two basis words multiplied, as (basis word, coefficient) pairs.
+
+    With w1 = a^h1 x^k1 d^l1 and w2 = a^h2 y^k2 d^l2 (`mono_parts`), the
+    middle x^k1 d^l1 a^h2 y^k2 is `_d_times_a`; when x and y are b and c,
+    the b^i c^j left in each term is `_b_times_c`.
+    """
+    h1, x, k1, l1 = mono_parts(w1)
+    h2, y, k2, l2 = mono_parts(w2)
+    if x and y and x != y:
+        z = x if k1 > k2 else y
+        middle = list(enumerate(_b_times_c(min(k1, k2), abs(k1 - k2))))
+        mid = z * abs(k1 - k2)
+    else:
+        middle, mid = [(0, None)], (x or y) * (k1 + k2)
+    out = {}
+    for j, c in enumerate(_d_times_a(l1, h2, k1, k2)):
+        for r, e in middle:
+            word = "a" * (h1 + h2 - j + r) + mid + "d" * (l1 + l2 - j + r)
+            add_to(out, word, c if e is None else c * e)
+    return out.items()
+
+
+def _times_chunk(word, chunk):
+    """A basis word times a basis chunk: `_step` on one letter, else `_word_product`."""
+    return _step(word, chunk) if len(chunk) == 1 else _word_product(word, chunk)
+
+
+# a basis word; matched along a free word, its maximal runs, then the empty match at the end
+_BASIS_CHUNK = re.compile("a*(?:b+|c+)?d*")
 _NOT_A_GENERATOR = re.compile("[^abcd]")
 
 
@@ -94,12 +159,13 @@ def _check_word(word):
 def normal_word(word):
     """Normal form of a free word, as a sorted tuple of (basis word, coefficient).
 
-    The basis prefix of the word is kept as it is; each remaining letter is a
-    step that straightens a basis word times that letter (`_step`).
+    The word splits into its maximal basis chunks; the first is kept as it
+    is, and each further chunk is a step that multiplies a basis word by it
+    in closed form (`_times_chunk`).
     """
     _check_word(word)
-    n = _BASIS_PREFIX.match(word).end()
-    return tuple(sorted(sweep({word[:n]: ONE}, word[n:], _step).items()))
+    first, *rest = _BASIS_CHUNK.findall(word)
+    return tuple(sorted(sweep({first: ONE}, rest[:-1], _times_chunk).items()))
 
 
 _WEIGHTS = {"a": (1, 1), "b": (1, -1), "c": (-1, 1), "d": (-1, -1)}
@@ -127,7 +193,7 @@ class OqElement(Combination):
     __slots__ = ()
 
     def _key(self, word):
-        if not _BASIS_PREFIX.fullmatch(word):
+        if not _BASIS_CHUNK.fullmatch(word):
             raise ValueError("%r is not a normal-form basis word" % (word,))
         return word
 
@@ -322,7 +388,6 @@ def _form_exponent(h1, l1, h2, l2, k, s):
     return s * ((h1 - l1) * (h2 - l2) + k * k) - k * (h1 + l1 + h2 + l2)
 
 
-@functools.lru_cache(maxsize=None)
 def _basis_form(w1, w2, kind):
     """The form `kind` ("rho" or "mirror") on a pair of basis words."""
     middle, s = _FORM_SHAPE[kind]
@@ -336,6 +401,7 @@ def _basis_form(w1, w2, kind):
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def rho_word(w1, w2, kind="rho"):
     """The form `kind` ("rho", "bar" or "mirror") on two words, through their normal forms."""
     if kind == "bar":

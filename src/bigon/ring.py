@@ -19,7 +19,9 @@ supplying only its own names, product and power.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 
 
@@ -224,18 +226,39 @@ def q_factorial(n):
 def q_binom(n, i, e=2):
     """Gaussian binomial with parameter q^e (q^e = v^(2e)).
 
-    prod_{j=n-i+1}^{n} (1 - q^(e j))  /  prod_{j=1}^{i} (1 - q^(e j)),
-    computed by exact polynomial division.  Zero when i < 0 or i > n.
+    prod_{j=n-i+1}^{n} (1 - q^(e j))  /  prod_{j=1}^{i} (1 - q^(e j)), built
+    by the ratio [n, j] = [n, j-1] (1 - q^(e(n-j+1))) / (1 - q^(e j)): each
+    step is one exact pass over a dense list in q^e (`one_minus_power`).
+    Zero when i < 0 or i > n.
     """
     if i < 0 or i > n:
         return ZERO
-    num = ONE
-    for j in range(n - i + 1, n + 1):
-        num = num * (ONE - q_power(e * j))
-    den = ONE
+    i = min(i, n - i)
+    if i and not e:
+        raise ZeroDivisionError("division by zero polynomial")
+    cs = [1]
     for j in range(1, i + 1):
-        den = den * (ONE - q_power(e * j))
-    return divexact(num, den)
+        cs = one_minus_power(one_minus_power(cs, n - j + 1), j, divide=True)
+    return from_dense(0, cs, 2 * e)
+
+
+def one_minus_power(cs, s, divide=False):
+    """A dense ascending coefficient list in t times (1 - t^s), s >= 1, or divided by it.
+
+    Either way one pass over the list: the quotient's entries are running
+    sums of every s-th entry.  An inexact division raises ValueError.
+    """
+    if not divide:
+        out = cs + [0] * s
+        out[s:] = map(operator.sub, out[s:], cs)
+        return out
+    out = list(cs)
+    for k in range(s):
+        out[k::s] = itertools.accumulate(cs[k::s])
+    cut = max(len(cs) - s, 0)
+    if any(out[cut:]):
+        raise ValueError("inexact polynomial division")
+    return out[:cut]
 
 
 def divexact(num, den):
@@ -249,7 +272,7 @@ def divexact(num, den):
     q, r = _dense_divmod(ncs, dcs)
     if r is None or any(r):
         raise ValueError("inexact polynomial division")
-    return _from_dense(nshift - dshift, q)
+    return from_dense(nshift - dshift, q)
 
 
 def _to_dense(p):
@@ -261,8 +284,12 @@ def _to_dense(p):
     return lo, cs
 
 
-def _from_dense(shift, cs):
-    return HalfLaurent({shift + i: a for i, a in enumerate(cs) if a})
+def from_dense(shift, cs, step=1):
+    """The Laurent polynomial sum_i cs[i] v^(shift + step i)."""
+    out = HalfLaurent.__new__(HalfLaurent)
+    out._c = {shift + step * i: a for i, a in enumerate(cs) if a}
+    out._hash = None
+    return out
 
 
 def _dense_divmod(n, d):

@@ -32,7 +32,7 @@ from bigon.hopf import (
     u_action,
     word_weight,
 )
-from bigon.ring import HalfLaurent, ONE, ZERO, add_to, half, q_power
+from bigon.ring import HalfLaurent, ONE, ZERO, add_to, half, q_power, sweep
 
 from support import basis_words, oq, random_element, random_word, seeded, word_triples
 
@@ -132,10 +132,39 @@ def test_coproducts_match_the_expansion():
         assert coproduct_word(w) == _expanded_coproduct_word(w), w
 
 
-@pytest.mark.parametrize("letter", GENERATORS)
-def test_oracles_catch_a_one_exponent_mutant(letter):
-    # the first term of w*letter gets one extra q^2: the comparisons must fail
-    step = hopf._step
+# The letter-by-letter fold that the closed-form chunk product replaced, kept
+# as its oracle: the basis prefix as it is, then one `_step` per letter.
+def _letter_fold(word):
+    n = hopf._BASIS_CHUNK.match(word).end()
+    return tuple(sorted(sweep({word[:n]: ONE}, word[n:], hopf._step).items()))
+
+
+def _pbw_words(max_power):
+    """Basis words a^h x^k d^l with h, k, l <= max_power, for both middle letters."""
+    powers = range(max_power + 1)
+    return sorted({"a" * h + x * k + "d" * l for h, k, l in itertools.product(powers, repeat=3) for x in "bc"})
+
+
+def test_word_products_match_the_letter_fold():
+    for w1, w2 in itertools.product(_pbw_words(3), repeat=2):
+        assert tuple(sorted(hopf._word_product(w1, w2))) == _letter_fold(w1 + w2), (w1, w2)
+
+
+def test_deep_rules_match_the_letter_fold():
+    words = ["d" * l + "a" * m for l in range(17) for m in range(17)]
+    words += [x * i + y * j for i in range(11) for j in range(11) for x, y in ("bc", "cb")]
+    for w in words:
+        assert normal_word(w) == _letter_fold(w), w
+
+
+def test_straightening_step_is_the_closed_form_on_one_letter():
+    for w in basis_words(6):
+        for g in GENERATORS:
+            assert tuple(sorted(hopf._step(w, g))) == tuple(sorted(hopf._word_product(w, g))), (w, g)
+
+
+def _bump_the_first_term(step, letter):
+    """`_step` with one extra q^2 on the first term of w*letter."""
 
     def mutant(word, g):
         out = step(word, g)
@@ -144,14 +173,39 @@ def test_oracles_catch_a_one_exponent_mutant(letter):
         (mono, c), rest = out[0], out[1:]
         return ((mono, c * _Q2),) + rest
 
-    hopf._step = mutant
-    normal_word.cache_clear()
-    coproduct_word.cache_clear()
+    return mutant
+
+
+def _bump_term_one(rule):
+    """A closed-form rule with one extra q^2 on its j = 1 (or r = 1) term."""
+
+    def mutant(*powers):
+        out = rule(*powers)
+        return out[:1] + [c * _Q2 for c in out[1:2]] + out[2:]
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "target, where",
+    [("_step", g) for g in GENERATORS] + [("_d_times_a", None), ("_b_times_c", None)],
+    ids=list(GENERATORS) + ["d*a", "b*c"],
+)
+def test_oracles_catch_a_one_exponent_mutant(target, where, monkeypatch):
+    # one extra q^2 in one term of a rule: the comparisons must fail
+    rule = getattr(hopf, target)
+    mutant = _bump_the_first_term(rule, where) if where else _bump_term_one(rule)
     try:
-        assert any(normal_word(w) != _rewritten_word(w) for w in _free_words(3))
-        assert any(coproduct_word(w) != _expanded_coproduct_word(w) for w in _free_words(3))
+        with monkeypatch.context() as m:
+            m.setattr(hopf, target, mutant)
+            normal_word.cache_clear()
+            coproduct_word.cache_clear()
+            # a lone d never follows a basis chunk, which would have taken it
+            if where != "d":
+                assert any(normal_word(w) != _rewritten_word(w) for w in _free_words(3))
+            if target == "_step":
+                assert any(coproduct_word(w) != _expanded_coproduct_word(w) for w in _free_words(3))
     finally:
-        hopf._step = step
         normal_word.cache_clear()
         coproduct_word.cache_clear()
 
@@ -175,7 +229,8 @@ def test_elements_reject_keys_outside_the_basis(word):
 
 def test_deep_product_normal_form():
     z = OqElement.from_word("d" * 32 + "a" * 32)
-    assert len(normal_word("d" * 32 + "a" * 32)) == 33
+    assert normal_word("d" * 32 + "a" * 32) == _letter_fold("d" * 32 + "a" * 32)
+    assert len(z.terms) == 33
     x, y = oq("d" * 32), oq("a" * 32)
     assert z == x * y
     assert counit(z) == counit(x) * counit(y)
@@ -634,11 +689,11 @@ def _keep_bar_arguments(m):
 def test_form_oracle_catches_mutants(mutate, monkeypatch):
     try:
         with monkeypatch.context() as m:
-            hopf._basis_form.cache_clear()
+            hopf.rho_word.cache_clear()
             mutate(m)
             assert _form_mismatches(itertools.product(_free_words(2), repeat=2))
     finally:
-        hopf._basis_form.cache_clear()
+        hopf.rho_word.cache_clear()
 
 
 def test_rho_generator_table():
@@ -654,6 +709,14 @@ def test_rho_worked_examples():
     assert co_r(oq("a") * oq("a"), oq("a") * oq("a")) == q_power(4)
     assert co_r(OqElement.unit(), oq("ad")) == ONE
     assert co_r(oq("a" * 10 + "d" * 10), oq("a" * 10 + "d" * 10)) == ONE
+
+
+def test_rho_word_is_memoised_per_word_pair():
+    w = "d" * 12 + "a" * 12
+    first = rho_word(w, w)
+    hits = rho_word.cache_info().hits
+    assert rho_word(w, w) is first
+    assert rho_word.cache_info().hits == hits + 1
 
 
 def test_rho_bilinear():

@@ -19,6 +19,7 @@ from bigon.ring import (
     q_factorial,
     q_binom,
     divexact,
+    one_minus_power,
     expand,
     laurent_gcd,
     format_vform,
@@ -115,6 +116,36 @@ def test_q_binom_pascal():
                 lhs = q_binom(n, i, e)
                 rhs = q_binom(n - 1, i, e) + q_power(e * (n - i)) * q_binom(n - 1, i - 1, e)
                 assert lhs == rhs, (n, i, e)
+
+
+def _product_q_binom(n, i, e):
+    """The Gaussian binomial as one exact division of the two products, the route
+    that the ratio recurrence replaced."""
+    if i < 0 or i > n:
+        return ZERO
+    num = den = ONE
+    for j in range(n - i + 1, n + 1):
+        num = num * (ONE - q_power(e * j))
+    for j in range(1, i + 1):
+        den = den * (ONE - q_power(e * j))
+    return divexact(num, den)
+
+
+def test_q_binom_matches_the_product_route():
+    for e in (1, 2, 4):
+        for n in range(13):
+            for i in range(-1, n + 2):
+                assert q_binom(n, i, e) == _product_q_binom(n, i, e), (n, i, e)
+
+
+def test_one_minus_power():
+    # (1 + 2t + 3t^2)(1 - t^2) = 1 + 2t + 2t^2 - 2t^3 - 3t^4, and back
+    assert one_minus_power([1, 2, 3], 2) == [1, 2, 2, -2, -3]
+    assert one_minus_power([1, 2, 2, -2, -3], 2, divide=True) == [1, 2, 3]
+    assert one_minus_power([0, 0], 1, divide=True) == [0]
+    for cs, s in (([1, 2, 3], 2), ([1, 1], 1), ([1], 3), ([1, 0, 0, 2], 3)):
+        with pytest.raises(ValueError, match="inexact"):
+            one_minus_power(cs, s, divide=True)
 
 
 def test_divexact():
