@@ -27,6 +27,7 @@ from .classical import (
 )
 from .hopf import (
     GENERATORS,
+    LETTER_STATES,
     OqElement,
     antipode,
     co_r,
@@ -80,10 +81,12 @@ MAX_EXPONENT = 4096
 # Every product is bounded before it runs: its pairs of basis words may hold
 # at most MAX_SWAPS out-of-order letter pairs in all, and the product may
 # generate at most MAX_SIZE coefficient monomials before equal terms merge,
-# the products of one power all counted together.  d^40*a^40 is the deepest
-# product allowed; with basis words multiplied in closed form it takes about
-# 0.1 s in a fresh process, printing included (1.1 s when each letter was
-# straightened on its own; 2-core machine, Python 3.11.7).  (a+d)^n stops at
+# the products of one power all counted together.  In a fresh process,
+# printing included, d^40*a^40 (1600 swaps) takes about 0.24 s and the
+# slowest product found at the bound, (b^20*d^20)*(a^20*c^20), about 1.5 s:
+# its closed form multiplies every term of the d*a rule by every term of the
+# b*c rule (2-core machine, Python 3.11.7).  The swaps also bound the output:
+# MAX_SIZE alone accepts d^80*a^80, 7.3 MB of text.  (a+d)^n stops at
 # n = 24, (q+1)^n at n = 512; (a+d)^23 takes about 0.17 s.
 MAX_SWAPS = 1600
 MAX_SIZE = 2**18
@@ -374,7 +377,7 @@ def _cmd_classical(args):
     try:
         rep = GroupoidRep.from_dict(_load_json(args.rep))
         path = StatedPath.from_dict(_load_json(args.path))
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ZeroDivisionError) as err:
         raise CliError(2, "malformed input file: %r" % err)
     if args.op == "trace":
         value = trace_loop(rep, path) if path.closed else trace_arc(rep, path)
@@ -534,9 +537,7 @@ def _st_classical_crossing():
         for st in itertools.product("+-", repeat=2):
             path = StatedPath(["al", "CUT", "bl", "CUT", "br"], states=st)
             assert cut_check(rep, path) == trace_arc(rep, splice_cuts(path))
-        dictionary = {
-            g: StatedPath(["al"], states=st) for g, st in zip("abcd", ["++", "+-", "-+", "--"])
-        }
+        dictionary = {g: StatedPath(["al"], states=st) for g, st in LETTER_STATES.items()}
         assert skein_vs_classical(
             multiply(OqElement.from_word("b"), OqElement.from_word("c")), rep, dictionary
         )

@@ -17,11 +17,12 @@ Monomials are stored as plain strings over the alphabet "abcd" in normal
 order.  Every normal form is a `ring.sweep` over the word's maximal basis
 chunks: each step multiplies a basis word by the next chunk in closed form
 (the PBW product, from the rules for d^l a^m and b^i c^j), so d^k a^k is one
-step and there is no rewriting recursion.  The coproduct is multiplicative:
-Delta of a word sweeps the letters' Delta on one leg at a time, each leg
-straightened by one generator on the right, so its cost follows the number
-of terms rather than the 2^n raw words of the expansion.  Both sweeps are
-memoised per word, and the pairing forms per pair of words.
+step and there is no rewriting recursion.  The generator T_ij is the stated
+arc from state i to state j (`LETTER_STATES`), and the coproduct is cutting
+the bigon along an ideal arc, Delta(T_ij) = Σ_k T_ik ⊗ T_kj: one sweep step
+per letter multiplies both legs by the letter's cutting sum, so its cost
+follows the number of terms rather than the 2^n raw words of the expansion.
+Both sweeps are memoised per word, and the pairing forms per pair of words.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, expand,
 from .ring import from_dense, half, one_minus_power, q_factorial, q_power, sweep
 
 GENERATORS = "abcd"
+
+# the generator T_ij is the stated arc from state i to state j, keyed by its letter
+LETTER_STATES = {"a": "++", "b": "+-", "c": "-+", "d": "--"}
+STATE_LETTERS = {states: g for g, states in LETTER_STATES.items()}
 
 
 def mono_parts(word):
@@ -168,16 +173,16 @@ def normal_word(word):
     return tuple(sorted(sweep({first: ONE}, rest[:-1], _times_chunk).items()))
 
 
-_WEIGHTS = {"a": (1, 1), "b": (1, -1), "c": (-1, 1), "d": (-1, -1)}
+_SIGN = {"+": 1, "-": -1}
 
 
 def word_weight(word):
-    """(left, right) weight of a word; additive, so order-independent."""
+    """(left, right) weight of a word: the sums of its letters' state signs."""
     r = s = 0
     for ch in word:
-        wr, ws = _WEIGHTS[ch]
-        r += wr
-        s += ws
+        i, j = LETTER_STATES[ch]
+        r += _SIGN[i]
+        s += _SIGN[j]
     return r, s
 
 
@@ -257,36 +262,31 @@ def multiply(x, y):
 # coalgebra structure
 # ---------------------------------------------------------------------------
 
+# cutting the bigon along an ideal arc: Delta(T_ij) = Σ_k T_ik ⊗ T_kj
 _DELTA = {
-    "a": (("a", "a"), ("b", "c")),
-    "b": (("a", "b"), ("b", "d")),
-    "c": (("c", "a"), ("d", "c")),
-    "d": (("c", "b"), ("d", "d")),
+    g: tuple((STATE_LETTERS[i + k], STATE_LETTERS[k + j]) for k in "+-")
+    for g, (i, j) in LETTER_STATES.items()
 }
 
 
 def _coproduct_step(key, g):
-    """Leg 1 times u for each u ⊗ v in Delta(g), v waiting in the key; then
-    (g = None) leg 2 times v, once per distinct key."""
-    if g:
-        for u, v in _DELTA[g]:
-            for m1, c1 in _step(key[0], u):
-                yield (m1, key[1], v), c1
-    else:
-        for m2, c2 in _step(key[1], key[2]):
-            yield (key[0], m2), c2
+    """Both legs times Delta(g): for each cut state, leg 1 times T_ik and leg 2 times T_kj."""
+    w1, w2 = key
+    for u, v in _DELTA[g]:
+        for m1, c1 in _step(w1, u):
+            for m2, c2 in _step(w2, v):
+                yield (m1, m2), c1 * c2
 
 
 @functools.lru_cache(maxsize=None)
 def coproduct_word(word):
     """Coproduct of a word as a sorted tuple of ((w1, w2), coefficient).
 
-    Delta is an algebra map, so each letter is a step that multiplies the
-    leg pairs by the letter's coproduct, one leg at a time (`_coproduct_step`).
+    Delta is an algebra map, so each letter is one step that multiplies the
+    leg pairs by the letter's cutting sum (`_coproduct_step`).
     """
     _check_word(word)
-    steps = [step for g in word for step in (g, None)]
-    return tuple(sorted(sweep({("", ""): ONE}, steps, _coproduct_step).items()))
+    return tuple(sorted(sweep({("", ""): ONE}, word, _coproduct_step).items()))
 
 
 class OqTensor(Combination):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 
-from .hopf import OqElement, normal_word
+from .hopf import STATE_LETTERS, OqElement, normal_word
 from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, divexact, half
 from .ring import expand, laurent_gcd, q_int, q_power, sweep
 
@@ -43,9 +43,6 @@ LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
 ARC = {("+", "-"): half(-1), ("-", "+"): half(-5, -1)}
 KINK = HalfLaurent({6: -1})
 CUP_ARC = {k: KINK * v for k, v in ARC.items()}
-
-# the generator T_ij of a stated arc from state i to state j
-_GEN = {("+", "+"): "a", ("+", "-"): "b", ("-", "+"): "c", ("-", "-"): "d"}
 
 STATES = ("+", "-")
 
@@ -270,7 +267,7 @@ def _strand_step(key, step):
     """Multiply on the strand from the cut's state eta[i] to the right state at i."""
     eta, word = key
     i, right = step
-    for mono, s in normal_word(word + _GEN[(eta[i], right)]):
+    for mono, s in normal_word(word + STATE_LETTERS[eta[i] + right]):
         yield (eta[:i], mono), s
 
 
@@ -403,7 +400,7 @@ def evaluate_matching(pairs, left_states, right_states):
             if w is None:
                 return OqElement()
             scalar = scalar * w
-    word = "".join(_GEN[(left_states[i], right_states[j])] for i, j in reversed(through))
+    word = "".join(STATE_LETTERS[left_states[i] + right_states[j]] for i, j in reversed(through))
     return OqElement.from_word(word, scalar)
 
 

@@ -497,6 +497,19 @@ def test_classical_domain_error(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("op", ["trace", "cut"])
+def test_classical_zero_denominator_is_one_error_line(tmp_path, op):
+    rep = _write(tmp_path, "rep.json", {"generators": {"g": [["1/0", "3"], ["1", "2"]]}})
+    path = _write(tmp_path, "arc.json", {"word": ["g"], "states": "+-", "closed": False})
+    done = _run_subprocess("classical", op, "--rep", rep, "--path", path)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    # a well-formed matrix of determinant 3 is still a domain error, exit 1
+    bad = _write(tmp_path, "det.json", {"generators": {"g": [["2", "3"], ["1", "3"]]}})
+    done = _run_subprocess("classical", op, "--rep", bad, "--path", path)
+    assert done.returncode == 1 and done.stderr == "error: determinant is 3, not 1\n"
+
+
 def _reply_cases(tmp_path):
     surface = _write(tmp_path, "tri.json", SQUARE)
     curve = _write(tmp_path, "arc.json", ARC)

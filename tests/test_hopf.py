@@ -94,13 +94,23 @@ def _rewritten_word(word):
     return ((word, ONE),)
 
 
+# Delta of each generator, written out here so that the oracle does not read
+# the table under test
+_DELTA_ROWS = {
+    "a": (("a", "a"), ("b", "c")),
+    "b": (("a", "b"), ("b", "d")),
+    "c": (("c", "a"), ("d", "c")),
+    "d": (("c", "b"), ("d", "d")),
+}
+
+
 def _expanded_coproduct_word(word):
     """Coproduct of a basis word as a tuple of ((w1, w2), coefficient)."""
     pairs = {("", ""): ONE}
     for ch in word:
         nxt = {}
         for (w1, w2), c in pairs.items():
-            for u, v in hopf._DELTA[ch]:
+            for u, v in _DELTA_ROWS[ch]:
                 add_to(nxt, (w1 + u, w2 + v), c)
         pairs = nxt
     acc = {}
@@ -132,6 +142,20 @@ def test_coproducts_match_the_expansion():
         assert coproduct_word(w) == _expanded_coproduct_word(w), w
 
 
+@pytest.mark.parametrize("letter", GENERATORS)
+def test_expansion_catches_swapped_cut_states(letter, monkeypatch):
+    # Delta(letter) with the first legs of its two cut-state terms swapped
+    (u1, v1), (u2, v2) = hopf._DELTA[letter]
+    mutant = dict(hopf._DELTA, **{letter: ((u2, v1), (u1, v2))})
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(hopf, "_DELTA", mutant)
+            coproduct_word.cache_clear()
+            assert any(coproduct_word(w) != _expanded_coproduct_word(w) for w in _free_words(2))
+    finally:
+        coproduct_word.cache_clear()
+
+
 # The letter-by-letter fold that the closed-form chunk product replaced, kept
 # as its oracle: the basis prefix as it is, then one `_step` per letter.
 def _letter_fold(word):
@@ -153,6 +177,9 @@ def test_word_products_match_the_letter_fold():
 def test_deep_rules_match_the_letter_fold():
     words = ["d" * l + "a" * m for l in range(17) for m in range(17)]
     words += [x * i + y * j for i in range(11) for j in range(11) for x, y in ("bc", "cb")]
+    # both rules in one chunk product: x^k1 d^l1 times a^h2 y^k2 with x != y
+    words += ["b" * 6 + "d" * 6 + "a" * 6 + "c" * 6, "b" * 8 + "d" * 4 + "a" * 4 + "c" * 8]
+    words += ["c" * 5 + "d" * 7 + "a" * 3 + "b" * 9]
     for w in words:
         assert normal_word(w) == _letter_fold(w), w
 
