@@ -81,6 +81,14 @@ FIBER = -SL2Matrix.identity()
 STATES = ("+", "-")
 
 
+def _entry(e):
+    """One matrix entry; text that `Fraction` cannot read is a TypeError, as a non-string is."""
+    try:
+        return Fraction(e)
+    except ValueError as err:
+        raise TypeError(str(err)) from None
+
+
 class GroupoidRep:
     """Named SL2(Q) matrices for path pieces, plus the fiber elements."""
 
@@ -103,13 +111,14 @@ class GroupoidRep:
 
         * ``generators`` (required): an object mapping each piece name to its
           matrix, a list of two rows of two entries.  An entry is an integer
-          or a string that ``fractions.Fraction`` reads (``"3"``, ``"-1/2"``);
-          the determinant must be 1.  ``sqrtO`` and ``O`` may be left out;
-          when given they must equal [[0, -1], [1, 0]] and -Id.
+          or a string that ``fractions.Fraction`` reads (``"3"``, ``"-1/2"``),
+          else a TypeError; the determinant must be 1, else a ValueError.
+          ``sqrtO`` and ``O`` may be left out; when given they must equal
+          [[0, -1], [1, 0]] and -Id.
         """
         return cls(
             {
-                name: SL2Matrix([[Fraction(e) for e in row] for row in rows])
+                name: SL2Matrix([[_entry(e) for e in row] for row in rows])
                 for name, rows in data["generators"].items()
             }
         )

@@ -94,8 +94,9 @@ MAX_SIZE = 2**18
 # The words of each operand of a hopf subcommand may have at most
 # MAX_OPERAND_LETTERS letters in all.  A coproduct's cost grows faster than
 # linearly in a word's length, so for a given total one long word is the
-# slowest operand: a^12*d^12 takes about 0.5 s to split.  The pairing forms
-# are read off the normal forms in closed form and stay in milliseconds.
+# slowest operand: a^12*d^12 takes 1.0-1.3 s to split in a fresh process
+# (2-core machine, Python 3.11.7).  The pairing forms are read off the normal
+# forms in closed form and stay in milliseconds.
 # A braided product's cost grows steeply with its legs, so there the two
 # operands share the budget, each leg of each term counting one letter more
 # than it has as written; it is checked before any leg is brought to normal

@@ -14,15 +14,17 @@ algebra acting by E/F/K, the reflection and rotation involutions, the
 canonical basis change, and the one-variable quotient of the algebra.
 
 Monomials are stored as plain strings over the alphabet "abcd" in normal
-order.  Every normal form is a `ring.sweep` over the word's maximal basis
-chunks: each step multiplies a basis word by the next chunk in closed form
-(the PBW product, from the rules for d^l a^m and b^i c^j), so d^k a^k is one
-step and there is no rewriting recursion.  The generator T_ij is the stated
-arc from state i to state j (`LETTER_STATES`), and the coproduct is cutting
-the bigon along an ideal arc, Delta(T_ij) = Σ_k T_ik ⊗ T_kj: one sweep step
-per letter multiplies both legs by the letter's cutting sum, so its cost
-follows the number of terms rather than the 2^n raw words of the expansion.
-Both sweeps are memoised per word, and the pairing forms per pair of words.
+order.  There is one straightening rule, the PBW product of two basis words
+in closed form (from the rules for d^l a^m and b^i c^j), and `normal_word`
+is its one caller: a `ring.sweep` over the word's maximal basis chunks, each
+step one basis word times the next chunk, so d^k a^k is one step and there
+is no rewriting recursion.  The generator T_ij is the stated arc from state
+i to state j (`LETTER_STATES`), and the coproduct is cutting the bigon along
+an ideal arc, Delta(T_ij) = Σ_k T_ik ⊗ T_kj: one sweep step per letter
+multiplies each leg by its generator through the memoised normal form, so
+its cost follows the number of terms rather than the 2^n raw words of the
+expansion.  Both sweeps are memoised per word, and the pairing forms per
+pair of words.
 """
 
 from __future__ import annotations
@@ -57,34 +59,6 @@ _q = functools.lru_cache(maxsize=None)(q_power)
 @functools.lru_cache(maxsize=None)
 def _one_minus_q(m):
     return ONE - q_power(m)
-
-
-# The straightening step.  With w = a^h x^k d^l (x = b or c, or k = 0) read
-# by mono_parts, the relations give, for g = b or c,
-#     w*d = a^h x^k d^(l+1)
-#     w*a = q^(4l+2k) a^(h+1) x^k d^l + (1 - q^(4l)) a^h x^k d^(l-1)
-#     w*g = q^(2l) a^h g^(k+1) d^l                          (k = 0 or x = g)
-#     w*g = q^(2l+2k) a^(h+1) x^(k-1) d^(l+1) - q^(2l+2) a^h x^(k-1) d^l   (x != g)
-# since d^l a = q^(4l) a d^l + (1 - q^(4l)) d^(l-1), x^k a = q^(2k) a x^k,
-# d^l g = q^(2l) g d^l and bc = cb = q^2 ad - q^2.
-def _step(word, g):
-    """A basis word times one generator, as a tuple of (basis word, coefficient)."""
-    if g == "d":
-        return ((word + "d", ONE),)
-    h, x, k, l = mono_parts(word)
-    head, mid = "a" * h, x * k
-    if g == "a":
-        first = ("a" + head + mid + "d" * l, _q(4 * l + 2 * k))
-        if not l:
-            return (first,)
-        return (first, (head + mid + "d" * (l - 1), _one_minus_q(4 * l)))
-    if not k or x == g:
-        return ((head + g + mid + "d" * l, _q(2 * l)),)
-    mid = mid[1:]
-    return (
-        ("a" + head + mid + "d" * (l + 1), _q(2 * l + 2 * k)),
-        (head + mid + "d" * l, -_q(2 * l + 2)),
-    )
 
 
 # The product of two basis words in closed form.  With Q = q^4, the
@@ -145,11 +119,6 @@ def _word_product(w1, w2):
     return out.items()
 
 
-def _times_chunk(word, chunk):
-    """A basis word times a basis chunk: `_step` on one letter, else `_word_product`."""
-    return _step(word, chunk) if len(chunk) == 1 else _word_product(word, chunk)
-
-
 # a basis word; matched along a free word, its maximal runs, then the empty match at the end
 _BASIS_CHUNK = re.compile("a*(?:b+|c+)?d*")
 _NOT_A_GENERATOR = re.compile("[^abcd]")
@@ -165,12 +134,13 @@ def normal_word(word):
     """Normal form of a free word, as a sorted tuple of (basis word, coefficient).
 
     The word splits into its maximal basis chunks; the first is kept as it
-    is, and each further chunk is a step that multiplies a basis word by it
-    in closed form (`_times_chunk`).
+    is, and each further chunk, one letter or many, is a step that multiplies
+    a basis word by it in closed form (`_word_product`).  This is the only
+    product of basis words: every other one in the package comes through here.
     """
     _check_word(word)
     first, *rest = _BASIS_CHUNK.findall(word)
-    return tuple(sorted(sweep({first: ONE}, rest[:-1], _times_chunk).items()))
+    return tuple(sorted(sweep({first: ONE}, rest[:-1], _word_product).items()))
 
 
 _SIGN = {"+": 1, "-": -1}
@@ -273,8 +243,8 @@ def _coproduct_step(key, g):
     """Both legs times Delta(g): for each cut state, leg 1 times T_ik and leg 2 times T_kj."""
     w1, w2 = key
     for u, v in _DELTA[g]:
-        for m1, c1 in _step(w1, u):
-            for m2, c2 in _step(w2, v):
+        for m1, c1 in normal_word(w1 + u):
+            for m2, c2 in normal_word(w2 + v):
                 yield (m1, m2), c1 * c2
 
 
@@ -283,7 +253,8 @@ def coproduct_word(word):
     """Coproduct of a word as a sorted tuple of ((w1, w2), coefficient).
 
     Delta is an algebra map, so each letter is one step that multiplies the
-    leg pairs by the letter's cutting sum (`_coproduct_step`).
+    leg pairs by the letter's cutting sum (`_coproduct_step`), each leg
+    through `normal_word`.
     """
     _check_word(word)
     return tuple(sorted(sweep({("", ""): ONE}, word, _coproduct_step).items()))

@@ -249,6 +249,39 @@ def test_covariantized_product_is_a_comodule_algebra_map():
             assert lhs == OqTensor(acc)
 
 
+# The transmutation as a braided group (Majid's BSL_q(2)): its determinant and
+# its central, ad-coinvariant trace carry q^4 in this module's relations, and
+# q^2 in place of q^4 is the mutant each check must reject.
+def _braided_determinant(k):
+    a, b, c, d = (oq(g) for g in GENERATORS)
+    return transmutation_product(a, d) - transmutation_product(c, b).scale(q_power(k))
+
+
+def _braided_trace(k):
+    return oq("a") + oq("d").scale(q_power(k))
+
+
+def test_transmutation_has_the_braided_determinant():
+    assert _braided_determinant(4) == oq("")
+    assert _braided_determinant(2) != oq("")
+
+
+def test_braided_trace_is_central_for_the_transmutation():
+    def central(t):
+        return all(transmutation_product(t, g) == transmutation_product(g, t) for g in map(oq, GENERATORS))
+
+    assert central(_braided_trace(4))
+    assert not central(_braided_trace(2))
+
+
+def test_braided_trace_is_ad_coinvariant():
+    def coinvariant(t):
+        return adjoint_coaction(t) == OqTensor({(w, ""): c for w, c in t.terms.items()})
+
+    assert coinvariant(_braided_trace(4))
+    assert not coinvariant(_braided_trace(2))
+
+
 # ---------------------------------------------------------------------------
 # the tail-pair loops: one co-R exchange per pair of coproduct tails, kept as
 # the oracles of the single exchange the products now share

@@ -499,11 +499,14 @@ def test_classical_domain_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("op", ["trace", "cut"])
 def test_classical_zero_denominator_is_one_error_line(tmp_path, op):
-    rep = _write(tmp_path, "rep.json", {"generators": {"g": [["1/0", "3"], ["1", "2"]]}})
     path = _write(tmp_path, "arc.json", {"word": ["g"], "states": "+-", "closed": False})
-    done = _run_subprocess("classical", op, "--rep", rep, "--path", path)
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    # an entry that Fraction cannot read, or cannot read within Python's digit limit
+    for entry in ["1/0", "abc", "7" * 5000]:
+        rep = _write(tmp_path, "rep.json", {"generators": {"g": [[entry, "3"], ["1", "2"]]}})
+        done = _run_subprocess("classical", op, "--rep", rep, "--path", path)
+        assert done.returncode == 2 and done.stdout == "", entry[:8]
+        assert done.stderr.startswith("error: malformed input file: "), entry[:8]
+        assert len(done.stderr.splitlines()) == 1, entry[:8]
     # a well-formed matrix of determinant 3 is still a domain error, exit 1
     bad = _write(tmp_path, "det.json", {"generators": {"g": [["2", "3"], ["1", "3"]]}})
     done = _run_subprocess("classical", op, "--rep", bad, "--path", path)

@@ -106,3 +106,24 @@ def test_a_stranded_helper_is_seen(tmp_path):
         "def public():\n    return _used()\n"
     )
     assert stranded_helpers([source]) == ["_recursive"]
+
+
+def readers(paths, name):
+    """The top-level names whose statements in `paths` read `name`."""
+    statements = [st for path in paths for st in ast.parse(path.read_text(), str(path)).body]
+    return {defined for st in statements if name in _used_names(st) for defined in _defined_names(st)}
+
+
+def test_normal_word_is_the_only_straightening_path():
+    # one product of basis words: every other caller goes through the memoised normal form
+    assert readers(sorted(PACKAGE.glob("*.py")), "_word_product") == {"normal_word"}
+
+
+def test_a_second_reader_is_seen(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def _word_product(w1, w2):\n    return w1 + w2\n\n\n"
+        "def normal_word(w):\n    return _word_product(w, '')\n\n\n"
+        "class Leg:\n    def times(self, w):\n        return hopf._word_product(self.w, w)\n"
+    )
+    assert readers([source], "_word_product") == {"normal_word", "Leg"}
