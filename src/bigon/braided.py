@@ -207,15 +207,15 @@ def adjoint_coaction(x):
     return OqTensor(expand(x.terms, _adjoint_word))
 
 
-def self_braided_product(x, y, coaction1, coaction2, product=multiply):
+def self_braided_product(x, y, coaction1, coaction2):
     """Twisted product of two commuting right-comodule structures.
 
     coaction2 feeds the left factor, coaction1 the right one; the exchanged
-    tails pay the co-R weight.  `product` is the underlying multiplication
-    the twist is built on.
+    tails pay the co-R weight, and each exchanged pair of legs multiplies as
+    the normal form of the two words run together.
     """
     exchanged = _exchange(coaction2(x).terms.items(), coaction1(y).terms.items(), "rho")
-    return OqElement(expand(exchanged, lambda pair: product(*map(OqElement.from_word, pair)).terms.items()))
+    return OqElement(expand(exchanged, lambda pair: normal_word(pair[0] + pair[1])))
 
 
 def _flipped_coproduct(x):

@@ -23,7 +23,8 @@ table (start state chooses the column, end state the row): (+,+) -> c,
 """
 
 import itertools
-import json
+import re
+import sys
 from fractions import Fraction
 
 
@@ -38,7 +39,11 @@ class SL2Matrix:
             raise ValueError("need a 2x2 matrix")
         det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
         if det != 1:
-            raise ValueError("determinant is %s, not 1" % det)
+            try:
+                message = "determinant is %s, not 1" % det
+            except ValueError:  # more digits than the interpreter turns into text
+                message = "determinant is not 1, and too long to print"
+            raise ValueError(message)
         self.rows = rows
 
     @classmethod
@@ -81,9 +86,22 @@ FIBER = -SL2Matrix.identity()
 STATES = ("+", "-")
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _entry(e):
-    """One matrix entry; text that `Fraction` cannot read is a TypeError, as a non-string is."""
+    """One matrix entry: an integer, or a string that `Fraction` reads; else a TypeError.
+
+    A decimal exponent past the interpreter's digit limit is refused before
+    `Fraction` expands it, as an integer string that long already is.
+    """
+    if type(e) not in (int, str):
+        raise TypeError("a matrix entry must be an integer or a string, not %s" % type(e).__name__)
     try:
+        exponent = _EXPONENT.search(e) if type(e) is str else None
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent.group(1))) > limit:
+            raise TypeError("a decimal exponent in %r is past %d digits" % (e[:40], limit))
         return Fraction(e)
     except ValueError as err:
         raise TypeError(str(err)) from None
@@ -116,16 +134,15 @@ class GroupoidRep:
           ``sqrtO`` and ``O`` may be left out; when given they must equal
           [[0, -1], [1, 0]] and -Id.
         """
+        generators = data["generators"]
+        if type(generators) is not dict:
+            raise TypeError("generators must be an object")
         return cls(
             {
                 name: SL2Matrix([[_entry(e) for e in row] for row in rows])
-                for name, rows in data["generators"].items()
+                for name, rows in generators.items()
             }
         )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
     def to_dict(self):
         return {
@@ -163,22 +180,21 @@ class StatedPath:
     def from_dict(cls, data):
         """A stated path from its JSON object.
 
-        * ``word`` (required): a list of tokens in traversal order (see the
-          module docstring).
+        * ``word`` (required): a list of tokens, each a string, in traversal
+          order (see the module docstring); else a TypeError.
         * ``closed`` (default ``false``): whether the path is a loop.
         * ``states`` (default empty): the start and end states of an open
           path, as a string such as ``"+-"``; required for an open path,
           absent or empty for a loop.
         """
+        word = data["word"]
+        if type(word) is not list or any(type(token) is not str for token in word):
+            raise TypeError("word must be a list of strings")
         return cls(
-            data["word"],
+            word,
             states=tuple(data.get("states", "")) or None,
             closed=data.get("closed", False),
         )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
     def to_dict(self):
         out = {"word": list(self.word), "closed": self.closed}

@@ -108,9 +108,10 @@ MAX_OPERAND_LETTERS = 24
 # vectors, bounded from the slice word alone: each cup or crossing at most
 # doubles them, a cap never adds any, and there are never more than
 # 2^strands.  11 stacked cups reach the bound.  The slowest accepted words
-# found stack each cup inside the last (cup@0;cup@1;...;cup@10): `element`
-# takes about 0.7 s on them, and `eval` 0.2 s, in a fresh process (2-core
-# machine, Python 3.11.7); 14 such cups take 8 s.
+# found stack each cup inside the last (cup@0;cup@1;...;cup@10): with
+# alternating right states `element` takes 0.45-0.65 s on them, and `eval`
+# under 0.1 s, in a fresh process (2-core machine, Python 3.11.7); 14 such
+# cups take about 6 s.
 MAX_STATE_VECTORS = 2**11
 
 
@@ -307,7 +308,7 @@ def _cmd_tangle(args):
     left = _parse_states(args.left, "--left") if args.left is not None else None
     right = _parse_states(args.right, "--right") if args.right is not None else None
     try:
-        slices, n_out = parse_tangle_word(args.word, left_states=left)
+        slices, n_out = parse_tangle_word(args.word, n0=None if left is None else len(left))
     except TangleError as err:
         raise CliError(2, str(err))
     if left is None:

@@ -268,6 +268,8 @@ class OqTensor(Combination):
     def __mul__(self, other):
         if isinstance(other, (HalfLaurent, int)):
             return self.scale(other)
+        if not isinstance(other, OqTensor):
+            return NotImplemented
         out = {}
         for (x1, y1), c1 in self.terms.items():
             for (x2, y2), c2 in other.terms.items():
@@ -278,7 +280,10 @@ class OqTensor(Combination):
                         add_to(out, (m1, m2), cm * d2)
         return self._with(out)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        if isinstance(other, (HalfLaurent, int)):
+            return self.scale(other)
+        return NotImplemented
 
     def __repr__(self):
         bits = []

@@ -17,8 +17,6 @@ On top of that sit:
   coefficients, so its cost follows the number of live partial monomials.
 """
 
-import json
-
 from .ring import ONE, Combination, add_to, half, sweep
 
 
@@ -238,6 +236,20 @@ def triangle_element(arcs):
 # ---------------------------------------------------------------------------
 
 
+def _label(value):
+    """A face id or side label read from JSON: a string or an integer, else a TypeError."""
+    if type(value) not in (str, int):
+        raise TypeError("an id or label must be a string or an integer, not %s" % type(value).__name__)
+    return value
+
+
+def _labels(values, count):
+    """A JSON list of `count` ids or labels, as a tuple; else a TypeError."""
+    if type(values) is not list or len(values) != count:
+        raise TypeError("expected a list of %d ids or labels" % count)
+    return tuple(map(_label, values))
+
+
 class Triangulation:
     """Ideal triangles glued side-to-side.
 
@@ -312,17 +324,15 @@ class Triangulation:
           each gluing two distinct sides; no side may be glued twice.
         * ``boundary`` (optional): a list of ``[face, side]``; when given it
           must be exactly the unglued sides, which form the boundary anyway.
+
+        A value of another shape is a TypeError.
         """
-        faces = [(f["id"], tuple(f["sides"])) for f in data["faces"]]
-        gluings = [tuple(g) for g in data.get("gluings", [])]
+        faces = [(_label(f["id"]), _labels(f["sides"], 3)) for f in data["faces"]]
+        gluings = [_labels(g, 4) for g in data.get("gluings", [])]
         boundary = data.get("boundary")
         if boundary is not None:
-            boundary = [tuple(b) for b in boundary]
+            boundary = [_labels(b, 2) for b in boundary]
         return cls(faces, gluings, boundary)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
     def to_dict(self):
         return {
@@ -392,12 +402,10 @@ class NormalCurve:
 
     `steps` is a list of (face id, entering side label, leaving side label);
     consecutive steps pass through a glued edge.  Open curves carry the two
-    endpoint states; `edge_orders` records crossing order along edges for
-    diagram bookkeeping (products always use the fixed per-face corner
-    order).
+    endpoint states.
     """
 
-    def __init__(self, steps, closed=False, end_states=(), edge_orders=None):
+    def __init__(self, steps, closed=False, end_states=()):
         self.steps = [tuple(s) for s in steps]
         if not self.steps:
             raise SurfaceError("a curve needs at least one step")
@@ -410,7 +418,6 @@ class NormalCurve:
         if not self.closed:
             if len(self.end_states) != 2 or any(s not in STATES for s in self.end_states):
                 raise SurfaceError("open curves need two end states from '+'/'-'")
-        self.edge_orders = dict(edge_orders or {})
 
     @classmethod
     def from_dict(cls, data):
@@ -423,20 +430,15 @@ class NormalCurve:
         * ``states`` (default empty): the states at the first and the last
           step of an open curve, as a string such as ``"+-"`` or a list of
           ``"+"``/``"-"``; required for an open curve, absent for a loop.
-        * ``edge_orders`` (default ``{}``): an object recording the crossing
-          order along edges; kept for bookkeeping, it does not enter traces.
+
+        Face ids and side labels are strings or integers, else a TypeError.
         """
-        steps = [(s["face"], s["enter"], s["exit"]) for s in data["steps"]]
+        steps = [(_label(s["face"]), _label(s["enter"]), _label(s["exit"])) for s in data["steps"]]
         return cls(
             steps,
             closed=data.get("closed", False),
             end_states=tuple(data.get("states", ())),
-            edge_orders=data.get("edge_orders"),
         )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
     def to_dict(self):
         out = {
@@ -445,8 +447,6 @@ class NormalCurve:
         }
         if not self.closed:
             out["states"] = list(self.end_states)
-        if self.edge_orders:
-            out["edge_orders"] = dict(self.edge_orders)
         return out
 
 

@@ -29,7 +29,8 @@ class HalfLaurent:
     """A Laurent polynomial in v with integer coefficients.
 
     Immutable.  The internal representation is a dict mapping v-exponent to a
-    nonzero integer coefficient; q is v^2 by convention throughout.
+    nonzero integer coefficient; q is v^2 by convention throughout.  A
+    non-integral exponent or coefficient is a TypeError.
     """
 
     __slots__ = ("_c", "_hash")
@@ -38,10 +39,11 @@ class HalfLaurent:
         c = {}
         if coeffs:
             for e, a in coeffs.items():
+                e, a = operator.index(e), operator.index(a)
                 if a:
-                    c[int(e)] = c.get(int(e), 0) + int(a)
-                    if not c[int(e)]:
-                        del c[int(e)]
+                    c[e] = c.get(e, 0) + a
+                    if not c[e]:
+                        del c[e]
         self._c = c
         self._hash = None
 

@@ -137,12 +137,12 @@ class SlicedTangle:
         )
 
 
-def parse_tangle_word(text, left_states=None, n0=None):
+def parse_tangle_word(text, n0=None):
     """Parse `cap@i`/`cup@i`/`x+@i`/`x-@i`/`idN` words into slice lists.
 
-    The incoming strand count is taken from `left_states` or `n0` when given,
-    from a leading `idN` otherwise, and failing that it is the least count
-    that makes every slice legal, found in one pass over the slices.
+    The incoming strand count is `n0` when given, that of a leading `idN`
+    otherwise, and failing that it is the least count that makes every slice
+    legal, found in one pass over the slices.
     """
     text = text.strip()
     tokens = [t.strip() for t in text.split(";") if t.strip()] if text else []
@@ -176,8 +176,6 @@ def parse_tangle_word(text, left_states=None, n0=None):
                 n = slices[-1].out_strands
         return slices, n
 
-    if left_states is not None:
-        n0 = len(left_states)
     if n0 is None and parsed and parsed[0][0] == "id":
         n0 = parsed[0][1]
     if n0 is None:

@@ -17,6 +17,7 @@ from bigon.braided import (
     transmutation_product,
     trivial_coaction,
     _block_coproduct,
+    _exchange,
     _mul_legs,
     _triple_coproduct_word,
 )
@@ -26,6 +27,7 @@ from bigon.hopf import (
     OqTensor,
     antipode,
     co_r,
+    coproduct,
     coproduct_word,
     counit_word,
     multiply,
@@ -219,11 +221,16 @@ def test_covariantized_product_agrees_with_the_twisted_comodule_route():
     for wx in GENERATORS:
         for wy in GENERATORS:
             x, y = oq(wx), oq(wy)
-            direct = transmutation_product(x, y)
-            routed = self_braided_product(
-                x, y, antipode_flip_coaction, standard_coaction, product=rho_twisted_multiply
+            # the transmutation's exchange, over the coproduct in place of the
+            # adjoint coaction, with each exchanged pair multiplied by the
+            # co-R-twisted product in place of the plain one
+            exchanged = _exchange(
+                standard_coaction(x).terms.items(), antipode_flip_coaction(y).terms.items(), "rho"
             )
-            assert direct == routed
+            routed = OqElement()
+            for (w1, w2), c in exchanged.items():
+                routed = routed + rho_twisted_multiply(oq(w1), oq(w2)).scale(c)
+            assert transmutation_product(x, y) == routed
 
 
 def test_covariantized_product_is_a_comodule_algebra_map():
@@ -280,6 +287,59 @@ def test_braided_trace_is_ad_coinvariant():
 
     assert coinvariant(_braided_trace(4))
     assert not coinvariant(_braided_trace(2))
+
+
+def test_braided_trace_square_is_ad_coinvariant():
+    def coinvariant(t):
+        square = multiply(t, t)
+        return adjoint_coaction(square) == trivial_coaction(square)
+
+    assert coinvariant(_braided_trace(4))
+    assert not coinvariant(_braided_trace(2))
+
+
+def _braided_coproduct_terms(x, y):
+    """The terms of Σ ρ(x″₁, y′₁) · (x′ ∘ y′₀) ⊗ (x″₀ ∘ y″), with ρ left open.
+
+    x′ ⊗ x″ is the coproduct, u ↦ u₀ ⊗ u₁ the adjoint coaction and ∘ the
+    transmutation: yields (x″₁, y′₁, coefficient, x′ ∘ y′₀, x″₀ ∘ y″).
+    """
+    for (x1, x2), cx in coproduct(x).terms.items():
+        for (y1, y2), cy in coproduct(y).terms.items():
+            for (x20, x21), c2 in adjoint_coaction(oq(x2)).terms.items():
+                for (y10, y11), c1 in adjoint_coaction(oq(y1)).terms.items():
+                    left = transmutation_product(oq(x1), oq(y10))
+                    right = transmutation_product(oq(x20), oq(y2))
+                    yield x21, y11, cx * cy * c2 * c1, left, right
+
+
+def _braided_coproduct(terms, form):
+    out = {}
+    for u, v, c, left, right in terms:
+        weight = form(u, v)
+        if weight:
+            for wl, cl in left.terms.items():
+                for wr, cr in right.terms.items():
+                    add_to(out, (wl, wr), c * weight * cl * cr)
+    return OqTensor(out)
+
+
+def test_coproduct_is_a_braided_algebra_map_of_the_transmutation():
+    # Δ(x∘y) is the braided product of Δx and Δy, the exchange paying
+    # ρ(x″₁, y′₁); ρ with its arguments swapped, and the bar or mirror form
+    # in either order, each fail on every generator pair
+    mutants = [lambda u, v: rho_word(v, u, "rho")] + [
+        lambda u, v, kind=kind, flip=flip: rho_word(*((v, u) if flip else (u, v)), kind)
+        for kind in ("bar", "mirror")
+        for flip in (False, True)
+    ]
+    for wx, wy in itertools.product(GENERATORS, repeat=2):
+        x, y = oq(wx), oq(wy)
+        lhs = coproduct(transmutation_product(x, y))
+        terms = list(_braided_coproduct_terms(x, y))
+        assert lhs == _braided_coproduct(terms, lambda u, v: rho_word(u, v, "rho")), (wx, wy)
+        for mutant in mutants:
+            assert lhs != _braided_coproduct(terms, mutant), (wx, wy)
 
 
 # ---------------------------------------------------------------------------

@@ -500,17 +500,80 @@ def test_classical_domain_error(capsys, tmp_path):
 @pytest.mark.parametrize("op", ["trace", "cut"])
 def test_classical_zero_denominator_is_one_error_line(tmp_path, op):
     path = _write(tmp_path, "arc.json", {"word": ["g"], "states": "+-", "closed": False})
-    # an entry that Fraction cannot read, or cannot read within Python's digit limit
-    for entry in ["1/0", "abc", "7" * 5000]:
-        rep = _write(tmp_path, "rep.json", {"generators": {"g": [[entry, "3"], ["1", "2"]]}})
+    # an entry that Fraction cannot read, or cannot read within Python's digit
+    # limit, a decimal exponent past that limit included: refused before it expands
+    matrices = [[[entry, "3"], ["1", "2"]] for entry in ["1/0", "abc", "7" * 5000, "1e3000000"]]
+    matrices.append([["1e5000", "1e-5000"], [0, 1]])
+    for rows in matrices:
+        label = str(rows)[:24]
+        rep = _write(tmp_path, "rep.json", {"generators": {"g": rows}})
+        start = time.perf_counter()
         done = _run_subprocess("classical", op, "--rep", rep, "--path", path)
-        assert done.returncode == 2 and done.stdout == "", entry[:8]
-        assert done.stderr.startswith("error: malformed input file: "), entry[:8]
-        assert len(done.stderr.splitlines()) == 1, entry[:8]
-    # a well-formed matrix of determinant 3 is still a domain error, exit 1
+        assert time.perf_counter() - start < 0.5, label
+        assert done.returncode == 2 and done.stdout == "", label
+        assert done.stderr.startswith("error: malformed input file: "), label
+        assert len(done.stderr.splitlines()) == 1, label
+    # a well-formed matrix of determinant 3 is still a domain error, exit 1,
+    # and so is one whose determinant has more digits than can be printed
     bad = _write(tmp_path, "det.json", {"generators": {"g": [["2", "3"], ["1", "3"]]}})
     done = _run_subprocess("classical", op, "--rep", bad, "--path", path)
     assert done.returncode == 1 and done.stderr == "error: determinant is 3, not 1\n"
+    long = _write(tmp_path, "long.json", {"generators": {"g": [["1e4000", 0], [0, "1e4000"]]}})
+    done = _run_subprocess("classical", op, "--rep", long, "--path", path)
+    assert done.returncode == 1 and done.stderr == "error: determinant is not 1, and too long to print\n"
+
+
+# one value of each JSON type; a fuzzed field takes one of another type
+JSON_SAMPLES = (7, -1, 0.5, 2.0, "", "F0", "+-", "g", [], [0], ["F0", 2], {}, {"id": "F0"}, None, True, False)
+
+
+def _json_positions(value, where=()):
+    """Every position in a JSON value, the root first, as key paths."""
+    yield where
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_positions(child, where + (key,))
+
+
+def _json_replaced(value, where, new):
+    if not where:
+        return new
+    value = json.loads(json.dumps(value))
+    parent = value
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = new
+    return value
+
+
+def test_malformed_json_files_keep_the_exit_contract(capsys, tmp_path):
+    # a valid surface and curve, or representation and path, with one field at
+    # any depth replaced by a value of another JSON type
+    path = {"word": ["g", "CUT", "~g"], "states": "+-", "closed": False}
+    cases = [
+        (("qtrace", "--surface", "{0}", "--curve", "{1}"), SQUARE, ARC),
+        (("classical", "trace", "--rep", "{0}", "--path", "{1}"), REP, path),
+        (("classical", "cut", "--rep", "{0}", "--path", "{1}"), REP, path),
+    ]
+    rng = seeded(17)
+    for _ in range(400):
+        argv, *files = rng.choice(cases)
+        k = rng.randrange(2)
+        where = rng.choice(list(_json_positions(files[k])))
+        old = files[k]
+        for key in where:
+            old = old[key]
+        new = rng.choice([x for x in JSON_SAMPLES if type(x) is not type(old)])
+        files[k] = _json_replaced(files[k], where, new)
+        names = [_write(tmp_path, "%d.json" % i, payload) for i, payload in enumerate(files)]
+        argv = [arg.format(*names) for arg in argv]
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except Exception as exc:
+            pytest.fail("%r escaped main on %r" % (exc, files))
+        assert code in (0, 1, 2), files
+        if code:
+            assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, files
 
 
 def _reply_cases(tmp_path):

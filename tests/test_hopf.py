@@ -329,6 +329,19 @@ def test_coproduct_generators():
     assert sq == direct * direct
 
 
+def test_tensor_products_take_only_tensors_and_scalars():
+    # an element is not a tensor: its word must not be read as two legs
+    t = OqTensor({("a", "d"): ONE})
+    for word in ("ad", "bd", "a", "abd"):
+        x = OqElement.from_word(word)
+        with pytest.raises(TypeError):
+            t * x
+        with pytest.raises(TypeError):
+            x * t
+    assert t * 2 == 2 * t == t.scale(2)
+    assert t * half(1) == half(1) * t == t.scale(half(1))
+
+
 def test_coproduct_is_algebra_map():
     rng = seeded(11)
     for _ in range(25):

@@ -243,7 +243,7 @@ def test_triangulation_validation():
 
 def test_triangulation_json_round_trip():
     text = json.dumps(SQUARE.to_dict())
-    again = Triangulation.from_json(text)
+    again = Triangulation.from_dict(json.loads(text))
     assert again.faces == SQUARE.faces
     assert again.gluings == SQUARE.gluings
     assert again.boundary == SQUARE.boundary
@@ -407,16 +407,16 @@ def test_curve_validation():
 
 
 def test_curve_json_round_trip():
-    curve = NormalCurve(
-        [("F0", 1, 2), ("F1", 2, 1)], end_states="+-", edge_orders={"d": [0]}
-    )
+    curve = NormalCurve([("F0", 1, 2), ("F1", 2, 1)], end_states="+-")
     text = json.dumps(curve.to_dict())
-    again = NormalCurve.from_json(text)
+    again = NormalCurve.from_dict(json.loads(text))
     assert again.steps == curve.steps
     assert again.closed == curve.closed
     assert again.end_states == curve.end_states
-    assert again.edge_orders == curve.edge_orders
     assert quantum_trace(SQUARE, again) == quantum_trace(SQUARE, curve)
+    # an `edge_orders` key, which older curve files carry, is ignored like any unknown key
+    tagged = NormalCurve.from_dict({**curve.to_dict(), "edge_orders": {"d": [0]}})
+    assert tagged.to_dict() == curve.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,22 @@ def test_basic_arithmetic():
     assert 3 - half(2) == HalfLaurent({0: 3, 2: -1})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HalfLaurent({0: 1.5}),
+        lambda: HalfLaurent({0.7: 2}),
+        lambda: HalfLaurent({0.5: 0}),
+        lambda: q_power(0.7),
+        lambda: half(0.5, 3),
+    ],
+    ids=["coefficient", "exponent", "zero-coefficient", "q_power", "half"],
+)
+def test_non_integers_are_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_pow_and_inverse():
     v = half(1)
     assert v ** 5 == half(5)

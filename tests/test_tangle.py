@@ -32,7 +32,7 @@ from support import exhaustive_tangles, oq, random_tangle, seeded, state_vectors
 
 
 def tangle(word, left, right):
-    slices, _ = parse_tangle_word(word, left_states=left)
+    slices, _ = parse_tangle_word(word, n0=len(left))
     return SlicedTangle(slices, tuple(left), tuple(right))
 
 
