@@ -22,6 +22,7 @@ from .hopf import (
     antipode,
     coproduct,
     coproduct_word,
+    format_leg_terms,
     multiply,
     normal_word,
     rho_word,
@@ -61,11 +62,7 @@ class BraidedElement(Combination):
         return cls(len(legs), sweep({(): coeff}, legs, _append_leg))
 
     def __repr__(self):
-        bits = []
-        for legs, c in sorted(self.terms.items()):
-            body = "⊗".join(w or "1" for w in legs) or "1"
-            bits.append("(%s)*%s" % (c.qform(), body))
-        return " + ".join(bits) if bits else "0"
+        return format_leg_terms(self.terms)
 
 
 def _append_leg(done, leg):
@@ -166,11 +163,6 @@ def polygon_split(n, x, cut):
 
 def trivial_coaction(x):
     return OqTensor({(w, ""): c for w, c in x.terms.items()})
-
-
-def standard_coaction(x):
-    """The coproduct viewed as a right coaction."""
-    return coproduct(x)
 
 
 def _antipode_flipped(w):

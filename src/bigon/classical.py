@@ -27,6 +27,8 @@ import re
 import sys
 from fractions import Fraction
 
+from .hopf import GENERATORS, STATES, OqElement, multiply
+
 
 class SL2Matrix:
     """A 2x2 rational matrix of determinant one."""
@@ -83,8 +85,6 @@ class SL2Matrix:
 HALF_FIBER = SL2Matrix(((0, -1), (1, 0)))
 FIBER = -SL2Matrix.identity()
 
-STATES = ("+", "-")
-
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -128,15 +128,19 @@ class GroupoidRep:
         """A representation from its JSON object.
 
         * ``generators`` (required): an object mapping each piece name to its
-          matrix, a list of two rows of two entries.  An entry is an integer
-          or a string that ``fractions.Fraction`` reads (``"3"``, ``"-1/2"``),
-          else a TypeError; the determinant must be 1, else a ValueError.
+          matrix, a list of two rows, each a list of two entries, else a
+          TypeError.  An entry is an integer or a string that
+          ``fractions.Fraction`` reads (``"3"``, ``"-1/2"``), else a
+          TypeError; the determinant must be 1, else a ValueError.
           ``sqrtO`` and ``O`` may be left out; when given they must equal
           [[0, -1], [1, 0]] and -Id.
         """
         generators = data["generators"]
         if type(generators) is not dict:
             raise TypeError("generators must be an object")
+        for rows in generators.values():
+            if type(rows) is not list or [len(r) if type(r) is list else 0 for r in rows] != [2, 2]:
+                raise TypeError("a matrix must be a list of two rows of two entries")
         return cls(
             {
                 name: SL2Matrix([[_entry(e) for e in row] for row in rows])
@@ -182,7 +186,8 @@ class StatedPath:
 
         * ``word`` (required): a list of tokens, each a string, in traversal
           order (see the module docstring); else a TypeError.
-        * ``closed`` (default ``false``): whether the path is a loop.
+        * ``closed`` (default ``false``): whether the path is a loop, a JSON
+          boolean; else a TypeError.
         * ``states`` (default empty): the start and end states of an open
           path, as a string such as ``"+-"``; required for an open path,
           absent or empty for a loop.
@@ -190,11 +195,10 @@ class StatedPath:
         word = data["word"]
         if type(word) is not list or any(type(token) is not str for token in word):
             raise TypeError("word must be a list of strings")
-        return cls(
-            word,
-            states=tuple(data.get("states", "")) or None,
-            closed=data.get("closed", False),
-        )
+        closed = data.get("closed", False)
+        if type(closed) is not bool:
+            raise TypeError("closed must be true or false")
+        return cls(word, states=tuple(data.get("states", "")) or None, closed=closed)
 
     def to_dict(self):
         out = {"word": list(self.word), "closed": self.closed}
@@ -304,18 +308,16 @@ def skein_vs_classical(x, rep, dictionary):
     evaluation must be multiplicative at v = 1 around x and on all generator
     pairs.
     """
-    from .hopf import OqElement, multiply
-
-    missing = [g for g in "abcd" if g not in dictionary]
+    missing = [g for g in GENERATORS if g not in dictionary]
     if missing:
         raise ValueError("dictionary lacks %s" % ", ".join(missing))
-    values = {g: trace_arc(rep, dictionary[g]) for g in "abcd"}
-    gens = {g: OqElement.from_word(g) for g in "abcd"}
-    for g, h in itertools.product("abcd", repeat=2):
+    values = {g: trace_arc(rep, dictionary[g]) for g in GENERATORS}
+    gens = {g: OqElement.from_word(g) for g in GENERATORS}
+    for g, h in itertools.product(GENERATORS, repeat=2):
         if evaluate_at_one(multiply(gens[g], gens[h]), values) != values[g] * values[h]:
             return False
     phi_x = evaluate_at_one(x, values)
-    for g in "abcd":
+    for g in GENERATORS:
         if evaluate_at_one(multiply(x, gens[g]), values) != phi_x * values[g]:
             return False
         if evaluate_at_one(multiply(gens[g], x), values) != values[g] * phi_x:

@@ -5,12 +5,22 @@ products, integer powers and parentheses over integers, q and v).
 Expressions add the generators a-d; `braided` leg terms add leg groups
 (w|w|...) over abcd, one per term.  Products and powers are budgeted below.
 
+The printers are the element types' own reprs: an `OqElement` prints as
+`hopf.element_to_string`, an `OqTensor` or `BraidedElement` as
+`hopf.format_leg_terms` and a `QTElement` as `qtorus.format_qtorus`, so
+what the library shows is what this module prints and reads back.
+
 Exit codes: 0 on success, 1 on a domain error (a legal request whose data is
-rejected by the algebra), 2 on a parse error (malformed expression, word, or
-file).  Output is deterministic: identical invocations print identical bytes.
+rejected by the algebra), 2 on a parse or usage error (malformed expression,
+word, file or arguments), each error one `error:` line on stderr.  The
+argument after `--left` or `--right` is always its value, so states such as
+`-+` need no `=`.  Output is deterministic: identical invocations print
+identical bytes.
 """
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import sys
@@ -37,6 +47,7 @@ from .hopf import (
     counit,
     counit_word,
     element_to_string,
+    format_leg_terms,
     mono_parts,
     multiply,
     normal_word,
@@ -48,11 +59,12 @@ from .qtorus import (
     Triangulation,
     check_balanced,
     corner_arc_image,
+    format_qtorus,
     qt_multiply,
     quantum_trace,
     triangle_element,
 )
-from .ring import ONE, ZERO, Combination, expand, format_qform, format_sum, half, parse_grammar, q_power
+from .ring import ONE, ZERO, Combination, expand, format_qform, half, parse_grammar, q_power
 from .ring import ScalarParseError as ExpressionError  # one error class for every text form
 from .tangle import (
     SlicedTangle,
@@ -171,11 +183,6 @@ def parse_expression(text):
 # ---------------------------------------------------------------------------
 
 
-def format_leg_terms(terms):
-    """Canonical text for {leg words: coefficient} maps, e.g. ``q*(a|b)``."""
-    return format_sum((terms[legs], "(%s)" % "|".join(legs)) for legs in sorted(terms))
-
-
 def _leg_atom(x):
     """A leg group (w|w|...) keyed by its legs as written; a scalar keyed by ()."""
     return Combination({tuple(x[1:-1].split("|")): ONE} if isinstance(x, str) else {(): x})
@@ -227,13 +234,6 @@ def _braided_element(terms):
 
 def parse_braided(text):
     return _braided_element(_braided_terms(text))
-
-
-def format_qtorus(x):
-    lines = []
-    for vec in sorted(x.terms):
-        lines.append("%s * x^(%s)" % (format_qform(x.terms[vec]), ",".join(map(str, vec))))
-    return "\n".join(lines) if lines else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ _ST_WORDS = ["", "cap@0", "cup@0", "cup@0;cap@0", "x+@0", "x-@0", "x+@0;cap@0", 
 
 def _st_tangle_corpus():
     for word in _ST_WORDS:
-        slices, n_out = parse_tangle_word(word, n0=2 if word and "cup" != word[:3] else None)
+        slices, n_out = parse_tangle_word(word)
         n_in = slices[0].in_strands if slices else n_out
         for left in itertools.product("+-", repeat=n_in):
             for right in itertools.product("+-", repeat=n_out):
@@ -650,8 +650,23 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a state string such as -+ for a flag: bind the argument
+    # after each --left and --right to it
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] in ("--left", "--right"):
+            argv[i : i + 2] = ["%s=%s" % (argv[i], argv[i + 1])]
+        i += 1
+    usage = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(usage):
+            args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse writes its usage block, then "bigon ...: error: <message>"
+        if stop.code:
+            print("error: %s" % usage.getvalue().partition(": error: ")[2].strip(), file=sys.stderr)
+        raise
     try:
         text, payload = args.func(args)
     except ExpressionError as err:

@@ -37,6 +37,7 @@ from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, expand,
 from .ring import from_dense, half, one_minus_power, q_factorial, q_power, sweep
 
 GENERATORS = "abcd"
+STATES = ("+", "-")
 
 # the generator T_ij is the stated arc from state i to state j, keyed by its letter
 LETTER_STATES = {"a": "++", "b": "+-", "c": "-+", "d": "--"}
@@ -178,12 +179,6 @@ class OqElement(Combination):
         return cls({"": coeff})
 
     @classmethod
-    def generator(cls, letter):
-        if letter not in GENERATORS:
-            raise ValueError("unknown generator %r" % letter)
-        return cls({letter: ONE})
-
-    @classmethod
     def from_word(cls, word, coeff=ONE):
         """Normal-form the free word and scale it."""
         coeff = _as_scalar(coeff)
@@ -209,11 +204,8 @@ class OqElement(Combination):
             return ws.pop()
         return None if ws else (0, 0)
 
-    def __str__(self):
-        return element_to_string(self)
-
     def __repr__(self):
-        return "OqElement(%s)" % element_to_string(self)
+        return element_to_string(self)
 
 
 def _as_scalar(x):
@@ -286,10 +278,7 @@ class OqTensor(Combination):
         return NotImplemented
 
     def __repr__(self):
-        bits = []
-        for (w1, w2), c in sorted(self.terms.items()):
-            bits.append("(%s)*(%s⊗%s)" % (c.qform(), w1 or "1", w2 or "1"))
-        return " + ".join(bits) if bits else "0"
+        return format_leg_terms(self.terms)
 
 
 def coproduct(x):
@@ -605,3 +594,8 @@ def element_to_string(x):
     """Canonical text form, e.g. ``q^2*a*d - q^2``; parses back bit-exactly."""
     words = sorted(x.terms, key=_mono_sort_key, reverse=True)
     return format_sum((x.terms[w], _format_mono(w)) for w in words)
+
+
+def format_leg_terms(terms):
+    """Canonical text for {leg words: coefficient} maps, e.g. ``q*(a|b)``."""
+    return format_sum((terms[legs], "(%s)" % "|".join(legs)) for legs in sorted(terms))

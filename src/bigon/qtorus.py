@@ -17,7 +17,8 @@ On top of that sit:
   coefficients, so its cost follows the number of live partial monomials.
 """
 
-from .ring import ONE, Combination, add_to, half, sweep
+from .hopf import STATES
+from .ring import ONE, Combination, add_to, format_qform, half, sweep
 
 
 class SurfaceError(ValueError):
@@ -30,15 +31,20 @@ class SurfaceError(ValueError):
 
 
 class QuantumTorus:
-    """Finitely many invertible generators with q-power commutation."""
+    """Finitely many invertible generators with q-power commutation.
+
+    It is given by its antisymmetric integer commutation matrix A alone; the
+    rank, the number of generators, is the size of A.
+    """
 
     __slots__ = ("rank", "matrix")
 
-    def __init__(self, rank, matrix):
+    def __init__(self, matrix):
+        matrix = tuple(tuple(int(e) for e in row) for row in matrix)
+        rank = len(matrix)
         if rank < 1:
             raise ValueError("rank must be positive")
-        matrix = tuple(tuple(int(e) for e in row) for row in matrix)
-        if len(matrix) != rank or any(len(row) != rank for row in matrix):
+        if any(len(row) != rank for row in matrix):
             raise ValueError("commutation matrix must be %d x %d" % (rank, rank))
         for i in range(rank):
             for j in range(rank):
@@ -48,13 +54,10 @@ class QuantumTorus:
         self.matrix = matrix
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QuantumTorus)
-            and (self.rank, self.matrix) == (other.rank, other.matrix)
-        )
+        return isinstance(other, QuantumTorus) and self.matrix == other.matrix
 
     def __hash__(self):
-        return hash((self.rank, self.matrix))
+        return hash(self.matrix)
 
     def __repr__(self):
         return "QuantumTorus(rank=%d)" % self.rank
@@ -95,13 +98,14 @@ class QTElement(Combination):
         return cls.monomial(torus, vec)
 
     def __repr__(self):
-        bits = []
-        for vec, c in sorted(self.terms.items()):
-            mono = "*".join(
-                "x%d^%d" % (i, e) if e != 1 else "x%d" % i for i, e in enumerate(vec) if e
-            )
-            bits.append("(%s)%s" % (c.qform(), "*" + mono if mono else ""))
-        return " + ".join(bits) if bits else "0"
+        return format_qtorus(self)
+
+
+def format_qtorus(x):
+    lines = []
+    for vec in sorted(x.terms):
+        lines.append("%s * x^(%s)" % (format_qform(x.terms[vec]), ",".join(map(str, vec))))
+    return "\n".join(lines) if lines else "0"
 
 
 def _reorder_power(matrix, k, l):
@@ -164,9 +168,7 @@ def qt_invert(x):
 # ---------------------------------------------------------------------------
 
 # generator order: the corner opposite side slot 0, then slot 1, then slot 2
-TRIANGLE = QuantumTorus(3, ((0, -1, 1), (1, 0, -1), (-1, 1, 0)))
-
-STATES = ("+", "-")
+TRIANGLE = QuantumTorus(((0, -1, 1), (1, 0, -1), (-1, 1, 0)))
 
 
 class StatedCornerArc:
@@ -375,7 +377,7 @@ def ambient_torus(tri):
         for i in range(3):
             for j in range(3):
                 matrix[3 * pos + i][3 * pos + j] = TRIANGLE.matrix[i][j]
-    return QuantumTorus(rank, matrix)
+    return QuantumTorus(matrix)
 
 
 def chekhov_fock(tri):
@@ -389,7 +391,7 @@ def chekhov_fock(tri):
             # within a face, the edge after contributes +1 against the edge before
             matrix[idx[b]][idx[a]] += 1
             matrix[idx[a]][idx[b]] -= 1
-    return QuantumTorus(rank, matrix)
+    return QuantumTorus(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +428,20 @@ class NormalCurve:
         * ``steps`` (required): a non-empty list of
           ``{"face": id, "enter": side, "exit": side}``, one corner arc per
           face visit, in order along the curve.
-        * ``closed`` (default ``false``): whether the curve is a loop.
+        * ``closed`` (default ``false``): whether the curve is a loop, a JSON
+          boolean.
         * ``states`` (default empty): the states at the first and the last
           step of an open curve, as a string such as ``"+-"`` or a list of
           ``"+"``/``"-"``; required for an open curve, absent for a loop.
 
-        Face ids and side labels are strings or integers, else a TypeError.
+        Face ids and side labels are strings or integers, and ``closed`` is a
+        boolean, else a TypeError.
         """
         steps = [(_label(s["face"]), _label(s["enter"]), _label(s["exit"])) for s in data["steps"]]
-        return cls(
-            steps,
-            closed=data.get("closed", False),
-            end_states=tuple(data.get("states", ())),
-        )
+        closed = data.get("closed", False)
+        if type(closed) is not bool:
+            raise TypeError("closed must be true or false")
+        return cls(steps, closed=closed, end_states=tuple(data.get("states", ())))
 
     def to_dict(self):
         out = {

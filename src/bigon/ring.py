@@ -144,9 +144,6 @@ class HalfLaurent:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self):
-        return not self._c
-
     def items(self):
         return self._c.items()
 
@@ -176,9 +173,6 @@ class HalfLaurent:
 
     def __repr__(self):
         return "HalfLaurent(%r)" % (dict(sorted(self._c.items())),)
-
-    def qform(self):
-        return format_qform(self)
 
 
 def _coerce(x):
@@ -265,9 +259,9 @@ def one_minus_power(cs, s, divide=False):
 
 def divexact(num, den):
     """Exact division in Z[v, v^-1]; raises ValueError when inexact."""
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
+    if not num:
         return ZERO
     nshift, ncs = _to_dense(num)
     dshift, dcs = _to_dense(den)
@@ -377,9 +371,9 @@ def _poly_gcd(a, b):
 
 def laurent_gcd(p, q):
     """A gcd in Z[v, v^-1], normalised to lowest exponent 0, taken in v^step where both live."""
-    if p.is_zero():
+    if not p:
         return q
-    if q.is_zero():
+    if not q:
         return p
     _, pc = _to_dense(p)
     _, qc = _to_dense(q)
@@ -401,9 +395,9 @@ class RatFunc:
     def __init__(self, num, den=ONE):
         num = _coerce(num)
         den = _coerce(den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("RatFunc with zero denominator")
-        if num.is_zero():
+        if not num:
             self.num, self.den = ZERO, ONE
             return
         g = laurent_gcd(num, den)
@@ -455,7 +449,7 @@ class RatFunc:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.num.is_zero():
+        if not other.num:
             raise ZeroDivisionError("division by zero fraction")
         return RatFunc(self.num * other.den, self.den * other.num)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 
-from .hopf import STATE_LETTERS, OqElement, normal_word
+from .hopf import STATE_LETTERS, STATES, OqElement, normal_word
 from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, divexact, half
 from .ring import expand, laurent_gcd, q_int, q_power, sweep
 
@@ -43,8 +43,6 @@ LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
 ARC = {("+", "-"): half(-1), ("-", "+"): half(-5, -1)}
 KINK = HalfLaurent({6: -1})
 CUP_ARC = {k: KINK * v for k, v in ARC.items()}
-
-STATES = ("+", "-")
 
 
 class TangleError(ValueError):
@@ -126,12 +124,9 @@ class SlicedTangle:
         self.left_states = left_states
         self.right_states = right_states
 
-    def word(self):
-        return ";".join(repr(s) for s in self.slices)
-
     def __repr__(self):
         return "SlicedTangle(%s, %s->%s)" % (
-            self.word() or "id%d" % len(self.left_states),
+            format_tangle_word(self.slices, len(self.left_states)),
             "".join(self.left_states),
             "".join(self.right_states),
         )

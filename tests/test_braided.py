@@ -13,7 +13,6 @@ from bigon.braided import (
     polygon_split,
     rho_twisted_multiply,
     self_braided_product,
-    standard_coaction,
     transmutation_product,
     trivial_coaction,
     _block_coproduct,
@@ -182,8 +181,8 @@ def test_twisted_unit_laws():
     one = oq("")
     for w in GENERATORS:
         x = oq(w)
-        assert self_braided_product(one, x, antipode_flip_coaction, standard_coaction) == x
-        assert self_braided_product(x, one, antipode_flip_coaction, standard_coaction) == x
+        assert self_braided_product(one, x, antipode_flip_coaction, coproduct) == x
+        assert self_braided_product(x, one, antipode_flip_coaction, coproduct) == x
 
 
 def test_covariantized_unit_laws():
@@ -225,7 +224,7 @@ def test_covariantized_product_agrees_with_the_twisted_comodule_route():
             # adjoint coaction, with each exchanged pair multiplied by the
             # co-R-twisted product in place of the plain one
             exchanged = _exchange(
-                standard_coaction(x).terms.items(), antipode_flip_coaction(y).terms.items(), "rho"
+                coproduct(x).terms.items(), antipode_flip_coaction(y).terms.items(), "rho"
             )
             routed = OqElement()
             for (w1, w2), c in exchanged.items():

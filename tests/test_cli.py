@@ -6,7 +6,7 @@ import sys
 import time
 
 import pytest
-from support import random_element, random_scalar, random_tangle, seeded
+from support import random_element, random_scalar, random_tangle, random_word, seeded
 from test_hopf import _letter_fold
 
 from bigon.cli import (
@@ -18,7 +18,8 @@ from bigon.cli import (
     parse_leg_terms,
 )
 from bigon.braided import BraidedElement, braided_product
-from bigon.hopf import OqElement, element_to_string, multiply, normal_word
+from bigon.hopf import OqElement, OqTensor, coproduct, element_to_string, multiply, normal_word
+from bigon.qtorus import NormalCurve, Triangulation, quantum_trace
 from bigon.ring import format_qform, half, parse_vform, q_power
 from bigon.tangle import format_tangle_word, parse_tangle_word
 
@@ -203,6 +204,36 @@ def test_unknown_flag_exits_two(capsys):
         main(["normal-form", "a", "--bogus"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normal-form", "a", "--bogus"],
+        ["normal-form"],
+        ["tangle", "eval", "--word"],
+        ["tangle", "eval", "--word", "cap@0", "--left"],
+        ["hopf", "split"],
+    ],
+)
+def test_usage_error_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_states_after_their_flag_may_begin_with_a_minus(capsys):
+    word = ["tangle", "eval", "--word", "cap@0"]
+    assert run_cli(capsys, *word, "--left", "-+") == (0, "v^-1\n", "")
+    assert run_cli(capsys, *word, "--left=-+") == (0, "v^-1\n", "")
+    legs = ["tangle", "element", "--word", "x+@0"]
+    spaced = run_cli(capsys, *legs, "--left", "-+", "--right", "-+")
+    assert spaced[0] == 0 and spaced == run_cli(capsys, *legs, "--left=-+", "--right=-+")
+    # an argument that only looks like a flag's value still reaches its parser
+    code, _, err = run_cli(capsys, "normal-form", "")
+    assert code == 2 and "position" in err
 
 
 def test_expression_error_exits_two(capsys):
@@ -490,6 +521,21 @@ def test_classical_files(capsys, tmp_path):
     assert code == 0 and out == out2
 
 
+@pytest.mark.parametrize("closed", ["no", 1])
+def test_closed_must_be_a_json_boolean(capsys, tmp_path, closed):
+    rep = _write(tmp_path, "rep.json", REP)
+    path = _write(tmp_path, "path.json", {"word": ["g"], "states": "+-", "closed": closed})
+    surface = _write(tmp_path, "tri.json", SQUARE)
+    curve = _write(tmp_path, "curve.json", dict(ARC, closed=closed))
+    for argv in (
+        ("classical", "trace", "--rep", rep, "--path", path),
+        ("qtrace", "--surface", surface, "--curve", curve),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: malformed input file: ") and len(err.splitlines()) == 1, argv
+
+
 def test_classical_domain_error(capsys, tmp_path):
     rep = _write(tmp_path, "rep.json", REP)
     path = _write(tmp_path, "arc.json", {"word": ["h"], "states": "++", "closed": False})
@@ -504,6 +550,8 @@ def test_classical_zero_denominator_is_one_error_line(tmp_path, op):
     # limit, a decimal exponent past that limit included: refused before it expands
     matrices = [[[entry, "3"], ["1", "2"]] for entry in ["1/0", "abc", "7" * 5000, "1e3000000"]]
     matrices.append([["1e5000", "1e-5000"], [0, 1]])
+    # and a matrix that is not two rows of two entries
+    matrices += [[["1", "0"]], [["1", "0"], ["0"]], "x"]
     for rows in matrices:
         label = str(rows)[:24]
         rep = _write(tmp_path, "rep.json", {"generators": {"g": rows}})
@@ -621,6 +669,31 @@ def test_text_and_json_replies_agree(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # determinism and selftest
 # ---------------------------------------------------------------------------
+
+
+def test_every_repr_is_the_cli_text_and_reads_back(capsys, tmp_path):
+    rng = seeded(18)
+    braided = 0
+    for _ in range(200):
+        x = random_element(rng, 3, n_terms=3)
+        assert parse_expression(repr(x)) == x
+        t = coproduct(x)
+        assert OqTensor(parse_leg_terms(repr(t))) == t
+        arity = rng.choice([2, 3])
+        x, y = (
+            BraidedElement.from_legs([random_word(rng, 2) for _ in range(arity)], random_scalar(rng))
+            for _ in range(2)
+        )
+        p = braided_product(x, y)
+        if p:
+            braided += 1
+            assert parse_braided(repr(p)) == p
+    assert braided > 100
+    square = Triangulation([("F0", (0, 1, 2)), ("F1", (0, 1, 2))], [("F0", 2, "F1", 2)])
+    curve = NormalCurve([("F0", 1, 2), ("F1", 2, 1)], end_states=("+", "+"))
+    surface, arc = _write(tmp_path, "tri.json", SQUARE), _write(tmp_path, "arc.json", ARC)
+    reply = run_cli(capsys, "qtrace", "--surface", surface, "--curve", arc)
+    assert reply == (0, repr(quantum_trace(square, curve)) + "\n", "")
 
 
 def test_json_output_is_sorted_and_stable(capsys):

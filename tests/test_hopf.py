@@ -38,7 +38,7 @@ from support import basis_words, oq, random_element, random_word, seeded, word_t
 
 
 def gens():
-    return [OqElement.generator(g) for g in GENERATORS]
+    return [OqElement.from_word(g) for g in GENERATORS]
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +320,10 @@ def test_bigrading_additive_under_multiply():
 
 
 def test_coproduct_generators():
-    a = OqElement.generator("a")
+    a = OqElement.from_word("a")
     assert coproduct(a) == OqTensor({("a", "a"): ONE, ("b", "c"): ONE})
     assert coproduct(OqElement.unit()) == OqTensor({("", ""): ONE})
-    b = OqElement.generator("b")
+    b = OqElement.from_word("b")
     sq = coproduct(b * b)
     direct = OqTensor({("a", "b"): ONE, ("b", "d"): ONE})
     assert sq == direct * direct
@@ -974,9 +974,9 @@ def test_pairing_duality_law():
 
 
 def test_divided_power_pairing():
-    b = OqElement.generator("b")
+    b = OqElement.from_word("b")
     assert hopf_pairing((("E", 2),), b * b) == ONE
-    c = OqElement.generator("c")
+    c = OqElement.from_word("c")
     assert hopf_pairing((("F", 2),), c * c) == ONE
 
 

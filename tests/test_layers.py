@@ -127,3 +127,34 @@ def test_a_second_reader_is_seen(tmp_path):
         "class Leg:\n    def times(self, w):\n        return hopf._word_product(self.w, w)\n"
     )
     assert readers([source], "_word_product") == {"normal_word", "Leg"}
+
+
+def binders(paths, name):
+    """The modules among `paths` whose top-level statements bind `name` (an import does not)."""
+    return {
+        path.stem
+        for path in paths
+        for st in ast.parse(path.read_text(), str(path)).body
+        if name in _defined_names(st)
+    }
+
+
+SHARED_TABLES = ("STATES", "GENERATORS", "LETTER_STATES", "STATE_LETTERS")
+
+
+def test_each_shared_table_is_bound_by_one_module():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert {name: binders(paths, name) for name in SHARED_TABLES} == {
+        name: {"hopf"} for name in SHARED_TABLES
+    }
+
+
+def test_a_second_binding_is_seen(tmp_path):
+    low, high = tmp_path / "low.py", tmp_path / "high.py"
+    low.write_text('GENERATORS = "abcd"\nSTATES = ("+", "-")\n')
+    high.write_text(
+        "from .low import GENERATORS\n\nSTATES, SIGNS = tuple(\"+-\"), (1, -1)\n\n\n"
+        "def f():\n    GENERATORS = 'ab'\n    return GENERATORS\n"
+    )
+    assert binders([low, high], "STATES") == {"low", "high"}
+    assert binders([low, high], "GENERATORS") == {"low"}

@@ -82,9 +82,9 @@ PUNCTURED_TORUS_LOOPS = (
 
 def test_torus_requires_antisymmetry():
     with pytest.raises(ValueError):
-        QuantumTorus(2, ((0, 1), (1, 0)))
+        QuantumTorus(((0, 1), (1, 0)))
     with pytest.raises(ValueError):
-        QuantumTorus(2, ((0, 1),))
+        QuantumTorus(((0, 1),))
 
 
 def test_element_checks_vector_length():
@@ -124,7 +124,7 @@ def test_product_associativity():
 
 
 def test_product_rejects_torus_mismatch():
-    other = QuantumTorus(3, ((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+    other = QuantumTorus(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
         qt_multiply(_gen(0), QTElement.generator(other, 0))
 

@@ -256,7 +256,7 @@ def test_ratfunc_arithmetic():
 
 @given(small_poly, small_poly, small_poly)
 def test_ratfunc_scaling_invariance(a, b, k):
-    if b.is_zero() or k.is_zero():
+    if not b or not k:
         return
     assert RatFunc(a * k, b * k) == RatFunc(a, b)
 
@@ -351,7 +351,7 @@ COMBINATIONS = [
     pytest.param(
         QTElement(TRIANGLE, {(1, 0, -1): _V}),
         QTElement(TRIANGLE, {(1, 0, -1): -_V, (0, 0, 0): ONE}),
-        QTElement(QuantumTorus(2, ((0, 1), (-1, 0))), {(1, 0): ONE}),
+        QTElement(QuantumTorus(((0, 1), (-1, 0))), {(1, 0): ONE}),
         ValueError,
         id="QTElement",
     ),

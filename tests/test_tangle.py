@@ -45,7 +45,7 @@ def test_parse_round_trip():
     assert [s.in_strands for s in slices] == [1, 3, 3]
     assert n == 1
     t = SlicedTangle(slices, "+", "-")
-    assert t.word() == "cup@1;x+@0;cap@1"
+    assert repr(t) == "SlicedTangle(id1;cup@1;x+@0;cap@1, +->-)"
 
 
 def test_parse_infers_strand_count():
