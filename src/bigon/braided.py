@@ -120,12 +120,10 @@ def _mul_legs(xlegs, ylegs, kind):
 
 
 def braided_product(x, y, rho_variant="standard"):
-    x._check_frame(y)
     if rho_variant not in _RHO_KINDS:
         raise ValueError("rho_variant must be one of %s" % sorted(_RHO_KINDS))
     kind = _RHO_KINDS[rho_variant]
-    pairs = {(xlegs, ylegs): cx * cy for xlegs, cx in x.terms.items() for ylegs, cy in y.terms.items()}
-    return x._with(expand(pairs, lambda pair: _mul_legs(pair[0], pair[1], kind)))
+    return x.product(y, lambda xlegs, ylegs: _mul_legs(xlegs, ylegs, kind))
 
 
 def polygon_split(n, x, cut):

@@ -184,18 +184,8 @@ class OqElement(Combination):
         coeff = _as_scalar(coeff)
         return cls({mono: coeff * c for mono, c in normal_word(word)})
 
-    def __mul__(self, other):
-        if isinstance(other, (HalfLaurent, int)):
-            return self.scale(other)
-        if not isinstance(other, OqElement):
-            return NotImplemented
-        pairs = {(w1, w2): c1 * c2 for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()}
-        return self._with(expand(pairs, lambda pair: normal_word(pair[0] + pair[1])))
-
-    def __rmul__(self, other):
-        if isinstance(other, (HalfLaurent, int)):
-            return self.scale(other)
-        return NotImplemented
+    def _times(self, other):
+        return self.product(other, lambda w1, w2: normal_word(w1 + w2))
 
     def weight(self):
         """The common (left, right) weight, or None if inhomogeneous."""
@@ -257,28 +247,19 @@ class OqTensor(Combination):
 
     __slots__ = ()
 
-    def __mul__(self, other):
-        if isinstance(other, (HalfLaurent, int)):
-            return self.scale(other)
-        if not isinstance(other, OqTensor):
-            return NotImplemented
-        out = {}
-        for (x1, y1), c1 in self.terms.items():
-            for (x2, y2), c2 in other.terms.items():
-                c12 = c1 * c2
-                for m1, d1 in normal_word(x1 + x2):
-                    cm = c12 * d1
-                    for m2, d2 in normal_word(y1 + y2):
-                        add_to(out, (m1, m2), cm * d2)
-        return self._with(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (HalfLaurent, int)):
-            return self.scale(other)
-        return NotImplemented
+    def _times(self, other):
+        return self.product(other, _legs_times)
 
     def __repr__(self):
         return format_leg_terms(self.terms)
+
+
+def _legs_times(legs1, legs2):
+    """Two leg pairs multiplied leg by leg, each leg through the normal form."""
+    (x1, y1), (x2, y2) = legs1, legs2
+    for m1, d1 in normal_word(x1 + x2):
+        for m2, d2 in normal_word(y1 + y2):
+            yield (m1, m2), d1 * d2
 
 
 def coproduct(x):

@@ -123,14 +123,10 @@ def _reorder_power(matrix, k, l):
 
 
 def qt_multiply(x, y):
-    x._check_frame(y)
     matrix = x.torus.matrix
-    terms = {}
-    for k, ck in x.terms.items():
-        for l, cl in y.terms.items():
-            c = ck * cl * half(2 * _reorder_power(matrix, k, l))
-            add_to(terms, tuple(a + b for a, b in zip(k, l)), c)
-    return x._with(terms)
+    return x.product(y, lambda k, l: (
+        (tuple(a + b for a, b in zip(k, l)), half(2 * _reorder_power(matrix, k, l))),
+    ))
 
 
 def qt_power(x, n):

@@ -6,10 +6,11 @@ square plays the role of the quantum parameter ``q``.  Storing the half power
 directly keeps values like q^(5/2) exact integers of v-degree 5.
 
 The module also provides the small field-of-fractions type used by the
-Temperley-Lieb idempotents, quantum integers/binomials, the two canonical
-text forms (an ascending v-form that round-trips bit-exactly, and a prettier
-q-form used by the command line), and the sparse linear-combination core of
-every element type: `add_to`, `Combination` and `sweep`, the package's one fold.
+Temperley-Lieb idempotents, quantum integers/binomials, the one text of a
+scalar (`format_qform`: its repr, what the command line prints, and read
+back bit-exactly), and the sparse linear-combination core of every element
+type: `add_to`, `Combination` with its one product rule, and `sweep`, the
+package's one fold.
 
 Last comes the one tokenizer and recursive-descent parser of the package's
 text grammar (`parse_grammar`).  `parse_vform` reads scalars with it; the
@@ -166,13 +167,8 @@ class HalfLaurent:
             raise ValueError("specialization is only defined at v = 1 or v = -1")
         return sum(a if (v_value == 1 or e % 2 == 0) else -a for e, a in self._c.items())
 
-    # -- display -----------------------------------------------------------
-
-    def __str__(self):
-        return format_vform(self)
-
     def __repr__(self):
-        return "HalfLaurent(%r)" % (dict(sorted(self._c.items())),)
+        return format_qform(self)
 
 
 def _coerce(x):
@@ -536,14 +532,16 @@ class Combination:
     `terms` is a plain dict from key to coefficient that never stores a zero.
     Every key lives in the same `frame` (a leg count, a torus, a strand
     count, or None when there is nothing to fit); combining two different
-    frames raises `frame_error`.  A subclass supplies its frame, its product
-    and its printing; sums, differences, scaling and equality live here.
+    frames raises `frame_error`.  A subclass supplies its frame, its printing
+    and, if two of its elements multiply with `*`, a `_times` that calls
+    `product`, the one product rule; sums, scaling and equality live here.
     """
 
     __slots__ = ("frame", "terms")
 
     frame_name = "frame"
     frame_error = ValueError
+    scalars = (HalfLaurent, int)
 
     def __init__(self, terms=None, frame=None):
         self.frame = frame
@@ -586,7 +584,29 @@ class Combination:
         return self + (-other)
 
     def scale(self, coeff):
-        return self._with(expand(self.terms, lambda key: ((key, coeff),)))
+        return self._with({key: c * coeff for key, c in self.terms.items()} if coeff else {})
+
+    def product(self, other, times):
+        """The bilinear extension of times(key, key'), an iterable of (key, coeff) pairs."""
+        self._check_frame(other)
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                c = c1 * c2
+                for key, d in times(k1, k2):
+                    add_to(out, key, c * d)
+        return self._with(out)
+
+    def _times(self, other):
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, self.scalars):
+            return self.scale(other)
+        return self._times(other) if type(other) is type(self) else NotImplemented
+
+    def __rmul__(self, other):
+        return self.scale(other) if isinstance(other, self.scalars) else NotImplemented
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -605,14 +625,11 @@ class Combination:
 # ---------------------------------------------------------------------------
 
 
-def _power_text(e, mag, q_form):
-    """The factor mag * v^e, e.g. '3', 'v^5', '2*q^-1'.
-
-    With q_form the even powers of v are written as powers of q.
-    """
+def _power_text(e, mag):
+    """The factor mag * v^e, e.g. '3', 'v^5', '2*q^-1': even powers of v are powers of q."""
     if e == 0:
         return str(mag)
-    if q_form and e % 2 == 0:
+    if e % 2 == 0:
         head = "q" if e == 2 else "q^%d" % (e // 2)
     else:
         head = "v" if e == 1 else "v^%d" % e
@@ -627,20 +644,17 @@ def _join_signed(pieces):
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def _monomials(p, q_form):
-    """(sign, text) of each term of p, ascending in v, or descending with q_form."""
-    for e, a in sorted(p.items(), reverse=q_form):
-        yield "-" if a < 0 else "+", _power_text(e, abs(a), q_form)
-
-
-def format_vform(p):
-    """Canonical ascending text form in v; round-trips through parse_vform."""
-    return _join_signed(_monomials(p, False))
+def _monomials(p):
+    """(sign, text) of each term of p, descending in v."""
+    for e, a in sorted(p.items(), reverse=True):
+        yield "-" if a < 0 else "+", _power_text(e, abs(a))
 
 
 def format_qform(p):
-    """Pretty descending text form: even v-powers shown as q-powers."""
-    return _join_signed(_monomials(p, True))
+    """The one text of a scalar, e.g. 'q - q^-3' or '-v^5 + 1': descending in v,
+    even powers as powers of q.  It is the repr of a HalfLaurent and what the
+    command line prints, and parse_vform reads it back bit-exactly."""
+    return _join_signed(_monomials(p))
 
 
 def _scalar_head(coeff):
@@ -651,7 +665,7 @@ def _scalar_head(coeff):
     """
     if len(coeff.items()) != 1:
         return "+", "(%s)" % format_qform(coeff)
-    ((sign, head),) = _monomials(coeff, True)
+    ((sign, head),) = _monomials(coeff)
     return sign, "" if head == "1" else head
 
 
@@ -778,5 +792,5 @@ def _scalar_power(x, n, pos):
 
 
 def parse_vform(text):
-    """Parse a scalar written in the grammar over q and v, e.g. either text form above."""
+    """Parse a scalar written in the grammar over q and v, e.g. the text of `format_qform`."""
     return parse_grammar(text, "[qv]", lambda x: x, lambda x, y, pos: x * y, _scalar_power)

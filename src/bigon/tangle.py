@@ -509,6 +509,7 @@ class TLElement(Combination):
 
     frame_name = "strand count"
     frame_error = TangleError
+    scalars = (RatFunc, HalfLaurent, int)
 
     def __init__(self, n, terms=None):
         super().__init__(terms, n)
@@ -525,12 +526,8 @@ class TLElement(Combination):
     def hook(cls, n, i):
         return cls(n, {TLDiagram.e(n, i): RatFunc(ONE)})
 
-    def __mul__(self, other):
-        if isinstance(other, (RatFunc, HalfLaurent, int)):
-            return self.scale(other)
+    def _times(self, other):
         return tl_product(self, other)
-
-    __rmul__ = __mul__
 
     def embed(self, n):
         return TLElement(n, {d.embed(n): c for d, c in self.terms.items()})

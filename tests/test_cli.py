@@ -175,6 +175,26 @@ def test_tangle_at_the_state_budget_is_answered(capsys, step):
     assert code == 2 and "state vectors" in err
 
 
+def test_tangle_element_past_the_strand_budget_is_one_error_line():
+    # the lift multiplies one generator per right strand; eval is not bounded
+    states = "+-" * 100
+    argv = ("--word", "id200", "--left", states, "--right", states)
+    start = time.perf_counter()
+    done = _run_subprocess("tangle", "element", *argv)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: --right has 200 strands, more than 24\n"
+    done = _run_subprocess("tangle", "eval", *argv)
+    assert done.returncode == 0 and done.stderr == ""
+
+
+def test_tangle_element_at_the_strand_budget_is_answered(capsys):
+    states = "+-" * 12
+    argv = ("tangle", "element", "--word", "id24", "--left", states, "--right", states)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith("q^312*a^12*d^12 + ")
+
+
 def test_hopf_subcommand(capsys):
     code, out, _ = run_cli(capsys, "hopf", "coproduct", "--expr", "b")
     assert code == 0 and out == "(a|b) + (b|d)\n"
@@ -569,6 +589,24 @@ def test_classical_zero_denominator_is_one_error_line(tmp_path, op):
     long = _write(tmp_path, "long.json", {"generators": {"g": [["1e4000", 0], [0, "1e4000"]]}})
     done = _run_subprocess("classical", op, "--rep", long, "--path", path)
     assert done.returncode == 1 and done.stderr == "error: determinant is not 1, and too long to print\n"
+
+
+@pytest.mark.parametrize("op, path", [
+    ("trace", {"word": ["g"] * 5, "states": "+-"}),
+    ("trace", {"word": ["g"] * 5, "closed": True}),
+    ("cut", {"word": ["g"] * 2 + ["CUT"] + ["g"] * 3, "states": "+-"}),
+])
+def test_classical_answer_too_long_to_print_is_one_error_line(capsys, tmp_path, op, path):
+    # determinant 1, but five pieces give a trace past the interpreter's digit limit
+    rep = _write(tmp_path, "rep.json", {"generators": {"g": [["1e1000", "9" * 1000], ["1", "1"]]}})
+    path = _write(tmp_path, "path.json", path)
+    for json_flag in ((), ("--json",)):
+        code, out, err = run_cli(capsys, "classical", op, "--rep", rep, "--path", path, *json_flag)
+        assert (code, out, err) == (1, "", "error: trace is too long to print\n")
+    # four pieces print
+    four = _write(tmp_path, "four.json", {"word": ["g"] * 4, "states": "+-"})
+    code, out, err = run_cli(capsys, "classical", "trace", "--rep", rep, "--path", four)
+    assert code == 0 and err == "" and len(out) > 4000
 
 
 # one value of each JSON type; a fuzzed field takes one of another type

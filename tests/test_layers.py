@@ -158,3 +158,43 @@ def test_a_second_binding_is_seen(tmp_path):
     )
     assert binders([low, high], "STATES") == {"low", "high"}
     assert binders([low, high], "GENERATORS") == {"low"}
+
+
+def _base_names(node):
+    return {base.id if isinstance(base, ast.Name) else getattr(base, "attr", None) for base in node.bases}
+
+
+def products_outside_the_rule(paths):
+    """The `Combination` subclasses in `paths`, at any remove, that define `__mul__` or `__rmul__`."""
+    classes = [
+        node
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+    ]
+    family = {"Combination"}
+    for _ in classes:  # each pass reaches one generation of subclasses further
+        family |= {node.name for node in classes if _base_names(node) & family}
+    products = {"__mul__", "__rmul__"}
+    return {
+        node.name
+        for node in classes
+        if _base_names(node) & family and products & set().union(*map(_defined_names, node.body))
+    }
+
+
+def test_every_combination_multiplies_through_the_one_product_rule():
+    # scalars and the product of two elements are dispatched once, in ring.Combination
+    assert products_outside_the_rule(sorted(PACKAGE.glob("*.py"))) == set()
+
+
+def test_a_second_product_rule_is_seen(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "class Combination:\n    def __mul__(self, other):\n        return self\n\n\n"
+        "class Leg(Combination):\n    def __mul__(self, other):\n        return other\n\n\n"
+        "class Tail(Leg):\n    __rmul__ = Leg.__mul__\n\n\n"
+        "class Scalar:\n    def __mul__(self, other):\n        return other\n\n\n"
+        "class Plain(ring.Combination):\n    def product(self, other, times):\n        return self\n"
+    )
+    assert products_outside_the_rule([source]) == {"Leg", "Tail"}

@@ -1,12 +1,13 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
 from support import seeded
 
-from bigon.braided import BraidedElement
+from bigon.braided import BraidedElement, braided_product
 from bigon.hopf import OqElement, OqTensor
-from bigon.qtorus import TRIANGLE, QTElement, QuantumTorus
+from bigon.qtorus import TRIANGLE, QTElement, QuantumTorus, qt_multiply
 from bigon.tangle import TangleError, TLElement
 from bigon.ring import (
     HalfLaurent,
@@ -22,7 +23,6 @@ from bigon.ring import (
     one_minus_power,
     expand,
     laurent_gcd,
-    format_vform,
     format_qform,
     parse_vform,
     ScalarParseError,
@@ -119,7 +119,7 @@ def test_q_factorial():
 
 def test_q_binom_small():
     assert q_binom(2, 1, 4) == ONE + q_power(4)
-    assert q_binom(4, 2, 2) == parse_vform(format_vform(q_binom(4, 2, 2)))
+    assert q_binom(4, 2, 2) == parse_vform(format_qform(q_binom(4, 2, 2)))
     assert q_binom(3, 5, 2) == ZERO
     assert q_binom(3, -1, 2) == ZERO
     assert q_binom(5, 0, 4) == ONE
@@ -274,28 +274,21 @@ def test_ratfunc_as_half():
         RatFunc(ONE, half(1) + 1).as_half()
 
 
-def test_format_vform():
-    assert format_vform(ZERO) == "0"
-    assert format_vform(HalfLaurent({0: -3})) == "-3"
-    assert format_vform(HalfLaurent({-2: 1, 0: -1, 3: 4})) == "v^-2 - 1 + 4*v^3"
-    assert format_vform(half(1)) == "v"
-
-
 def test_format_qform():
     assert format_qform(q_power(2) - q_power(-2)) == "q^2 - q^-2"
     assert format_qform(half(5, -1) + 1) == "-v^5 + 1"
     assert format_qform(q_power(1, 3) + half(1)) == "3*q + v"
     assert format_qform(ZERO) == "0"
-
-
-@given(small_poly)
-def test_vform_round_trip(p):
-    assert parse_vform(format_vform(p)) == p
+    assert format_qform(HalfLaurent({0: -3})) == "-3"
+    assert format_qform(HalfLaurent({-2: 1, 0: -1, 3: 4})) == "4*v^3 - 1 + q^-1"
+    assert format_qform(half(1)) == "v"
 
 
 @given(small_poly)
 def test_qform_parses_back(p):
     assert parse_vform(format_qform(p)) == p
+    # the one text of a scalar
+    assert repr(p) == str(p) == format_qform(p)
 
 
 def test_parse_errors_carry_position():
@@ -325,13 +318,15 @@ def test_scalars_read_the_whole_grammar():
 
 _V = half(1)
 
-# (x, y, an element of another frame, the error that adding it raises)
+# (x, y, an element of another frame, the error that adding or multiplying it
+# raises, the product of two elements)
 COMBINATIONS = [
     pytest.param(
         OqElement({"ab": _V, "": ONE}),
         OqElement({"ab": -_V, "d": q_power(2)}),
         None,
         None,
+        operator.mul,
         id="OqElement",
     ),
     pytest.param(
@@ -339,6 +334,7 @@ COMBINATIONS = [
         OqTensor({("a", "d"): ONE, ("", "b"): -_V}),
         None,
         None,
+        operator.mul,
         id="OqTensor",
     ),
     pytest.param(
@@ -346,6 +342,7 @@ COMBINATIONS = [
         BraidedElement(2, {("a", ""): ONE, ("", "c"): _V}),
         BraidedElement(3, {("a", "", ""): ONE}),
         ValueError,
+        braided_product,
         id="BraidedElement",
     ),
     pytest.param(
@@ -353,6 +350,7 @@ COMBINATIONS = [
         QTElement(TRIANGLE, {(1, 0, -1): -_V, (0, 0, 0): ONE}),
         QTElement(QuantumTorus(((0, 1), (-1, 0))), {(1, 0): ONE}),
         ValueError,
+        qt_multiply,
         id="QTElement",
     ),
     pytest.param(
@@ -360,19 +358,42 @@ COMBINATIONS = [
         TLElement.hook(2, 0) - TLElement.identity(2),
         TLElement.identity(3),
         TangleError,
+        operator.mul,
         id="TLElement",
     ),
 ]
 
 
-@pytest.mark.parametrize("x, y, other, error", COMBINATIONS)
-def test_combination_core(x, y, other, error):
+@pytest.mark.parametrize("x, y, other, error, times", COMBINATIONS)
+def test_combination_core(x, y, other, error, times):
     assert not (x + (-x)).terms
     assert (x - y) + y == x
     assert not x.scale(0).terms
     if other is not None:
         with pytest.raises(error) as err:
             x + other
+        assert err.type is error
+
+
+@pytest.mark.parametrize("x, y, other, error, times", COMBINATIONS)
+def test_one_product_rule(x, y, other, error, times):
+    # scalars multiply from either side, as scale does
+    assert 2 * x == x * 2 == x.scale(2)
+    assert _V * x == x * _V == x.scale(_V)
+    with pytest.raises(TypeError):
+        x * "a"
+    with pytest.raises(TypeError):
+        "a" * x
+    # the product is bilinear in either operand
+    assert times(x + y, y) == times(x, y) + times(y, y)
+    assert times(x, y.scale(_V)) == times(x, y).scale(_V)
+    if times is not operator.mul:
+        # these elements have no * between two of them
+        with pytest.raises(TypeError):
+            x * y
+    if other is not None:
+        with pytest.raises(error) as err:
+            times(x, other)
         assert err.type is error
 
 
