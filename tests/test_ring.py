@@ -279,6 +279,10 @@ def test_format_qform():
     assert format_qform(half(5, -1) + 1) == "-v^5 + 1"
     assert format_qform(q_power(1, 3) + half(1)) == "3*q + v"
     assert format_qform(ZERO) == "0"
+
+
+def test_format_qform_of_half_powers():
+    assert format_qform(ZERO) == "0"
     assert format_qform(HalfLaurent({0: -3})) == "-3"
     assert format_qform(HalfLaurent({-2: 1, 0: -1, 3: 4})) == "4*v^3 - 1 + q^-1"
     assert format_qform(half(1)) == "v"
