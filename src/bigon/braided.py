@@ -179,7 +179,6 @@ def _split_second(pair):
     return [((pair[0], w2, w3), d) for (w2, w3), d in coproduct_word(pair[1])]
 
 
-@functools.lru_cache(maxsize=None)
 def _triple_coproduct_word(w):
     return tuple(expand(dict(coproduct_word(w)), _split_second).items())
 

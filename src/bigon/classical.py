@@ -103,7 +103,7 @@ def _entry(e):
         if exponent and limit and abs(int(exponent.group(1))) > limit:
             raise TypeError("a decimal exponent in %r is past %d digits" % (e[:40], limit))
         return Fraction(e)
-    except ValueError as err:
+    except (ValueError, ZeroDivisionError) as err:
         raise TypeError(str(err)) from None
 
 

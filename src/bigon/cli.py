@@ -384,7 +384,7 @@ def _cmd_classical(args):
     try:
         rep = GroupoidRep.from_dict(_load_json(args.rep))
         path = StatedPath.from_dict(_load_json(args.path))
-    except (KeyError, TypeError, ZeroDivisionError) as err:
+    except (KeyError, TypeError) as err:
         raise CliError(2, "malformed input file: %r" % err)
     if args.op == "trace":
         value = trace_loop(rep, path) if path.closed else trace_arc(rep, path)

@@ -23,8 +23,14 @@ i to state j (`LETTER_STATES`), and the coproduct is cutting the bigon along
 an ideal arc, Delta(T_ij) = Σ_k T_ik ⊗ T_kj: one sweep step per letter
 multiplies each leg by its generator through the memoised normal form, so
 its cost follows the number of terms rather than the 2^n raw words of the
-expansion.  Both sweeps are memoised per word, and the pairing forms per
-pair of words.
+expansion.  Both sweeps are memoised per word (`normal_word`,
+`coproduct_word`), and the braiding forms per pair of words (`rho_word`);
+the closed forms under them -- powers of q, one generator of U paired with
+a basis word -- are not memoised.
+
+The dual pairing and the action take a U-word as a tuple of (letter, n)
+tokens, e.g. (("E", 1), ("F", 2)), and check each token where it enters;
+U-words have no text form.
 """
 
 from __future__ import annotations
@@ -54,14 +60,6 @@ def mono_parts(word):
     return h, word[h], k, l
 
 
-_q = functools.lru_cache(maxsize=None)(q_power)
-
-
-@functools.lru_cache(maxsize=None)
-def _one_minus_q(m):
-    return ONE - q_power(m)
-
-
 # The product of two basis words in closed form.  With Q = q^4, the
 # relation da = Q ad + (1 - Q) gives
 #     d^l a^m = Σ_j q^(4(l-j)(m-j)) [l, j]_Q [m, j]_Q (Q; Q)_j a^(m-j) d^(l-j),
@@ -76,7 +74,7 @@ def _d_times_a(l, m, k1, k2):
     q^(2 k1 (m-j) + 2 k2 (l-j)) to the d^l a^m rule above; its ratio is
     c_j / c_(j-1) = (1 - Q^(l-j+1)) (1 - Q^(m-j+1)) / (1 - Q^j) up to that monomial.
     """
-    out, cs = [_q(4 * l * m + 2 * k1 * m + 2 * k2 * l)], [1]
+    out, cs = [q_power(4 * l * m + 2 * k1 * m + 2 * k2 * l)], [1]
     for j in range(1, min(l, m) + 1):
         cs = one_minus_power(one_minus_power(cs, l - j + 1), m - j + 1)
         cs = one_minus_power(cs, j, divide=True)
@@ -90,7 +88,7 @@ def _b_times_c(n, delta):
     b and c commute, so c^(n+δ) b^n is the same sum with c^δ.  The ratio is
     e_r / e_(r-1) = -(1 - Q^(n-r+1)) / (1 - Q^r) up to the monomial of the rule above.
     """
-    out, cs = [_q(2 * n, (-1) ** n)], [(-1) ** n]
+    out, cs = [q_power(2 * n, (-1) ** n)], [(-1) ** n]
     for r in range(1, n + 1):
         cs = one_minus_power([-a for a in one_minus_power(cs, n - r + 1)], r, divide=True)
         out.append(from_dense(4 * (n + r * (r - 1) + r * delta), cs, 8))
@@ -341,9 +339,9 @@ def _basis_form(w1, w2, kind):
     h2, x2, k2, l2 = mono_parts(w2)
     if k != k2 or (k and x1 + x2 != middle):
         return ZERO
-    value = _q(_form_exponent(h1, l1, h2, l2, k, s))
+    value = q_power(_form_exponent(h1, l1, h2, l2, k, s))
     for i in range(1, k + 1):
-        value = value * _one_minus_q(-4 * s * i)
+        value = value * (ONE - q_power(-4 * s * i))
     return value
 
 
@@ -389,30 +387,6 @@ def co_r_mirror(x, y):
 # the E/F exponents meaning divided powers E^(n) = E^n / [n]!.
 
 
-def parse_uword(text):
-    """Parse 'K K- E F(2)'-style token strings into a UWord."""
-    word = []
-    for tok in text.replace(";", " ").split():
-        if tok in ("K", "K+"):
-            word.append(("K", 1))
-        elif tok in ("K-", "K^-1", "K-1"):
-            word.append(("K", -1))
-        elif tok and tok[0] in "EF":
-            n = 1
-            rest = tok[1:]
-            if rest:
-                if not (rest.startswith("(") and rest.endswith(")")):
-                    raise ValueError("bad token %r (want E, F, E(n) or F(n))" % tok)
-                n = int(rest[1:-1])
-                if n < 1:
-                    raise ValueError("divided power must be >= 1 in %r" % tok)
-            word.append((tok[0], n))
-        else:
-            raise ValueError("bad token %r" % tok)
-    return tuple(word)
-
-
-@functools.lru_cache(maxsize=None)
 def _pair_letter_word(letter, sign, word):
     """Pairing of one generator K^sign, E or F with a basis word, in closed form:
 
@@ -422,19 +396,31 @@ def _pair_letter_word(letter, sign, word):
     """
     h, x, k, l = mono_parts(word)
     if letter == "K":
-        return ZERO if k else _q(2 * sign * (h - l))
+        return ZERO if k else q_power(2 * sign * (h - l))
     if k != 1:
         return ZERO
     if letter == "E":
-        return _q(-2 * l) if x == "b" else ZERO
-    return _q(-2 * h) if x == "c" else ZERO
+        return q_power(-2 * l) if x == "b" else ZERO
+    return q_power(-2 * h) if x == "c" else ZERO
+
+
+def _check_token(token):
+    """A UWord token, returned as it is; anything but ("K", ±1), ("E", n) or ("F", n)
+    with an integer n >= 1 is a ValueError."""
+    if type(token) is tuple and len(token) == 2 and type(token[1]) is int:
+        letter, n = token
+        if (n in (1, -1)) if letter == "K" else (letter in ("E", "F") and n >= 1):
+            return token
+    raise ValueError(
+        'a U-word token is ("K", ±1), ("E", n) or ("F", n) with an integer n >= 1, not %r' % (token,)
+    )
 
 
 def _expand_uword(u):
     """Flatten divided powers: plain letter sequence and the [n]! denominator."""
     letters = []
     denom = ONE
-    for letter, n in u:
+    for letter, n in map(_check_token, u):
         if letter == "K":
             letters.append(("K", n))
         else:

@@ -10,7 +10,8 @@ Temperley-Lieb idempotents, quantum integers/binomials, the one text of a
 scalar (`format_qform`: its repr, what the command line prints, and read
 back bit-exactly), and the sparse linear-combination core of every element
 type: `add_to`, `Combination` with its one product rule, and `sweep`, the
-package's one fold.
+package's one fold; only `sweep` owns the fold loop, and `expand` is a
+sweep of one step.
 
 Last comes the one tokenizer and recursive-descent parser of the package's
 text grammar (`parse_grammar`).  `parse_vform` reads scalars with it; the
@@ -382,8 +383,8 @@ class RatFunc:
 
     Canonical means: common polynomial and content factors removed, the
     denominator has no negative v-powers, a nonzero constant term, and a
-    positive leading coefficient.  Equality is then structural (and agrees
-    with cross multiplication).
+    positive leading coefficient.  Equality is then structural: it compares
+    (num, den), as the hash does, and agrees with cross multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -459,7 +460,7 @@ class RatFunc:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -506,17 +507,19 @@ def add_to(terms, key, coeff):
 
 
 def expand(terms, image):
-    """The sum over {key: c} of c times image(key), an iterable of (key, coeff) pairs."""
-    out = {}
-    for key, c in terms.items():
-        for new, d in image(key):
-            add_to(out, new, c * d)
-    return out
+    """The sum over {key: c} of c times image(key), an iterable of (key, coeff) pairs:
+    a `sweep` of one step."""
+    return sweep(terms, (image,), _apply)
+
+
+def _apply(key, image):
+    return image(key)
 
 
 def sweep(terms, steps, image):
-    """`expand` {key: c} by image(key, step) for each step in turn, its loop
-    inlined: the package's one fold, whose cost follows the live keys."""
+    """For each step in turn, the sum over {key: c} of c times image(key, step),
+    an iterable of (key, coeff) pairs: the package's one fold, whose cost
+    follows the live keys."""
     for step in steps:
         out = {}
         for key, c in terms.items():

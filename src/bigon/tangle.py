@@ -579,9 +579,3 @@ def matching_to_slices(pairs, n_left, n_right):
     n = n_left - 2 * len(caps)
     slices += [Slice("cup", p, n + 2 * k) for k, (p, _, _) in enumerate(reversed(cups))]
     return slices
-
-
-def stated_diagram_element(diagram, left_states, right_states):
-    """Map a stated crossingless matching through the algebra lift."""
-    slices = matching_to_slices(diagram.pairs, diagram.n, diagram.n)
-    return skein_element(SlicedTangle(slices, left_states, right_states))

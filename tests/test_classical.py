@@ -256,3 +256,10 @@ def test_path_json_round_trip():
     assert again.word == path.word and again.states == path.states
     loop = StatedPath(["g"], closed=True)
     assert StatedPath.from_dict(loop.to_dict()).closed
+
+
+@pytest.mark.parametrize("entry", ["1/0", "-3/0", "abc"])
+def test_an_unreadable_matrix_entry_is_a_type_error(entry):
+    # a zero denominator too, rather than Fraction's ZeroDivisionError
+    with pytest.raises(TypeError):
+        GroupoidRep.from_dict({"generators": {"g": [[entry, "3"], ["1", "2"]]}})

@@ -3,7 +3,8 @@
 A hand-written fold is a `for` loop whose body binds a fresh empty dict and
 rebinds a name the loop reads (a loop-carried name) to a value built from
 it: the "expand each key into a fresh dict, merge, repeat" pattern that
-`ring.sweep` and `ring.expand` own.  Only `ring` may write one.
+`ring.sweep` alone owns.  `ring.expand` is a sweep of one step, with no loop
+of its own, and no other module may write one.
 """
 
 import ast
@@ -56,6 +57,17 @@ def test_no_module_but_ring_folds_by_hand():
         path.name: hand_folds(path) for path in sorted(PACKAGE.glob("*.py")) if path.name != "ring.py"
     }
     assert {name: found for name, found in folds.items() if found} == {}
+
+
+def test_ring_folds_once_in_sweep():
+    ring = PACKAGE / "ring.py"
+    assert [name for name, _ in hand_folds(ring)] == ["sweep"]
+    expand = next(
+        node
+        for node in ast.parse(ring.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "expand"
+    )
+    assert not [node for node in ast.walk(expand) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
 
 
 def test_a_hand_written_fold_is_seen(tmp_path):

@@ -24,7 +24,6 @@ from bigon.hopf import (
     mono_parts,
     multiply,
     normal_word,
-    parse_uword,
     reduce_bigon,
     rho_word,
     rotation,
@@ -926,22 +925,26 @@ def _recursive_pairing(u, x):
     return hopf.divexact(total, denom)
 
 
-_ORACLE_UWORDS = ["K", "K-", "E", "F", "E(2)", "F(2)"]
+_ORACLE_UWORDS = [(("K", 1),), (("K", -1),), (("E", 1),), (("F", 1),), (("E", 2),), (("F", 2),)]
 
 
 def test_pairing_matches_the_recursion():
-    for text in _ORACLE_UWORDS:
-        u = parse_uword(text)
+    for u in _ORACLE_UWORDS:
         for w in basis_words(6):
-            assert hopf_pairing(u, oq(w)) == _recursive_pairing(u, oq(w)), (text, w)
-    for text in ("E F", "F K- E", "E(2) K F(2)", "K E(3) F"):
-        u = parse_uword(text)
+            assert hopf_pairing(u, oq(w)) == _recursive_pairing(u, oq(w)), (u, w)
+    for u in (
+        (("E", 1), ("F", 1)),
+        (("F", 1), ("K", -1), ("E", 1)),
+        (("E", 2), ("K", 1), ("F", 2)),
+        (("K", 1), ("E", 3), ("F", 1)),
+    ):
         for w in basis_words(4):
-            assert hopf_pairing(u, oq(w)) == _recursive_pairing(u, oq(w)), (text, w)
+            assert hopf_pairing(u, oq(w)) == _recursive_pairing(u, oq(w)), (u, w)
     rng = seeded(38)
+    u = (("E", 1), ("K", 1), ("F", 1))
     for _ in range(10):
         x = random_element(rng, 4, n_terms=3)
-        assert hopf_pairing(parse_uword("E K F"), x) == _recursive_pairing(parse_uword("E K F"), x)
+        assert hopf_pairing(u, x) == _recursive_pairing(u, x)
 
 
 def test_pairing_oracle_catches_peeling_the_second_leg(monkeypatch):
@@ -949,7 +952,7 @@ def test_pairing_oracle_catches_peeling_the_second_leg(monkeypatch):
         return tuple(((z2, z1), c) for (z1, z2), c in coproduct_word(word))
 
     monkeypatch.setattr(hopf, "coproduct_word", flipped)
-    u = parse_uword("E F")
+    u = (("E", 1), ("F", 1))
     assert any(hopf_pairing(u, oq(w)) != _recursive_pairing(u, oq(w)) for w in basis_words(2))
 
 
@@ -1015,12 +1018,17 @@ def test_action_is_module_action():
         assert comm.scale(q_power(2) - q_power(-2)) == rhs, w
 
 
-def test_parse_uword():
-    assert parse_uword("K K- E F(2)") == (("K", 1), ("K", -1), ("E", 1), ("F", 2))
-    with pytest.raises(ValueError):
-        parse_uword("G")
-    with pytest.raises(ValueError):
-        parse_uword("E(0)")
+_BAD_TOKENS = [("G", 1), ("E", -1), ("E", 0), ("F", 0), ("K", 2), ("K", 0), ("E", True), ("F", 1.0)]
+_BAD_TOKENS += [("E", "2"), "E", ("E",), ("E", 1, 2), ["E", 1]]
+
+
+@pytest.mark.parametrize("token", _BAD_TOKENS)
+def test_a_uword_token_is_checked_where_it_enters(token):
+    # an unknown letter must not pair as F, nor E^(-1) as E^(0)
+    c = OqElement.from_word("c")
+    for enter in (hopf_pairing, u_action):
+        with pytest.raises(ValueError, match="U-word token"):
+            enter((("K", 1), token), c)
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,60 @@ def test_a_second_product_rule_is_seen(tmp_path):
         "class Plain(ring.Combination):\n    def product(self, other, times):\n        return self\n"
     )
     assert products_outside_the_rule([source]) == {"Leg", "Tail"}
+
+
+_MEMO_NAMES = {"lru_cache", "cache"}
+
+
+def _is_memo(node):
+    """Whether a decorator or call is `lru_cache`/`cache`, bare, called, or under `functools.`."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in _MEMO_NAMES
+
+
+def memoised(paths):
+    """The "module.name" of every function in `paths` memoised by a decorator or by
+    `f = functools.lru_cache(...)(g)`."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                map(_is_memo, node.decorator_list)
+            ):
+                out.add("%s.%s" % (path.stem, node.name))
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and _is_memo(node.value):
+                out |= {"%s.%s" % (path.stem, name) for name in _defined_names(node)}
+    return out
+
+
+# the sweeps and recursions, not the closed forms under them: a hit on one of those saves under a microsecond
+MEMOS = {
+    "hopf.normal_word",
+    "hopf.coproduct_word",
+    "hopf.rho_word",
+    "braided._block_coproduct",
+    "braided._mul_legs",
+    "tangle._flat_diagram",
+    "tangle.jones_wenzl",
+}
+
+
+def test_the_memoised_functions_are_the_seven_sweeps_and_recursions():
+    assert memoised(sorted(PACKAGE.glob("*.py"))) == MEMOS
+
+
+def test_a_new_memo_is_seen(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import functools\nfrom functools import cache, lru_cache\n\n\n"
+        "def power(m):\n    return m\n\n\n"
+        "_power = functools.lru_cache(maxsize=None)(power)\n"
+        "_bare = lru_cache(power)\n"
+        "_plain = power\n\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef swept(w):\n    return w\n\n\n"
+        "@cache\ndef closed(w):\n    return w\n\n\n"
+        "class Table:\n    @functools.cache\n    def row(self, i):\n        return i\n\n"
+        "    @staticmethod\n    def plain(i):\n        return i\n"
+    )
+    assert memoised([source]) == {"mod._power", "mod._bare", "mod.swept", "mod.closed", "mod.row"}

@@ -23,7 +23,6 @@ from bigon.tangle import (
     parse_tangle_word,
     rt_evaluate,
     skein_element,
-    stated_diagram_element,
     tl_product,
     _glue_diagrams,
     _sweep,
@@ -793,7 +792,8 @@ def test_jw_markov_closure_is_the_quantum_integer():
 def _stated_tl(el, left, right):
     out = {}
     for diagram, coeff in el.terms.items():
-        piece = stated_diagram_element(diagram, tuple(left), tuple(right))
+        slices = matching_to_slices(diagram.pairs, diagram.n, diagram.n)
+        piece = skein_element(SlicedTangle(slices, left, right))
         for w, c in piece.terms.items():
             s = out.get(w, RatFunc(ZERO)) + coeff * RatFunc(c)
             if s:
