@@ -4,6 +4,8 @@ At v = 1 the skein algebra of a surface turns into functions on twisted flat
 SL2 bundles.  A bundle is represented here by a table of exact SL2(Q)
 matrices for named path pieces, together with two distinguished elements: the
 half fiber turn (written ``sqrtO`` in words) and the full fiber ``O`` = -Id.
+A matrix is four integers over one denominator, checked once when it is built
+from outside; the arithmetic on it is not checked again.
 
 Paths are explicit words over the piece names.  Traversal order is the list
 order, so the holonomy is the reversed matrix product.  Tokens:
@@ -23,6 +25,7 @@ table (start state chooses the column, end state the row): (+,+) -> c,
 """
 
 import itertools
+import math
 import re
 import sys
 from fractions import Fraction
@@ -31,55 +34,76 @@ from .hopf import GENERATORS, STATES, OqElement, multiply
 
 
 class SL2Matrix:
-    """A 2x2 rational matrix of determinant one."""
+    """A 2x2 rational matrix of determinant one: integers nums = (n00, n01, n10, n11) over den > 0.
 
-    __slots__ = ("rows",)
+    The constructor checks the shape and n00*n11 - n01*n10 = den^2.  The
+    arithmetic builds its results unchecked (`_sl2`), unreduced; `rows` reduces.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        rows = tuple(tuple(map(Fraction, row)) for row in rows)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("need a 2x2 matrix")
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        if det != 1:
+        entries = rows[0] + rows[1]
+        den = math.lcm(*(e.denominator for e in entries))
+        nums = tuple(e.numerator * (den // e.denominator) for e in entries)
+        if nums[0] * nums[3] - nums[1] * nums[2] != den * den:
+            det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
             try:
                 message = "determinant is %s, not 1" % det
             except ValueError:  # more digits than the interpreter turns into text
                 message = "determinant is not 1, and too long to print"
             raise ValueError(message)
-        self.rows = rows
+        self.nums, self.den = nums, den
+
+    @property
+    def rows(self):
+        n, den = self.nums, self.den
+        return ((Fraction(n[0], den), Fraction(n[1], den)), (Fraction(n[2], den), Fraction(n[3], den)))
 
     @classmethod
     def identity(cls):
         return cls(((1, 0), (0, 1)))
 
     def __mul__(self, other):
-        a, b = self.rows, other.rows
-        return SL2Matrix(
-            (
-                (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-                (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-            )
+        a00, a01, a10, a11 = self.nums
+        b00, b01, b10, b11 = other.nums
+        return _sl2(
+            (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+            self.den * other.den,
         )
 
     def inverse(self):
-        (a, b), (c, d) = self.rows
-        return SL2Matrix(((d, -b), (-c, a)))
+        a, b, c, d = self.nums
+        return _sl2((d, -b, -c, a), self.den)
 
     def __neg__(self):
         # -M is again in SL2
-        return SL2Matrix(tuple(tuple(-e for e in row) for row in self.rows))
+        return _sl2(tuple(-e for e in self.nums), self.den)
 
     def trace(self):
-        return self.rows[0][0] + self.rows[1][1]
+        return Fraction(self.nums[0] + self.nums[3], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, SL2Matrix) and self.rows == other.rows
+        # equal as rational matrices, whatever the two denominators
+        return isinstance(other, SL2Matrix) and all(
+            a * other.den == b * self.den for a, b in zip(self.nums, other.nums)
+        )
 
     def __hash__(self):
         return hash(self.rows)
 
     def __repr__(self):
         return "SL2Matrix(%r)" % (self.rows,)
+
+
+def _sl2(nums, den):
+    """The matrix nums / den, unchecked: only for results of determinant one by construction."""
+    out = object.__new__(SL2Matrix)
+    out.nums, out.den = nums, den
+    return out
 
 
 HALF_FIBER = SL2Matrix(((0, -1), (1, 0)))
@@ -108,11 +132,16 @@ def _entry(e):
 
 
 class GroupoidRep:
-    """Named SL2(Q) matrices for path pieces, plus the fiber elements."""
+    """Named SL2(Q) matrices for path pieces, plus the fiber elements.
+
+    No piece is named ``sqrtO-``, ``CUT`` or ``~...``: a path reads those as tokens.
+    """
 
     def __init__(self, generators):
         self.generators = {}
         for name, matrix in generators.items():
+            if name in ("sqrtO-", "CUT") or str(name).startswith("~"):
+                raise ValueError("%r is a path token, not a piece name" % (name,))
             if not isinstance(matrix, SL2Matrix):
                 matrix = SL2Matrix(matrix)
             self.generators[name] = matrix
@@ -133,7 +162,8 @@ class GroupoidRep:
           ``fractions.Fraction`` reads (``"3"``, ``"-1/2"``), else a
           TypeError; the determinant must be 1, else a ValueError.
           ``sqrtO`` and ``O`` may be left out; when given they must equal
-          [[0, -1], [1, 0]] and -Id.
+          [[0, -1], [1, 0]] and -Id.  A name that a path reads as a token
+          (``sqrtO-``, ``CUT``, ``~...``) is a ValueError.
         """
         generators = data["generators"]
         if type(generators) is not dict:
@@ -228,12 +258,12 @@ def holonomy(rep, path):
 
 def _state_matrix(matrix):
     """The state table of a holonomy: start state picks the row, end state the column."""
-    (a, b), (c, d) = matrix.rows
-    return SL2Matrix(((c, -a), (d, -b)))
+    a, b, c, d = matrix.nums
+    return _sl2((c, -a, d, -b), matrix.den)
 
 
 def _at_states(table, states):
-    return table.rows[STATES.index(states[0])][STATES.index(states[1])]
+    return Fraction(table.nums[2 * STATES.index(states[0]) + STATES.index(states[1])], table.den)
 
 
 def trace_arc(rep, path):

@@ -57,15 +57,19 @@ def seeded(seed=20240214):
 
 
 def random_sl2(rng, steps=4):
-    """A random rational determinant-one matrix (product of shears)."""
-    m = SL2Matrix.identity()
+    """A random rational determinant-one matrix (product of shears).
+
+    The shears multiply as Fraction rows, not through `SL2Matrix`, so a fault in
+    the package's product cannot shape the inputs it is tested on.
+    """
+    (a, b), (c, d) = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
     for _ in range(rng.randint(1, steps)):
         x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if rng.random() < 0.5:
-            m = m * SL2Matrix(((1, x), (0, 1)))
-        else:
-            m = m * SL2Matrix(((1, 0), (x, 1)))
-    return m
+        if rng.random() < 0.5:  # times [[1, x], [0, 1]]
+            b, d = a * x + b, c * x + d
+        else:  # times [[1, 0], [x, 1]]
+            a, c = a + b * x, c + d * x
+    return SL2Matrix(((a, b), (c, d)))
 
 
 def slice_options(n, max_strands):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from support import oq, random_sl2, seeded
 
+from bigon import classical
 from bigon.classical import (
     FIBER,
     HALF_FIBER,
@@ -46,6 +47,10 @@ def test_sl2_validation():
     assert m * m.inverse() == SL2Matrix.identity()
     assert (-m).trace() == -4
     assert m.rows[0][0] == Fraction(2)
+    # the determinant is checked over the entries' common denominator
+    assert SL2Matrix(((Fraction(1, 2), Fraction(3, 4)), (0, 2))).rows[0][1] == Fraction(3, 4)
+    with pytest.raises(ValueError, match=r"^determinant is 3/2, not 1$"):
+        SL2Matrix(((Fraction(1, 2), 0), (0, 3)))
 
 
 def test_half_fiber_squares_to_fiber():
@@ -61,6 +66,15 @@ def test_rep_injects_fiber_elements():
         GroupoidRep({"sqrtO": SL2Matrix.identity()})
     with pytest.raises(ValueError):
         rep.matrix("nope")
+
+
+@pytest.mark.parametrize("name", ["sqrtO-", "CUT", "~g", "~"])
+def test_a_piece_named_like_a_token_is_refused(name):
+    # a path reads these names as tokens, so the piece could never be reached
+    with pytest.raises(ValueError, match="path token"):
+        GroupoidRep({name: SL2Matrix(((2, 3), (1, 2)))})
+    with pytest.raises(ValueError, match="path token"):
+        GroupoidRep.from_dict({"generators": {name: [["2", "3"], ["1", "2"]]}})
 
 
 def test_path_validation():
@@ -263,3 +277,128 @@ def test_an_unreadable_matrix_entry_is_a_type_error(entry):
     # a zero denominator too, rather than Fraction's ZeroDivisionError
     with pytest.raises(TypeError):
         GroupoidRep.from_dict({"generators": {"g": [[entry, "3"], ["1", "2"]]}})
+
+
+# The oracle for the integer arithmetic: entries as Fractions, each product of
+# two entries reduced, pieces multiplied in reverse traversal order.
+
+
+def _fraction_product(a, b):
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
+def _fraction_token(rep, token):
+    if token == "sqrtO-":
+        return ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
+    if token.startswith("~"):
+        (a, b), (c, d) = rep.matrix(token[1:]).rows
+        return ((-d, b), (c, -a))
+    return rep.matrix(token).rows
+
+
+def _fraction_holonomy(rep, word):
+    out = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for token in word:
+        out = _fraction_product(_fraction_token(rep, token), out)
+    return out
+
+
+def _fraction_arc(rep, word, states):
+    (a, b), (c, d) = _fraction_holonomy(rep, word)
+    return {"++": c, "+-": -a, "-+": d, "--": -b}["".join(states)]
+
+
+def _fraction_cut(rep, word, states):
+    """The cutting formula as written: a sum over the states at the marks of piece-trace products."""
+    pieces = classical._split_at_cuts(word)
+    total = Fraction(0)
+    for inner in itertools.product(STATES, repeat=len(pieces) - 1):
+        ends = (states[0],) + inner + (states[1],)
+        term = Fraction(1)
+        for i, piece in enumerate(pieces):
+            term *= _fraction_arc(rep, piece, ends[i : i + 2])
+        total += term
+    return total
+
+
+_TOKENS = ("g", "h", "~g", "~h", "sqrtO", "sqrtO-", "O")
+
+
+def _oracle_mismatches(seed):
+    """The requests, of paths of 0-40 pieces, on which the package and the Fraction oracle differ."""
+    rng = seeded(seed)
+    bad = []
+    for pieces in range(41):
+        rep = GroupoidRep({"g": random_sl2(rng), "h": random_sl2(rng)})
+        word = [rng.choice(_TOKENS) for _ in range(pieces)]
+        states = rng.choice(STATES) + rng.choice(STATES)
+        cut = list(word)
+        for _ in range(rng.randint(0, 3)):
+            cut.insert(rng.randint(0, len(cut)), "CUT")
+        got = {
+            "holonomy": holonomy(rep, StatedPath(word, states=states)).rows,
+            "trace_arc": trace_arc(rep, StatedPath(word, states=states)),
+            "trace_loop": trace_loop(rep, StatedPath(word, closed=True)),
+            "cut_check": cut_check(rep, StatedPath(cut, states=states)),
+        }
+        loop = _fraction_holonomy(rep, word)
+        want = {
+            "holonomy": loop,
+            "trace_arc": _fraction_arc(rep, word, states),
+            "trace_loop": loop[0][0] + loop[1][1],
+            "cut_check": _fraction_cut(rep, cut, states),
+        }
+        bad += [(pieces, op) for op in got if got[op] != want[op] or type(got[op]) is not type(want[op])]
+    return bad
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_holonomies_match_the_fraction_oracle(seed):
+    assert _oracle_mismatches(seed) == []
+
+
+def _inverse_losing_a_sign(self):
+    a, b, c, d = self.nums
+    return classical._sl2((d, b, -c, a), self.den)
+
+
+def _product_losing_a_denominator(self, other):
+    a00, a01, a10, a11 = self.nums
+    b00, b01, b10, b11 = other.nums
+    return classical._sl2(
+        (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+        self.den,
+    )
+
+
+@pytest.mark.parametrize(
+    "method, mutant", [("inverse", _inverse_losing_a_sign), ("__mul__", _product_losing_a_denominator)]
+)
+def test_fraction_oracle_catches_a_mutant(method, mutant, monkeypatch):
+    monkeypatch.setattr(SL2Matrix, method, mutant)
+    assert _oracle_mismatches(1) != []
+
+
+def test_equal_matrices_compare_and_hash_equal_whatever_their_denominators():
+    rng = seeded(13)
+    one = SL2Matrix.identity()
+    for _ in range(20):
+        g = random_sl2(rng)
+        product = g * g.inverse()
+        assert product == one and one == product and hash(product) == hash(one)
+        assert len({product, one}) == 1
+        assert product.rows == one.rows
+        assert g * g * g.inverse() == g and hash(g * g * g.inverse()) == hash(g)
+    g = SL2Matrix(((Fraction(1, 2), Fraction(3, 4)), (0, 2)))
+    rep = GroupoidRep({"g": g})
+    for k in range(6):
+        # each ["g", "~g"] is -g^-1 g = -Id
+        m = holonomy(rep, StatedPath(["g", "~g"] * k, closed=True))
+        expected = one if k % 2 == 0 else -one
+        assert m.den == 16**k  # unreduced, yet equal to +-Id
+        assert m == expected and hash(m) == hash(expected)
+        assert len({m, one, -one}) == 2
+    assert one != ((1, 0), (0, 1))

@@ -563,6 +563,16 @@ def test_classical_domain_error(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("name", ["sqrtO-", "CUT", "~g"])
+def test_classical_piece_named_like_a_token_is_one_error_line(capsys, tmp_path, name):
+    # the token sqrtO- would still read the half fiber's inverse, not this matrix
+    rep = _write(tmp_path, "rep.json", {"generators": {name: [["2", "3"], ["1", "2"]]}})
+    path = _write(tmp_path, "arc.json", {"word": [name], "states": "+-", "closed": False})
+    for op in ("trace", "cut"):
+        code, out, err = run_cli(capsys, "classical", op, "--rep", rep, "--path", path)
+        assert (code, out) == (1, "") and err == "error: %r is a path token, not a piece name\n" % name
+
+
 @pytest.mark.parametrize("op", ["trace", "cut"])
 def test_classical_zero_denominator_is_one_error_line(tmp_path, op):
     path = _write(tmp_path, "arc.json", {"word": ["g"], "states": "+-", "closed": False})

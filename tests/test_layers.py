@@ -255,3 +255,50 @@ def test_a_new_memo_is_seen(tmp_path):
         "    @staticmethod\n    def plain(i):\n        return i\n"
     )
     assert memoised([source]) == {"mod._power", "mod._bare", "mod.swept", "mod.closed", "mod.row"}
+
+
+def _units(statement):
+    """One top-level statement as (label, node) pairs: each method of a class is its own
+    "Class.method" unit, and any other statement is labelled by the names it binds."""
+    if not isinstance(statement, ast.ClassDef):
+        return [(name, statement) for name in _defined_names(statement)]
+    out = []
+    for node in statement.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(("%s.%s" % (statement.name, node.name), node))
+        else:
+            out.append((statement.name, node))
+    return out
+
+
+def callers(paths, name):
+    """The functions and methods ("Class.method") of `paths` that read `name`."""
+    return {
+        label
+        for path in paths
+        for st in ast.parse(path.read_text(), str(path)).body
+        for label, node in _units(st)
+        if name in _used_names(node)
+    }
+
+
+def test_unchecked_matrices_come_only_from_the_arithmetic():
+    # a product, inverse, negation or state table of determinant-one matrices has
+    # determinant one; every matrix from outside goes through the checking constructor
+    assert callers(sorted(PACKAGE.glob("*.py")), "_sl2") == {
+        "SL2Matrix.__mul__",
+        "SL2Matrix.inverse",
+        "SL2Matrix.__neg__",
+        "_state_matrix",
+    }
+
+
+def test_an_unchecked_matrix_from_outside_is_seen(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def _sl2(nums, den):\n    return nums\n\n\n"
+        "class SL2Matrix:\n    __slots__ = ('nums',)\n\n    def inverse(self):\n        return _sl2(self.nums, 1)\n\n\n"
+        "class GroupoidRep:\n    @classmethod\n    def from_dict(cls, data):\n        return classical._sl2(data, 1)\n\n\n"
+        "_ONE = _sl2((1, 0, 0, 1), 1)\n"
+    )
+    assert callers([source], "_sl2") == {"SL2Matrix.inverse", "GroupoidRep.from_dict", "_ONE"}
