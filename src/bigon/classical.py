@@ -148,7 +148,8 @@ class GroupoidRep:
         for name, required in (("sqrtO", HALF_FIBER), ("O", FIBER)):
             if name in self.generators:
                 if self.generators[name] != required:
-                    raise ValueError("%s must be %r" % (name, required.rows))
+                    text = "[[%s, %s], [%s, %s]]" % (required.rows[0] + required.rows[1])
+                    raise ValueError("%s must be %s" % (name, text))
             else:
                 self.generators[name] = required
 

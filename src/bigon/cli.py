@@ -90,10 +90,11 @@ class CliError(Exception):
 # reads back the q-powers of every normal form the products can reach
 MAX_EXPONENT = 4096
 
-# Every product is bounded before it runs: its pairs of basis words may hold
-# at most MAX_SWAPS out-of-order letter pairs in all, and the product may
-# generate at most MAX_SIZE coefficient monomials before equal terms merge,
-# the products of one power all counted together.  In a fresh process,
+# Every product is bounded: before it runs, its pairs of basis words may hold
+# at most MAX_SWAPS out-of-order letter pairs in all; as it runs, each pair is
+# charged the coefficient monomials it generates before equal terms merge, at
+# most MAX_SIZE in all, the products of one power counted together and each
+# leg term times its scalar on its own.  In a fresh process,
 # printing included, d^40*a^40 (1600 swaps) takes about 0.24 s and the
 # slowest product found at the bound, (b^20*d^20)*(a^20*c^20), about 1.5 s:
 # its closed form multiplies every term of the d*a rule by every term of the
@@ -102,6 +103,7 @@ MAX_EXPONENT = 4096
 # n = 24, (q+1)^n at n = 512; (a+d)^23 takes about 0.17 s.
 MAX_SWAPS = 1600
 MAX_SIZE = 2**18
+_TOO_MANY_TERMS = "product makes more than %d coefficient terms" % MAX_SIZE
 
 # The words of each operand of a hopf subcommand may have at most
 # MAX_OPERAND_LETTERS letters in all.  A coproduct's cost grows faster than
@@ -129,6 +131,13 @@ MAX_OPERAND_LETTERS = 24
 # cups take about 6 s.
 MAX_STATE_VECTORS = 2**11
 
+# `qtrace` builds the dense 3F x 3F exponent matrix of an F-face surface and
+# reads all of it twice, for the trace and for the balance check, whatever the
+# curve.  A two-step arc on an F-face strip, read and traced in process, takes
+# 0.32 s and 30 MB at the bound, 1.2 s and 68 MB at F = 500 and 3.7 s and
+# 225 MB at F = 1000 (2-core machine, Python 3.11.7).
+MAX_FACES = 256
+
 
 def _swaps(w1, w2):
     """Out-of-order letter pairs (one from each basis word) in the word w1 w2."""
@@ -137,32 +146,31 @@ def _swaps(w1, w2):
     return (k1 + l1) * h2 + l1 * k2 + (k1 * k2 if x1 != x2 else 0)
 
 
-def _spend(x, y, pos, generated=0):
-    """`generated` plus the monomials x*y generates; an ExpressionError past the budgets above."""
+def _product(x, y, pos, spent=None):
+    """x*y within the budgets: its letter swaps priced first, then the monomials of each
+    pair of basis words added to spent[0] as the product reaches the pair."""
     if sum(_swaps(w1, w2) for w1 in x.terms for w2 in y.terms) > MAX_SWAPS:
         raise ExpressionError("product needs more than %d letter swaps" % MAX_SWAPS, pos)
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            size = sum(len(c.items()) for _, c in normal_word(w1 + w2))
-            generated += len(c1.items()) * len(c2.items()) * size
-            if generated > MAX_SIZE:
-                raise ExpressionError("product makes more than %d coefficient terms" % MAX_SIZE, pos)
-    return generated
+    spent = [0] if spent is None else spent
 
+    def times(w1, w2):
+        out = normal_word(w1 + w2)
+        size = sum(len(c.items()) for _, c in out)
+        spent[0] += len(x.terms[w1].items()) * len(y.terms[w2].items()) * size
+        if spent[0] > MAX_SIZE:
+            raise ExpressionError(_TOO_MANY_TERMS, pos)
+        return out
 
-def _product(x, y, pos):
-    _spend(x, y, pos)
-    return multiply(x, y)
+    return x.product(y, times)
 
 
 def _power(x, n, pos):
     if abs(n) > MAX_EXPONENT:
         raise ExpressionError("exponent %d exceeds %d in size" % (n, MAX_EXPONENT), pos)
     if n >= 0:
-        out, generated = OqElement.unit(), 0
+        out, spent = OqElement.unit(), [0]
         for _ in range(n):
-            generated = _spend(out, x, pos, generated)
-            out = multiply(out, x)
+            out = _product(out, x, pos, spent)
         return out
     if set(x.terms) == {""}:
         try:
@@ -194,20 +202,22 @@ def _leg_atom(x):
 def _scalar_factor(x, pos):
     if set(x.terms) - {()}:
         raise ExpressionError("a leg group can only be scaled", pos)
-    return OqElement.unit(x.terms.get((), ZERO))
+    return x.terms.get((), ZERO)
 
 
 def _leg_product(x, y, pos):
-    """A scalar times leg terms, the scalars through the budgets of _product."""
+    """A scalar times leg terms, each term's coefficient product within MAX_SIZE."""
     if set(x.terms) - {()}:
         x, y = y, x
     scalar = _scalar_factor(x, pos)
-    products = {legs: _product(scalar, OqElement.unit(c), pos) for legs, c in y.terms.items()}
-    return Combination({legs: z.terms.get("", ZERO) for legs, z in products.items()})
+    if any(len(scalar.items()) * len(c.items()) > MAX_SIZE for c in y.terms.values()):
+        raise ExpressionError(_TOO_MANY_TERMS, pos)
+    return y.scale(scalar)
 
 
 def _leg_power(x, n, pos):
-    return Combination({(): _power(_scalar_factor(x, pos), n, pos).terms.get("", ZERO)})
+    power = _power(OqElement.unit(_scalar_factor(x, pos)), n, pos)
+    return Combination({(): power.terms.get("", ZERO)})
 
 
 def parse_leg_terms(text):
@@ -229,10 +239,8 @@ def _braided_terms(text):
 
 
 def _braided_element(terms):
-    x = BraidedElement(len(next(iter(terms))))
-    for legs, coeff in terms.items():
-        x = x + BraidedElement.from_legs(legs, coeff)
-    return x
+    normal = expand(terms, lambda legs: BraidedElement.from_legs(legs).terms.items())
+    return BraidedElement(len(next(iter(terms))), normal)
 
 
 def parse_braided(text):
@@ -353,24 +361,34 @@ def _cmd_braided(args):
     return _legs_reply(out.terms)
 
 
-def _load_json(path):
+def _read(path, reader):
+    """reader applied to the JSON in the file at path.  A file that cannot be read
+    as JSON, or that reader finds of the wrong shape, is one error of exit 2."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as err:
         raise CliError(2, str(err))
+    except UnicodeDecodeError:
+        raise CliError(2, "%s: not UTF-8 text" % path) from None
     except json.JSONDecodeError as err:
         raise CliError(2, "%s: %s" % (path, err))
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise CliError(2, "%s: an integer has more than %d digits" % (path, limit)) from None
     except RecursionError:
         raise CliError(2, "%s: JSON nests too deeply" % path) from None
+    try:
+        return reader(data)
+    except (KeyError, TypeError) as err:
+        raise CliError(2, "malformed input file: %r" % err)
 
 
 def _cmd_qtrace(args):
-    try:
-        tri = Triangulation.from_dict(_load_json(args.surface))
-        curve = NormalCurve.from_dict(_load_json(args.curve))
-    except (KeyError, TypeError) as err:
-        raise CliError(2, "malformed input file: %r" % err)
+    tri = _read(args.surface, Triangulation.from_dict)
+    if len(tri.faces) > MAX_FACES:
+        raise CliError(2, "--surface has %d faces, more than %d" % (len(tri.faces), MAX_FACES))
+    curve = _read(args.curve, NormalCurve.from_dict)
     x = quantum_trace(tri, curve)
     if not check_balanced(tri, x):
         raise CliError(1, "trace is not balanced")
@@ -381,11 +399,8 @@ def _cmd_qtrace(args):
 
 
 def _cmd_classical(args):
-    try:
-        rep = GroupoidRep.from_dict(_load_json(args.rep))
-        path = StatedPath.from_dict(_load_json(args.path))
-    except (KeyError, TypeError) as err:
-        raise CliError(2, "malformed input file: %r" % err)
+    rep = _read(args.rep, GroupoidRep.from_dict)
+    path = _read(args.path, StatedPath.from_dict)
     if args.op == "trace":
         value = trace_loop(rep, path) if path.closed else trace_arc(rep, path)
     else:
@@ -678,15 +693,12 @@ def main(argv=None):
         raise
     try:
         text, payload = args.func(args)
-    except ExpressionError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
     except CliError as err:
         print("error: %s" % err, file=sys.stderr)
         return err.code
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, ExpressionError) else 1
     print(json.dumps(payload, sort_keys=True) if args.json else text)
     # a failed selftest check is the one reply that exits nonzero
     return 1 if payload.get("failed") else 0

@@ -10,6 +10,8 @@ from support import random_element, random_scalar, random_tangle, random_word, s
 from test_hopf import _letter_fold
 
 from bigon.cli import (
+    MAX_FACES,
+    MAX_SIZE,
     ExpressionError,
     format_leg_terms,
     main,
@@ -322,6 +324,51 @@ def test_sum_of_deep_pairs_fails_before_any_normal_form(capsys):
     assert "swaps" in err
 
 
+def _lookups():
+    info = normal_word.cache_info()
+    return info.hits + info.misses
+
+
+def _parse_lookups(text):
+    before = _lookups()
+    parse_expression(text)
+    return _lookups() - before
+
+
+@pytest.mark.parametrize("x, y", [("a + b + c", "d + b*c + a^2"), ("b - q*d", "a + c + b*d + 1")])
+def test_a_product_looks_up_each_pair_once(capsys, x, y):
+    # the size budget is charged inside the product as it reaches each pair of
+    # basis words, not by a walk of its own over the pairs
+    pairs = len(parse_expression(x).terms) * len(parse_expression(y).terms)
+    factors = _parse_lookups(x) + _parse_lookups(y)
+    before = _lookups()
+    code, _, _ = run_cli(capsys, "normal-form", "(%s)*(%s)" % (x, y))
+    assert code == 0 and _lookups() - before == factors + pairs
+
+
+def test_each_step_of_a_power_looks_up_each_pair_once(capsys):
+    x = parse_expression("a + b + d")
+    pairs, power = 0, OqElement.unit()
+    for _ in range(4):
+        pairs += len(power.terms) * len(x.terms)
+        power = multiply(power, x)
+    base = _parse_lookups("a + b + d")
+    before = _lookups()
+    code, out, _ = run_cli(capsys, "normal-form", "(a + b + d)^4")
+    assert (code, out) == (0, str(power) + "\n")
+    assert _lookups() - before == base + pairs
+
+
+def test_a_leg_term_scalar_past_the_size_budget_is_one_error_line(capsys):
+    # 512 coefficient terms times the 513 of the leg term's coefficient; 512 x 512 is at the bound
+    assert MAX_SIZE == 512 * 512
+    code, out, err = run_cli(capsys, "braided", "--x", "(q+1)^511*((q+1)^511*(q+1)*(a|))", "--y", "(|)")
+    assert (code, out) == (2, "")
+    assert err == "error: product makes more than 262144 coefficient terms (at position 9)\n"
+    code, out, err = run_cli(capsys, "braided", "--x", "(q+1)^511*((q+1)^511*(a|))", "--y", "(|)")
+    assert code == 0 and err == "" and out.startswith("(q^1022 + 1022*q^1021 + ")
+
+
 def _run_subprocess(*argv):
     cmd = [sys.executable, "-m", "bigon.cli", *argv]
     return subprocess.run(cmd, capture_output=True, text=True, timeout=10)
@@ -554,6 +601,68 @@ def test_closed_must_be_a_json_boolean(capsys, tmp_path, closed):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: malformed input file: ") and len(err.splitlines()) == 1, argv
+
+
+def _strip(faces):
+    """A strip of triangles, each glued to the next."""
+    return {
+        "faces": [{"id": "F%d" % i, "sides": [0, 1, 2]} for i in range(faces)],
+        "gluings": [["F%d" % i, 2, "F%d" % (i + 1), 0] for i in range(faces - 1)],
+    }
+
+
+def test_qtrace_surface_past_the_face_budget_is_one_error_line(capsys, tmp_path, monkeypatch):
+    steps = [{"face": "F0", "enter": 1, "exit": 2}, {"face": "F1", "enter": 0, "exit": 1}]
+    curve = _write(tmp_path, "arc.json", {"steps": steps, "states": "++"})
+    at = _write(tmp_path, "at.json", _strip(MAX_FACES))
+    code, out, err = run_cli(capsys, "qtrace", "--surface", at, "--curve", curve)
+    exponents = [0, 1, 1, 1, 1] + [0] * (3 * MAX_FACES - 5)
+    assert (code, out, err) == (0, "q * x^(%s)\n" % ",".join(map(str, exponents)), "")
+    # refused before the curve is read or any trace runs
+    monkeypatch.setattr("bigon.cli.quantum_trace", lambda *args: pytest.fail("traced"))
+    past = _write(tmp_path, "past.json", _strip(MAX_FACES + 1))
+    for arc in (curve, str(tmp_path / "missing.json")):
+        code, out, err = run_cli(capsys, "qtrace", "--surface", past, "--curve", arc)
+        assert (code, out) == (2, "")
+        assert err == "error: --surface has %d faces, more than %d\n" % (MAX_FACES + 1, MAX_FACES)
+
+
+UNDECODABLE = {
+    "not UTF-8": (b'{"word": ["g\xff"]}', "not UTF-8 text"),
+    "5000-digit integer": (
+        b'{"word": [' + b"7" * 5000 + b"]}",
+        "an integer has more than %d digits" % sys.get_int_max_str_digits(),
+    ),
+}
+
+
+@pytest.mark.parametrize("content, message", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_undecodable_files_are_one_error_line_naming_the_file(capsys, tmp_path, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    bad = str(bad)
+    surface, curve = _write(tmp_path, "tri.json", SQUARE), _write(tmp_path, "arc.json", ARC)
+    rep = _write(tmp_path, "rep.json", REP)
+    path = _write(tmp_path, "path.json", {"word": ["g"], "states": "+-"})
+    for argv in [
+        ("qtrace", "--surface", bad, "--curve", curve),
+        ("qtrace", "--surface", surface, "--curve", bad),
+        ("classical", "trace", "--rep", bad, "--path", path),
+        ("classical", "cut", "--rep", rep, "--path", bad),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: %s: %s\n" % (bad, message)), argv
+
+
+@pytest.mark.parametrize("name, rows, required", [
+    ("sqrtO", [["1", "0"], ["0", "1"]], "[[0, -1], [1, 0]]"),
+    ("O", [[1, 0], [0, 1]], "[[-1, 0], [0, -1]]"),
+])
+def test_a_wrong_fiber_matrix_is_printed_as_a_matrix(capsys, tmp_path, name, rows, required):
+    rep = _write(tmp_path, "rep.json", {"generators": {name: rows}})
+    path = _write(tmp_path, "path.json", {"word": [name], "states": "+-"})
+    code, out, err = run_cli(capsys, "classical", "trace", "--rep", rep, "--path", path)
+    assert (code, out, err) == (1, "", "error: %s must be %s\n" % (name, required))
 
 
 def test_classical_domain_error(capsys, tmp_path):
