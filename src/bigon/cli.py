@@ -148,7 +148,7 @@ def _swaps(w1, w2):
 
 def _product(x, y, pos, spent=None):
     """x*y within the budgets: its letter swaps priced first, then the monomials of each
-    pair of basis words added to spent[0] as the product reaches the pair."""
+    pair of basis words added to spent[0] before the product multiplies their coefficients."""
     if sum(_swaps(w1, w2) for w1 in x.terms for w2 in y.terms) > MAX_SWAPS:
         raise ExpressionError("product needs more than %d letter swaps" % MAX_SWAPS, pos)
     spent = [0] if spent is None else spent
@@ -373,7 +373,9 @@ def _read(path, reader):
         raise CliError(2, "%s: not UTF-8 text" % path) from None
     except json.JSONDecodeError as err:
         raise CliError(2, "%s: %s" % (path, err))
-    except ValueError:  # an integer literal past the interpreter's digit limit
+    except ValueError as err:  # an integer literal past the interpreter's digit limit, or not
+        if "integer string conversion" not in str(err):
+            raise
         limit = sys.get_int_max_str_digits()
         raise CliError(2, "%s: an integer has more than %d digits" % (path, limit)) from None
     except RecursionError:

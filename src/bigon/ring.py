@@ -595,8 +595,8 @@ class Combination:
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                c = c1 * c2
-                for key, d in times(k1, k2):
+                pair, c = times(k1, k2), c1 * c2  # times first: a budget refuses before c1 * c2
+                for key, d in pair:
                     add_to(out, key, c * d)
         return self._with(out)
 

@@ -22,7 +22,7 @@ from bigon.cli import (
 from bigon.braided import BraidedElement, braided_product
 from bigon.hopf import OqElement, OqTensor, coproduct, element_to_string, multiply, normal_word
 from bigon.qtorus import NormalCurve, Triangulation, quantum_trace
-from bigon.ring import format_qform, half, parse_vform, q_power
+from bigon.ring import HalfLaurent, format_qform, half, parse_vform, q_power
 from bigon.tangle import format_tangle_word, parse_tangle_word
 
 
@@ -302,6 +302,32 @@ def test_power_shares_one_size_budget(capsys, argv):
 def test_power_just_inside_the_size_budget_is_answered(capsys):
     code, out, _ = run_cli(capsys, "normal-form", "(q+1)^511")
     assert code == 0 and out.count("q^") == 510
+
+
+# 512 and 1024 coefficient terms, each built by products far inside the size budget
+_SPARSE_A = "*".join("(1+q^%d)" % 2**k for k in range(9))
+_SPARSE_B = "*".join(["(1+q^512)", "(1+q^1024)", "(1+q^2048)", "(1+q^4096)"] +
+                     ["(1+(q^4096)^%d)" % 2**k for k in range(1, 7)])
+
+
+@pytest.mark.parametrize("text", [
+    "(%s)*(%s)" % (_SPARSE_A, _SPARSE_B),
+    "(%s)^2" % _SPARSE_B,
+    "(q+1)^511*((q+1)^300*(q+1)^300)",
+], ids=["sparse-pair", "sparse-power-step", "dense-pair"])
+def test_a_pair_is_charged_before_its_coefficients_multiply(capsys, monkeypatch, text):
+    assert [len(parse_expression(x).terms[""].items()) for x in (_SPARSE_A, _SPARSE_B)] == [512, 1024]
+    real = HalfLaurent.__mul__
+
+    def mul(self, other):
+        terms = len(other.items()) if isinstance(other, HalfLaurent) else 1
+        assert len(self.items()) * terms <= MAX_SIZE, "coefficients multiplied past the budget"
+        return real(self, other)
+
+    monkeypatch.setattr(HalfLaurent, "__mul__", mul)
+    code, out, err = run_cli(capsys, "normal-form", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: product makes more than 262144 coefficient terms (at position ")
 
 
 def test_huge_exponent_is_one_error_line():
@@ -652,6 +678,13 @@ def test_undecodable_files_are_one_error_line_naming_the_file(capsys, tmp_path, 
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", "error: %s: %s\n" % (bad, message)), argv
+
+
+def test_other_value_errors_of_a_file_keep_their_own_message(capsys, tmp_path):
+    # only the digit limit is reported as a too-long integer
+    curve = _write(tmp_path, "arc.json", ARC)
+    code, out, err = run_cli(capsys, "qtrace", "--surface", "tri\0.json", "--curve", curve)
+    assert (code, out, err) == (1, "", "error: embedded null byte\n")
 
 
 @pytest.mark.parametrize("name, rows, required", [
