@@ -131,11 +131,12 @@ MAX_OPERAND_LETTERS = 24
 # cups take about 6 s.
 MAX_STATE_VECTORS = 2**11
 
-# `qtrace` builds the dense 3F x 3F exponent matrix of an F-face surface and
-# reads all of it twice, for the trace and for the balance check, whatever the
-# curve.  A two-step arc on an F-face strip, read and traced in process, takes
-# 0.32 s and 30 MB at the bound, 1.2 s and 68 MB at F = 500 and 3.7 s and
-# 225 MB at F = 1000 (2-core machine, Python 3.11.7).
+# `qtrace` builds the dense 3F x 3F exponent matrix of an F-face surface twice,
+# for the trace and for the balance check, whatever the curve; each copy is
+# padded from the triangle's checked rows, not checked again, but its memory
+# grows as F^2.  A two-step arc on an F-face strip, read, traced and checked in
+# process, takes 0.03 s and 24 MB at the bound, 0.1 s and 50 MB at F = 500 and
+# 0.4 s and 155 MB at F = 1000 (2-core machine, Python 3.11.7).
 MAX_FACES = 256
 
 

@@ -10,15 +10,18 @@ On top of that sit:
 * the rank-3 torus presenting the reduced triangle algebra, with the corner
   arc dictionary sending stated corner arcs to monomials (bad arcs to 0);
 * triangulations of surfaces by ideal triangles, their edge commutation
-  torus, and the per-face tensor torus;
+  torus, and the per-face tensor torus, assembled from the triangle's
+  checked blocks;
 * the trace of a normal curve: its state sum over lifts at internal edge
   crossings, computed in one sweep along the curve that carries partial
   lifts (junction state and per-face exponent data) with their
   coefficients, so its cost follows the number of live partial monomials.
 """
 
+import operator
+
 from .hopf import STATES
-from .ring import ONE, Combination, add_to, format_qform, half, sweep
+from .ring import ONE, Combination, add_to, format_qform, from_dense, half, sweep
 
 
 class SurfaceError(ValueError):
@@ -40,7 +43,7 @@ class QuantumTorus:
     __slots__ = ("rank", "matrix")
 
     def __init__(self, matrix):
-        matrix = tuple(tuple(int(e) for e in row) for row in matrix)
+        matrix = tuple(tuple(map(operator.index, row)) for row in matrix)
         rank = len(matrix)
         if rank < 1:
             raise ValueError("rank must be positive")
@@ -63,6 +66,13 @@ class QuantumTorus:
         return "QuantumTorus(rank=%d)" % self.rank
 
 
+def _torus(matrix):
+    """The torus of `matrix`, unchecked: only for block sums of checked tori."""
+    out = object.__new__(QuantumTorus)
+    out.rank, out.matrix = len(matrix), matrix
+    return out
+
+
 class QTElement(Combination):
     """Linear combination of normal-ordered torus monomials."""
 
@@ -78,7 +88,7 @@ class QTElement(Combination):
         return self.frame
 
     def _key(self, vec):
-        vec = tuple(int(e) for e in vec)
+        vec = tuple(map(operator.index, vec))
         if len(vec) != self.frame.rank:
             raise ValueError("exponent vector %r does not fit rank %d" % (vec, self.frame.rank))
         return vec
@@ -99,6 +109,13 @@ class QTElement(Combination):
 
     def __repr__(self):
         return format_qtorus(self)
+
+
+def _qt_element(torus, terms):
+    """The element over `terms`, unchecked: only for integer keys of its rank, no zero."""
+    out = object.__new__(QTElement)
+    out.frame, out.terms = torus, terms
+    return out
 
 
 def format_qtorus(x):
@@ -365,15 +382,19 @@ def ambient_torus(tri):
     """Tensor product over faces of the side torus; blocks commute.
 
     Each face block is the triangle's matrix: sides in counterclockwise order
-    satisfy (later)(earlier) = q (earlier)(later) cyclically.
+    satisfy (later)(earlier) = q (earlier)(later) cyclically.  The rows are
+    the triangle's checked rows padded with zeros, so they are not checked
+    again.
     """
-    rank = 3 * len(tri.faces)
-    matrix = [[0] * rank for _ in range(rank)]
-    for pos in range(len(tri.faces)):
-        for i in range(3):
-            for j in range(3):
-                matrix[3 * pos + i][3 * pos + j] = TRIANGLE.matrix[i][j]
-    return QuantumTorus(matrix)
+    count = len(tri.faces)
+    if not count:
+        raise ValueError("rank must be positive")
+    rows = (
+        (0,) * (3 * pos) + row + (0,) * (3 * (count - 1 - pos))
+        for pos in range(count)
+        for row in TRIANGLE.matrix
+    )
+    return _torus(tuple(rows))
 
 
 def chekhov_fock(tri):
@@ -484,8 +505,15 @@ _ARCS = {
 }
 
 
-def _vsum(vectors):
-    return tuple(map(sum, zip((0, 0, 0), *vectors)))
+def _add(u, w):
+    """The sum of two exponent 3-vectors."""
+    return (u[0] + w[0], u[1] + w[1], u[2] + w[2])
+
+
+def _tri_power(k, l):
+    """`_reorder_power(TRIANGLE.matrix, k, l)` written out: the exponent of q
+    produced when x^k passes to the left of x^l in the triangle torus."""
+    return k[1] * l[0] - k[2] * l[0] + k[2] * l[1]
 
 
 def _push(e):
@@ -494,10 +522,10 @@ def _push(e):
     The corner generator x_j goes to v y_{j+1} y_{j+2}, the Weyl ordered
     monomial [y_{j+1} y_{j+2}], and both tori have the same commutation
     matrix; so x^e = v^{-R(e,e)} [x^e] goes to v^{R(w,w)-R(e,e)} y^w, where R
-    is `_reorder_power` and w = (e_1 + e_2, e_2 + e_0, e_0 + e_1).
+    is `_tri_power` and w = (e_1 + e_2, e_2 + e_0, e_0 + e_1).
     """
     w = (e[1] + e[2], e[2] + e[0], e[0] + e[1])
-    return _reorder_power(TRIANGLE.matrix, w, w) - _reorder_power(TRIANGLE.matrix, e, e), w
+    return _tri_power(w, w) - _tri_power(e, e), w
 
 
 def _lift_step(key, step):
@@ -505,24 +533,32 @@ def _lift_step(key, step):
 
     Face blocks commute, and within a face the arcs multiply in (corner,
     step) order, which the curve fixes; so the arc's q-power comes from the
-    running sums of the face's arcs at the corners up to its own and after
-    it.  On the face's last visit its sums are pushed into its block."""
+    running sums of the face's arcs at the corners up to its own (`before`)
+    and after it (`after`), summed once per partial lift.  On the face's last
+    visit its sums are pushed into its block."""
     pos, corner, forward, last, states = step
     state, faces = key
     sums = faces[pos]
-    before, after = _vsum(sums[: corner + 1]), _vsum(sums[corner + 1 :])
+    if corner == 0:
+        before, after = sums[0], _add(sums[1], sums[2])
+    elif corner == 1:
+        before, after = _add(sums[0], sums[1]), sums[2]
+    else:
+        before, after = _add(_add(sums[0], sums[1]), sums[2]), (0, 0, 0)
+    whole = _add(before, after)
+    head, tail = faces[:pos], faces[pos + 1 :]
     for nxt in states:
         arc = _ARCS.get((corner, state, nxt) if forward else (corner, nxt, state))
         if arc is None:
             continue
         exp, sign, vec = arc
-        exp += 2 * _reorder_power(TRIANGLE.matrix, before, vec)
-        exp += 2 * _reorder_power(TRIANGLE.matrix, vec, after)
-        entry = sums[:corner] + (_vsum((sums[corner], vec)),) + sums[corner + 1 :]
+        exp += 2 * (_tri_power(before, vec) + _tri_power(vec, after))
         if last:
-            push, entry = _push(_vsum(entry))
+            push, entry = _push(_add(whole, vec))
             exp += push
-        yield (nxt, faces[:pos] + (entry,) + faces[pos + 1 :]), half(exp, sign)
+        else:
+            entry = sums[:corner] + (_add(sums[corner], vec),) + sums[corner + 1 :]
+        yield (nxt, head + (entry,) + tail), from_dense(exp, (sign,))
 
 
 def quantum_trace(tri, curve):
@@ -548,21 +584,18 @@ def quantum_trace(tri, curve):
     start = tuple(
         ((0, 0, 0),) * 3 if pos in last_visit else (0, 0, 0) for pos in range(len(tri.faces))
     )
-    total = {}
+    total = {}  # keys are integer tuples of rank 3F, and add_to stores no zero
     for first, final in ((s, s) for s in STATES) if curve.closed else (curve.end_states,):
         # the last step may only reach the final state
         live = sweep({(first, start): ONE}, steps[:-1] + [steps[-1][:-1] + ((final,),)], _lift_step)
         for (_, faces), coeff in live.items():
             add_to(total, sum(faces, ()), coeff)
-    return QTElement(ambient_torus(tri), total)
+    return _qt_element(ambient_torus(tri), total)
 
 
 def check_balanced(tri, x):
     """True iff every monomial has equal exponents across each glued pair."""
     if x.torus != ambient_torus(tri):
         raise ValueError("element does not live in the per-face torus")
-    for vec in x.terms:
-        for (fa, sa), (fb, sb) in tri.gluings:
-            if vec[tri.variable(fa, sa)] != vec[tri.variable(fb, sb)]:
-                return False
-    return True
+    pairs = [(tri.variable(*a), tri.variable(*b)) for a, b in tri.gluings]
+    return all(vec[i] == vec[j] for vec in x.terms for i, j in pairs)

@@ -302,3 +302,25 @@ def test_an_unchecked_matrix_from_outside_is_seen(tmp_path):
         "_ONE = _sl2((1, 0, 0, 1), 1)\n"
     )
     assert callers([source], "_sl2") == {"SL2Matrix.inverse", "GroupoidRep.from_dict", "_ONE"}
+
+
+def test_unchecked_tori_and_elements_come_only_from_the_trace():
+    # the per-face torus is a block sum of the checked triangle torus, and a trace's
+    # keys are integer vectors the sweep builds at that rank
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert callers(paths, "_torus") == {"ambient_torus"}
+    assert callers(paths, "_qt_element") == {"quantum_trace"}
+
+
+def test_an_unchecked_torus_or_element_from_outside_is_seen(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def _torus(matrix):\n    return matrix\n\n\n"
+        "def _qt_element(torus, terms):\n    return terms\n\n\n"
+        "def ambient_torus(tri):\n    return _torus(tri)\n\n\n"
+        "class NormalCurve:\n    @classmethod\n    def from_dict(cls, data):\n        return qtorus._torus(data)\n\n\n"
+        "def quantum_trace(tri, curve):\n    return _qt_element(ambient_torus(tri), {})\n\n\n"
+        "_EMPTY = _qt_element(None, {})\n"
+    )
+    assert callers([source], "_torus") == {"ambient_torus", "NormalCurve.from_dict"}
+    assert callers([source], "_qt_element") == {"quantum_trace", "_EMPTY"}

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from bigon import qtorus
 from bigon.classical import SL2Matrix
 from bigon.qtorus import (
     STATES,
@@ -25,6 +26,8 @@ from bigon.qtorus import (
     qt_power,
     quantum_trace,
     triangle_element,
+    _reorder_power,
+    _tri_power,
     _validate_curve,
 )
 from bigon.ring import ONE, ZERO, half, q_power
@@ -87,9 +90,22 @@ def test_torus_requires_antisymmetry():
         QuantumTorus(((0, 1),))
 
 
+def test_torus_rejects_entries_that_are_not_integers():
+    # read with int(), both entries would truncate to 0: the zero matrix
+    with pytest.raises(TypeError):
+        QuantumTorus(((0, 0.5), (-0.7, 0)))
+
+
 def test_element_checks_vector_length():
     with pytest.raises(ValueError):
         QTElement(TRIANGLE, {(1, 0): ONE})
+
+
+@pytest.mark.parametrize("key", [(1.5, 0, 0), ("1", 0, 0)], ids=["float", "string"])
+def test_element_rejects_exponents_that_are_not_integers(key):
+    # read with int(), both keys would become (1, 0, 0)
+    with pytest.raises(TypeError):
+        QTElement(TRIANGLE, {key: ONE})
 
 
 def test_monomial_commutation():
@@ -284,6 +300,23 @@ def test_ambient_torus_blocks():
         for j in range(3):
             assert torus.matrix[i][3 + j] == 0
             assert torus.matrix[i][j] == torus.matrix[3 + i][3 + j]
+
+
+def test_ambient_torus_equals_the_checked_block_sum():
+    for faces in range(1, 7):
+        tri, _ = _strip(faces, False, 200 + faces)
+        rank = 3 * faces
+        checked = QuantumTorus(
+            [
+                [TRIANGLE.matrix[i % 3][j % 3] if i // 3 == j // 3 else 0 for j in range(rank)]
+                for i in range(rank)
+            ]
+        )
+        torus = ambient_torus(tri)
+        assert (torus.rank, torus.matrix) == (checked.rank, checked.matrix)
+        assert torus == checked and hash(torus) == hash(checked)
+    with pytest.raises(ValueError, match="rank must be positive"):
+        ambient_torus(Triangulation([], []))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +581,25 @@ _ORACLE_CASES = _oracle_cases()
 )
 def test_sweep_matches_the_lift_enumerator(tri, curve):
     assert quantum_trace(tri, curve) == _enumerated_trace(tri, curve)
+
+
+def test_triangle_pairing_is_the_reorder_power_written_out():
+    for k in itertools.product(range(-2, 3), repeat=3):
+        for l in itertools.product(range(-2, 3), repeat=3):
+            assert _tri_power(k, l) == _reorder_power(TRIANGLE.matrix, k, l)
+
+
+@pytest.mark.parametrize("term", range(3))
+def test_oracle_catches_a_one_sign_mutant_of_the_triangle_pairing(term, monkeypatch):
+    # k1 l0 - k2 l0 + k2 l1 with the sign of one term flipped; the enumerator
+    # multiplies through `_reorder_power`, so it does not see the mutant
+    def mutant(k, l):
+        terms = [k[1] * l[0], -k[2] * l[0], k[2] * l[1]]
+        terms[term] = -terms[term]
+        return sum(terms)
+
+    monkeypatch.setattr(qtorus, "_tri_power", mutant)
+    assert any(quantum_trace(tri, curve) != _enumerated_trace(tri, curve) for _, tri, curve in _ORACLE_CASES)
 
 
 _UPPER_TURN = SL2Matrix(((1, 1), (0, 1)))
