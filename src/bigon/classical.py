@@ -4,8 +4,8 @@ At v = 1 the skein algebra of a surface turns into functions on twisted flat
 SL2 bundles.  A bundle is represented here by a table of exact SL2(Q)
 matrices for named path pieces, together with two distinguished elements: the
 half fiber turn (written ``sqrtO`` in words) and the full fiber ``O`` = -Id.
-A matrix is four integers over one denominator, checked once when it is built
-from outside; the arithmetic on it is not checked again.
+A matrix is four integers over one denominator, checked once in integers when
+it is built from outside; the arithmetic on it is not checked again.
 
 Paths are explicit words over the piece names.  Traversal order is the list
 order, so the holonomy is the reversed matrix product.  Tokens:
@@ -36,27 +36,39 @@ from .hopf import GENERATORS, STATES, OqElement, multiply
 class SL2Matrix:
     """A 2x2 rational matrix of determinant one: integers nums = (n00, n01, n10, n11) over den > 0.
 
-    The constructor checks the shape and n00*n11 - n01*n10 = den^2.  The
-    arithmetic builds its results unchecked (`_sl2`), unreduced; `rows` reduces.
+    The constructor checks the shape, reads an int entry as e/1, a Fraction as
+    numerator/denominator and anything else through `Fraction`, and checks the
+    determinant in integers (`_check`).  The arithmetic builds its results
+    unchecked (`_sl2`), unreduced; `rows` reduces.
     """
 
     __slots__ = ("nums", "den")
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(Fraction, row)) for row in rows)
+        rows = tuple(tuple(map(_rational, row)) for row in rows)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("need a 2x2 matrix")
-        entries = rows[0] + rows[1]
-        den = math.lcm(*(e.denominator for e in entries))
-        nums = tuple(e.numerator * (den // e.denominator) for e in entries)
+        self._check(rows[0] + rows[1])
+
+    def _check(self, pairs):
+        """Hold four entries, each (numerator, denominator > 0) in row order, if the determinant is 1.
+
+        They are brought over the lcm of their denominators and checked as
+        n00*n11 - n01*n10 = den^2; a `Fraction` determinant is made only to
+        word the ValueError.  Returns self.
+        """
+        (p0, q0), (p1, q1), (p2, q2), (p3, q3) = pairs
+        den = math.lcm(q0, q1, q2, q3)
+        nums = (p0 * (den // q0), p1 * (den // q1), p2 * (den // q2), p3 * (den // q3))
         if nums[0] * nums[3] - nums[1] * nums[2] != den * den:
-            det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+            det = Fraction(nums[0] * nums[3] - nums[1] * nums[2], den * den)
             try:
                 message = "determinant is %s, not 1" % det
             except ValueError:  # more digits than the interpreter turns into text
                 message = "determinant is not 1, and too long to print"
             raise ValueError(message)
         self.nums, self.den = nums, den
+        return self
 
     @property
     def rows(self):
@@ -106,29 +118,56 @@ def _sl2(nums, den):
     return out
 
 
+def _rational(e):
+    """A constructor entry as (numerator, denominator > 0)."""
+    if type(e) is int:
+        return e, 1
+    if not isinstance(e, Fraction):
+        e = Fraction(e)
+    return e.numerator, e.denominator
+
+
 HALF_FIBER = SL2Matrix(((0, -1), (1, 0)))
 FIBER = -SL2Matrix.identity()
 
 
+# an ASCII integer, or p/q with q nonzero
+_PLAIN = re.compile(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _entry(e):
-    """One matrix entry: an integer, or a string that `Fraction` reads; else a TypeError.
+    """One file matrix entry as a reduced (numerator, denominator > 0) pair of ints; else a TypeError.
 
-    A decimal exponent past the interpreter's digit limit is refused before
+    An integer, or a string of an ASCII integer or p/q (optional sign, no
+    spaces), is read straight into ints.  Any other string goes through
+    `Fraction`, which reads spaces, decimals, exponents, underscores and other
+    digits, and words each refusal: a zero denominator, more digits than the
+    interpreter reads.  A decimal exponent past that limit is refused before
     `Fraction` expands it, as an integer string that long already is.
     """
-    if type(e) not in (int, str):
+    if type(e) is int:
+        return e, 1
+    if type(e) is not str:
         raise TypeError("a matrix entry must be an integer or a string, not %s" % type(e).__name__)
+    plain = _PLAIN.fullmatch(e)
+    if plain:
+        try:
+            p, q = int(plain[1]), int(plain[2] or 1)
+        except ValueError:  # past the digit limit: Fraction words it
+            pass
+        else:
+            g = math.gcd(p, q)
+            return p // g, q // g
     try:
-        exponent = _EXPONENT.search(e) if type(e) is str else None
+        exponent = _EXPONENT.search(e)
         limit = sys.get_int_max_str_digits()
         if exponent and limit and abs(int(exponent.group(1))) > limit:
             raise TypeError("a decimal exponent in %r is past %d digits" % (e[:40], limit))
-        return Fraction(e)
+        value = Fraction(e)
     except (ValueError, ZeroDivisionError) as err:
         raise TypeError(str(err)) from None
+    return value.numerator, value.denominator
 
 
 class GroupoidRep:
@@ -161,7 +200,9 @@ class GroupoidRep:
           matrix, a list of two rows, each a list of two entries, else a
           TypeError.  An entry is an integer or a string that
           ``fractions.Fraction`` reads (``"3"``, ``"-1/2"``), else a
-          TypeError; the determinant must be 1, else a ValueError.
+          TypeError; each is read once into ints (`_entry`), and the matrix
+          is checked once in integers: the determinant must be 1, else a
+          ValueError.
           ``sqrtO`` and ``O`` may be left out; when given they must equal
           [[0, -1], [1, 0]] and -Id.  A name that a path reads as a token
           (``sqrtO-``, ``CUT``, ``~...``) is a ValueError.
@@ -174,7 +215,7 @@ class GroupoidRep:
                 raise TypeError("a matrix must be a list of two rows of two entries")
         return cls(
             {
-                name: SL2Matrix([[_entry(e) for e in row] for row in rows])
+                name: SL2Matrix.__new__(SL2Matrix)._check([_entry(e) for row in rows for e in row])
                 for name, rows in generators.items()
             }
         )
@@ -220,8 +261,8 @@ class StatedPath:
         * ``closed`` (default ``false``): whether the path is a loop, a JSON
           boolean; else a TypeError.
         * ``states`` (default empty): the start and end states of an open
-          path, as a string such as ``"+-"``; required for an open path,
-          absent or empty for a loop.
+          path, as a string such as ``"+-"``, else a TypeError; required for
+          an open path, absent or empty for a loop.
         """
         word = data["word"]
         if type(word) is not list or any(type(token) is not str for token in word):
@@ -229,7 +270,10 @@ class StatedPath:
         closed = data.get("closed", False)
         if type(closed) is not bool:
             raise TypeError("closed must be true or false")
-        return cls(word, states=tuple(data.get("states", "")) or None, closed=closed)
+        states = data.get("states", "")
+        if type(states) is not str:
+            raise TypeError("states must be a string")
+        return cls(word, states=tuple(states) or None, closed=closed)
 
     def to_dict(self):
         out = {"word": list(self.word), "closed": self.closed}

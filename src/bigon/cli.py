@@ -676,7 +676,16 @@ def build_parser():
     return parser
 
 
+# The parser of the first `main` call, kept for the later ones: it holds no
+# per-call state, and its set_defaults(func=_cmd_*) bound each subcommand's
+# handler when it was built.  A fresh `bigon` process still builds one parser.
+_parser = None
+
+
 def main(argv=None):
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a state string such as -+ for a flag: bind the argument
     # after each --left and --right to it
@@ -688,7 +697,7 @@ def main(argv=None):
     usage = io.StringIO()
     try:
         with contextlib.redirect_stderr(usage):
-            args = build_parser().parse_args(argv)
+            args = _parser.parse_args(argv)
     except SystemExit as stop:
         # argparse writes its usage block, then "bigon ...: error: <message>"
         if stop.code:

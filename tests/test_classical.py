@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,23 @@ def test_rep_json_round_trip():
     assert again.matrix("g") == rep.matrix("g")
     assert data["generators"]["g"][0][1] == "-3/4"
     assert again.matrix("O") == FIBER
+    rng = seeded(17)
+    for _ in range(20):
+        rep = GroupoidRep({"g": random_sl2(rng), "h": random_sl2(rng), "k": random_sl2(rng)})
+        again = GroupoidRep.from_dict(json.loads(json.dumps(rep.to_dict())))
+        assert again.generators.keys() == rep.generators.keys()
+        for name, matrix in rep.generators.items():
+            assert again.matrix(name) == matrix and again.matrix(name).rows == matrix.rows
+    # unreduced entries read as their reduced forms
+    unreduced = GroupoidRep.from_dict({"generators": {"g": [["2/4", "-6/8"], ["3/3", "4/8"]]}})
+    reduced = GroupoidRep.from_dict({"generators": {"g": [["1/2", "-3/4"], ["1", "1/2"]]}})
+    assert unreduced.matrix("g").rows == reduced.matrix("g").rows
+    for word in (["g"], ["g", "~g", "g"], ["g", "sqrtO", "g"]):
+        for states in ("++", "+-", "-+", "--"):
+            arc = StatedPath(word, states=states)
+            assert trace_arc(unreduced, arc) == trace_arc(reduced, arc)
+        loop = StatedPath(word, closed=True)
+        assert trace_loop(unreduced, loop) == trace_loop(reduced, loop)
 
 
 def test_path_json_round_trip():
@@ -279,8 +297,65 @@ def test_an_unreadable_matrix_entry_is_a_type_error(entry):
         GroupoidRep.from_dict({"generators": {"g": [[entry, "3"], ["1", "2"]]}})
 
 
+def test_states_must_be_a_json_string():
+    for states in ({"+": 1, "-": 2}, ["+", "-"], 1):
+        with pytest.raises(TypeError, match="^states must be a string$"):
+            StatedPath.from_dict({"word": ["g"], "states": states})
+    assert StatedPath.from_dict({"word": ["g"], "states": "+-"}).states == ("+", "-")
+
+
+def _fraction_entry(e):
+    """The entry reader before the integer path: every string through Fraction."""
+    if type(e) not in (int, str):
+        raise TypeError("a matrix entry must be an integer or a string, not %s" % type(e).__name__)
+    try:
+        exponent = classical._EXPONENT.search(e) if type(e) is str else None
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent.group(1))) > limit:
+            raise TypeError("a decimal exponent in %r is past %d digits" % (e[:40], limit))
+        return Fraction(e)
+    except (ValueError, ZeroDivisionError) as err:
+        raise TypeError(str(err)) from None
+
+
+_ENTRY_CORPUS = [
+    "3", "+3", "-3", "007", "-0/5", "2/4", "-6/8", " 3 ", "1_000", "1.5", "1e3",
+    "1/0", "1/00", "3/009", "abc", "\u0661",
+    "7" * 5000, "-" + "7" * 5000, "1/" + "7" * 5000, "1e3000000",
+    True, 1.5, None, 12, -12,
+]
+
+
+def _outcome(read, e):
+    try:
+        value = read(e)
+    except Exception as err:
+        return type(err), str(err)
+    return value
+
+
+def _entry_mismatches():
+    """The corpus entries that `_entry` reads otherwise than the Fraction route."""
+    bad = []
+    for e in _ENTRY_CORPUS:
+        got, want = _outcome(classical._entry, e), _outcome(_fraction_entry, e)
+        if isinstance(want, Fraction):
+            want = (want.numerator, want.denominator)
+            if type(got) is not tuple or any(type(part) is not int for part in got):
+                bad.append(e)
+                continue
+        if got != want:
+            bad.append(e)
+    return bad
+
+
+def test_entries_read_as_the_fraction_route_reads_them():
+    assert _entry_mismatches() == []
+
+
 # The oracle for the integer arithmetic: entries as Fractions, each product of
-# two entries reduced, pieces multiplied in reverse traversal order.
+# two entries reduced, pieces multiplied in reverse traversal order.  The
+# package computes on the representation read back from its JSON object.
 
 
 def _fraction_product(a, b):
@@ -333,16 +408,21 @@ def _oracle_mismatches(seed):
     bad = []
     for pieces in range(41):
         rep = GroupoidRep({"g": random_sl2(rng), "h": random_sl2(rng)})
+        try:
+            read = GroupoidRep.from_dict(rep.to_dict())
+        except ValueError:
+            bad.append((pieces, "from_dict"))
+            continue
         word = [rng.choice(_TOKENS) for _ in range(pieces)]
         states = rng.choice(STATES) + rng.choice(STATES)
         cut = list(word)
         for _ in range(rng.randint(0, 3)):
             cut.insert(rng.randint(0, len(cut)), "CUT")
         got = {
-            "holonomy": holonomy(rep, StatedPath(word, states=states)).rows,
-            "trace_arc": trace_arc(rep, StatedPath(word, states=states)),
-            "trace_loop": trace_loop(rep, StatedPath(word, closed=True)),
-            "cut_check": cut_check(rep, StatedPath(cut, states=states)),
+            "holonomy": holonomy(read, StatedPath(word, states=states)).rows,
+            "trace_arc": trace_arc(read, StatedPath(word, states=states)),
+            "trace_loop": trace_loop(read, StatedPath(word, closed=True)),
+            "cut_check": cut_check(read, StatedPath(cut, states=states)),
         }
         loop = _fraction_holonomy(rep, word)
         want = {
@@ -379,6 +459,31 @@ def _product_losing_a_denominator(self, other):
 )
 def test_fraction_oracle_catches_a_mutant(method, mutant, monkeypatch):
     monkeypatch.setattr(SL2Matrix, method, mutant)
+    assert _oracle_mismatches(1) != []
+
+
+def _reading_p_over_q_as_q_over_p(entry):
+    def mutant(e):
+        p, q = entry(e)
+        if type(e) is str and "/" in e and p:
+            return (q if p > 0 else -q), abs(p)
+        return p, q
+
+    return mutant
+
+
+def _dropping_the_sign(entry):
+    def mutant(e):
+        p, q = entry(e)
+        return abs(p), q
+
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_reading_p_over_q_as_q_over_p, _dropping_the_sign])
+def test_entry_oracles_catch_a_mutant(mutate, monkeypatch):
+    monkeypatch.setattr(classical, "_entry", mutate(classical._entry))
+    assert _entry_mismatches() != []
     assert _oracle_mismatches(1) != []
 
 

@@ -9,10 +9,12 @@ import pytest
 from support import random_element, random_scalar, random_tangle, random_word, seeded
 from test_hopf import _letter_fold
 
+from bigon import cli
 from bigon.cli import (
     MAX_FACES,
     MAX_SIZE,
     ExpressionError,
+    build_parser,
     format_leg_terms,
     main,
     parse_braided,
@@ -244,6 +246,36 @@ def test_usage_error_is_one_error_line(capsys, argv):
     captured = capsys.readouterr()
     assert err.value.code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def _exit_and_output(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_parser_is_built_once_and_answers_as_a_fresh_one(capsys, monkeypatch):
+    calls = [
+        ["normal-form", "a^3*d^3"],
+        ["normal-form", "a", "--bogus"],
+        ["hopf", "coproduct", "--expr", "a*d", "--json"],
+        ["normal-form", "a^3*d^3"],
+    ]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    kept = [_exit_and_output(capsys, argv) for argv in calls]
+    assert len(built) == 1
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_exit_and_output(capsys, argv))
+    assert len(built) == 1 + len(calls)
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 2, 0, 0]
 
 
 def test_states_after_their_flag_may_begin_with_a_minus(capsys):
@@ -612,6 +644,14 @@ def test_classical_files(capsys, tmp_path):
     )
     code, out2, _ = run_cli(capsys, "classical", "trace", "--rep", rep, "--path", spliced)
     assert code == 0 and out == out2
+
+
+def test_classical_states_must_be_a_json_string(capsys, tmp_path):
+    rep = _write(tmp_path, "rep.json", REP)
+    path = _write(tmp_path, "arc.json", {"word": ["g"], "states": {"+": 1, "-": 2}})
+    code, out, err = run_cli(capsys, "classical", "trace", "--rep", rep, "--path", path)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed input file: TypeError('states must be a string')\n"
 
 
 @pytest.mark.parametrize("closed", ["no", 1])
