@@ -131,14 +131,6 @@ MAX_OPERAND_LETTERS = 24
 # cups take about 6 s.
 MAX_STATE_VECTORS = 2**11
 
-# `qtrace` builds the dense 3F x 3F exponent matrix of an F-face surface twice,
-# for the trace and for the balance check, whatever the curve; each copy is
-# padded from the triangle's checked rows, not checked again, but its memory
-# grows as F^2.  A two-step arc on an F-face strip, read, traced and checked in
-# process, takes 0.03 s and 24 MB at the bound, 0.1 s and 50 MB at F = 500 and
-# 0.4 s and 155 MB at F = 1000 (2-core machine, Python 3.11.7).
-MAX_FACES = 256
-
 
 def _swaps(w1, w2):
     """Out-of-order letter pairs (one from each basis word) in the word w1 w2."""
@@ -389,8 +381,6 @@ def _read(path, reader):
 
 def _cmd_qtrace(args):
     tri = _read(args.surface, Triangulation.from_dict)
-    if len(tri.faces) > MAX_FACES:
-        raise CliError(2, "--surface has %d faces, more than %d" % (len(tri.faces), MAX_FACES))
     curve = _read(args.curve, NormalCurve.from_dict)
     x = quantum_trace(tri, curve)
     if not check_balanced(tri, x):

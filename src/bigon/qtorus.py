@@ -11,13 +11,14 @@ On top of that sit:
   arc dictionary sending stated corner arcs to monomials (bad arcs to 0);
 * triangulations of surfaces by ideal triangles, their edge commutation
   torus, and the per-face tensor torus, assembled from the triangle's
-  checked blocks;
+  checked entries;
 * the trace of a normal curve: its state sum over lifts at internal edge
   crossings, computed in one sweep along the curve that carries partial
   lifts (junction state and per-face exponent data) with their
   coefficients, so its cost follows the number of live partial monomials.
 """
 
+import itertools
 import operator
 
 from .hopf import STATES
@@ -36,11 +37,13 @@ class SurfaceError(ValueError):
 class QuantumTorus:
     """Finitely many invertible generators with q-power commutation.
 
-    It is given by its antisymmetric integer commutation matrix A alone; the
-    rank, the number of generators, is the size of A.
+    It is given by its antisymmetric integer commutation matrix A; the rank,
+    the number of generators, is the size of A.  It keeps only `form`, the
+    nonzero entries below the diagonal as (i, j, A[i][j]) with i > j in
+    row-major order, which determine A.
     """
 
-    __slots__ = ("rank", "matrix")
+    __slots__ = ("rank", "form")
 
     def __init__(self, matrix):
         matrix = tuple(tuple(map(operator.index, row)) for row in matrix)
@@ -54,22 +57,31 @@ class QuantumTorus:
                 if matrix[i][j] != -matrix[j][i]:
                     raise ValueError("commutation matrix must be antisymmetric")
         self.rank = rank
-        self.matrix = matrix
+        self.form = tuple((i, j, row[j]) for i, row in enumerate(matrix) for j in range(i) if row[j])
+
+    @property
+    def matrix(self):
+        """The dense commutation matrix A, rebuilt from `form`."""
+        rows = [[0] * self.rank for _ in range(self.rank)]
+        for i, j, a in self.form:
+            rows[i][j], rows[j][i] = a, -a
+        return tuple(map(tuple, rows))
 
     def __eq__(self, other):
-        return isinstance(other, QuantumTorus) and self.matrix == other.matrix
+        return isinstance(other, QuantumTorus) and (self.rank, self.form) == (other.rank, other.form)
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash((self.rank, self.form))
 
     def __repr__(self):
         return "QuantumTorus(rank=%d)" % self.rank
 
 
-def _torus(matrix):
-    """The torus of `matrix`, unchecked: only for block sums of checked tori."""
+def _torus(rank, form):
+    """The torus of `rank` with below-diagonal entries `form`, unchecked: only
+    for block sums of checked tori, their entries in row-major order."""
     out = object.__new__(QuantumTorus)
-    out.rank, out.matrix = len(matrix), matrix
+    out.rank, out.form = rank, form
     return out
 
 
@@ -125,24 +137,15 @@ def format_qtorus(x):
     return "\n".join(lines) if lines else "0"
 
 
-def _reorder_power(matrix, k, l):
-    """Exponent of q produced when x^k passes to the left of x^l."""
-    total = 0
-    for i, ki in enumerate(k):
-        if not ki:
-            continue
-        row = matrix[i]
-        for j in range(i):
-            lj = l[j]
-            if lj:
-                total += ki * lj * row[j]
-    return total
+def _reorder_power(form, k, l):
+    """Exponent of q produced when x^k passes to the left of x^l, for a torus's `form`."""
+    return sum(k[i] * l[j] * a for i, j, a in form)
 
 
 def qt_multiply(x, y):
-    matrix = x.torus.matrix
+    form = x.torus.form
     return x.product(y, lambda k, l: (
-        (tuple(a + b for a, b in zip(k, l)), half(2 * _reorder_power(matrix, k, l))),
+        (tuple(a + b for a, b in zip(k, l)), half(2 * _reorder_power(form, k, l))),
     ))
 
 
@@ -167,7 +170,7 @@ def qt_invert(x):
     ((vec, c),) = x.terms.items()
     inv_vec = tuple(-e for e in vec)
     # fix the scalar so that x * inverse == 1 exactly
-    twist = half(-2 * _reorder_power(x.torus.matrix, vec, inv_vec))
+    twist = half(-2 * _reorder_power(x.torus.form, vec, inv_vec))
     if len(c.items()) != 1:
         raise ValueError("coefficient %r is not invertible" % c)
     ((exp, lead),) = c.items()
@@ -381,20 +384,16 @@ class Triangulation:
 def ambient_torus(tri):
     """Tensor product over faces of the side torus; blocks commute.
 
-    Each face block is the triangle's matrix: sides in counterclockwise order
-    satisfy (later)(earlier) = q (earlier)(later) cyclically.  The rows are
-    the triangle's checked rows padded with zeros, so they are not checked
-    again.
+    Each face block is the triangle's torus: sides in counterclockwise order
+    satisfy (later)(earlier) = q (earlier)(later) cyclically.  Its entries are
+    the triangle's checked ones shifted by 3 per face, in row-major order, so
+    they are not checked again and cost O(F) for F faces.
     """
     count = len(tri.faces)
     if not count:
         raise ValueError("rank must be positive")
-    rows = (
-        (0,) * (3 * pos) + row + (0,) * (3 * (count - 1 - pos))
-        for pos in range(count)
-        for row in TRIANGLE.matrix
-    )
-    return _torus(tuple(rows))
+    form = tuple((i + 3 * pos, j + 3 * pos, a) for pos in range(count) for i, j, a in TRIANGLE.form)
+    return _torus(3 * count, form)
 
 
 def chekhov_fock(tri):
@@ -451,14 +450,18 @@ class NormalCurve:
           step of an open curve, as a string such as ``"+-"`` or a list of
           ``"+"``/``"-"``; required for an open curve, absent for a loop.
 
-        Face ids and side labels are strings or integers, and ``closed`` is a
-        boolean, else a TypeError.
+        Face ids and side labels are strings or integers, ``closed`` is a
+        boolean and ``states`` a string or a list of strings, else a
+        TypeError.
         """
         steps = [(_label(s["face"]), _label(s["enter"]), _label(s["exit"])) for s in data["steps"]]
         closed = data.get("closed", False)
         if type(closed) is not bool:
             raise TypeError("closed must be true or false")
-        return cls(steps, closed=closed, end_states=tuple(data.get("states", ())))
+        states = data.get("states", "")
+        if type(states) is not str and (type(states) is not list or any(type(s) is not str for s in states)):
+            raise TypeError("states must be a string or a list of strings")
+        return cls(steps, closed=closed, end_states=tuple(states))
 
     def to_dict(self):
         out = {
@@ -511,7 +514,7 @@ def _add(u, w):
 
 
 def _tri_power(k, l):
-    """`_reorder_power(TRIANGLE.matrix, k, l)` written out: the exponent of q
+    """`_reorder_power(TRIANGLE.form, k, l)` written out: the exponent of q
     produced when x^k passes to the left of x^l in the triangle torus."""
     return k[1] * l[0] - k[2] * l[0] + k[2] * l[1]
 
@@ -589,7 +592,7 @@ def quantum_trace(tri, curve):
         # the last step may only reach the final state
         live = sweep({(first, start): ONE}, steps[:-1] + [steps[-1][:-1] + ((final,),)], _lift_step)
         for (_, faces), coeff in live.items():
-            add_to(total, sum(faces, ()), coeff)
+            add_to(total, tuple(itertools.chain.from_iterable(faces)), coeff)
     return _qt_element(ambient_torus(tri), total)
 
 

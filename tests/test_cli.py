@@ -11,7 +11,6 @@ from test_hopf import _letter_fold
 
 from bigon import cli
 from bigon.cli import (
-    MAX_FACES,
     MAX_SIZE,
     ExpressionError,
     build_parser,
@@ -654,6 +653,15 @@ def test_classical_states_must_be_a_json_string(capsys, tmp_path):
     assert err == "error: malformed input file: TypeError('states must be a string')\n"
 
 
+@pytest.mark.parametrize("states", [{"+": 1, "-": 2}, [1, 2]], ids=["object", "integers"])
+def test_curve_states_must_be_a_string_or_a_list_of_strings(capsys, tmp_path, states):
+    surface = _write(tmp_path, "tri.json", SQUARE)
+    curve = _write(tmp_path, "arc.json", dict(ARC, states=states))
+    code, out, err = run_cli(capsys, "qtrace", "--surface", surface, "--curve", curve)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed input file: TypeError('states must be a string or a list of strings')\n"
+
+
 @pytest.mark.parametrize("closed", ["no", 1])
 def test_closed_must_be_a_json_boolean(capsys, tmp_path, closed):
     rep = _write(tmp_path, "rep.json", REP)
@@ -677,20 +685,13 @@ def _strip(faces):
     }
 
 
-def test_qtrace_surface_past_the_face_budget_is_one_error_line(capsys, tmp_path, monkeypatch):
+def test_qtrace_answers_on_a_4096_face_strip(capsys, tmp_path):
     steps = [{"face": "F0", "enter": 1, "exit": 2}, {"face": "F1", "enter": 0, "exit": 1}]
     curve = _write(tmp_path, "arc.json", {"steps": steps, "states": "++"})
-    at = _write(tmp_path, "at.json", _strip(MAX_FACES))
-    code, out, err = run_cli(capsys, "qtrace", "--surface", at, "--curve", curve)
-    exponents = [0, 1, 1, 1, 1] + [0] * (3 * MAX_FACES - 5)
+    surface = _write(tmp_path, "strip.json", _strip(4096))
+    code, out, err = run_cli(capsys, "qtrace", "--surface", surface, "--curve", curve)
+    exponents = [0, 1, 1, 1, 1] + [0] * (3 * 4096 - 5)
     assert (code, out, err) == (0, "q * x^(%s)\n" % ",".join(map(str, exponents)), "")
-    # refused before the curve is read or any trace runs
-    monkeypatch.setattr("bigon.cli.quantum_trace", lambda *args: pytest.fail("traced"))
-    past = _write(tmp_path, "past.json", _strip(MAX_FACES + 1))
-    for arc in (curve, str(tmp_path / "missing.json")):
-        code, out, err = run_cli(capsys, "qtrace", "--surface", past, "--curve", arc)
-        assert (code, out) == (2, "")
-        assert err == "error: --surface has %d faces, more than %d\n" % (MAX_FACES + 1, MAX_FACES)
 
 
 UNDECODABLE = {

@@ -324,3 +324,37 @@ def test_an_unchecked_torus_or_element_from_outside_is_seen(tmp_path):
     )
     assert callers([source], "_torus") == {"ambient_torus", "NormalCurve.from_dict"}
     assert callers([source], "_qt_element") == {"quantum_trace", "_EMPTY"}
+
+
+def dense_matrix_readers(paths):
+    """The units of `paths` outside `QuantumTorus` that read an attribute `matrix`
+    without calling it: a torus's dense view, not a method such as `GroupoidRep.matrix(name)`."""
+    out = set()
+    for path in paths:
+        for st in ast.parse(path.read_text(), str(path)).body:
+            for label, node in _units(st):
+                nodes = list(ast.walk(node))
+                called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+                reads = [n for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+                if label.split(".")[0] != "QuantumTorus" and any(
+                    n.attr == "matrix" and id(n) not in called for n in reads
+                ):
+                    out.add(label)
+    return out
+
+
+def test_no_function_reads_a_dense_torus_matrix():
+    # a torus is its nonzero entries below the diagonal; the dense view is for callers and tests
+    assert dense_matrix_readers(sorted(PACKAGE.glob("*.py"))) == set()
+
+
+def test_a_dense_matrix_reader_is_seen(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "class QuantumTorus:\n    def __eq__(self, other):\n        return self.matrix == other.matrix\n\n\n"
+        "def qt_multiply(x, y):\n    return x.torus.matrix\n\n\n"
+        "def trace_arc(rep, path):\n    return rep.matrix(path[0])\n\n\n"
+        "class Triangulation:\n    def blocks(self, torus):\n        return torus.matrix[0]\n\n\n"
+        "_ROWS = TRIANGLE.matrix\n"
+    )
+    assert dense_matrix_readers([source]) == {"qt_multiply", "Triangulation.blocks", "_ROWS"}

@@ -108,6 +108,64 @@ def test_element_rejects_exponents_that_are_not_integers(key):
         QTElement(TRIANGLE, {key: ONE})
 
 
+def _dense_reorder_power(matrix, k, l):
+    """Exponent of q produced when x^k passes to the left of x^l, read entry
+    by entry from the dense commutation matrix: the oracle for the form rule."""
+    total = 0
+    for i, ki in enumerate(k):
+        if not ki:
+            continue
+        row = matrix[i]
+        for j in range(i):
+            lj = l[j]
+            if lj:
+                total += ki * lj * row[j]
+    return total
+
+
+def _antisymmetric(rng, rank):
+    rows = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i):
+            a = rng.choice((0, rng.randint(-3, 3)))
+            rows[i][j], rows[j][i] = a, -a
+    return tuple(map(tuple, rows))
+
+
+# zero matrices of three ranks, which share an empty form, then seeded ones of rank 1-9
+_DENSE = [((0,) * r,) * r for r in (1, 2, 3)] + [
+    _antisymmetric(seeded(400 + 10 * rank + n), rank) for rank in range(1, 10) for n in range(4)
+]
+
+
+def _reads_as_dense(torus, matrix, rng):
+    """Whether `torus` has `matrix` as its dense view and as its reorder rule,
+    on seeded exponent vectors with entries in -2..2."""
+    if torus.matrix != matrix:
+        return False
+    for _ in range(30):
+        k, l = ([rng.randint(-2, 2) for _ in matrix] for _ in range(2))
+        if _reorder_power(torus.form, k, l) != _dense_reorder_power(matrix, k, l):
+            return False
+    return True
+
+
+def test_the_form_rule_matches_the_dense_rule():
+    rng = seeded(401)
+    assert all(_reads_as_dense(QuantumTorus(m), m, rng) for m in _DENSE)
+    for m, n in itertools.product(_DENSE, repeat=2):
+        assert (QuantumTorus(m) == QuantumTorus(n)) == (m == n)
+        if m == n:
+            assert hash(QuantumTorus(m)) == hash(QuantumTorus(n))
+
+
+def test_a_transposed_form_is_caught():
+    rng = seeded(402)
+    tori = [QuantumTorus(m) for m in _DENSE]
+    mutants = [qtorus._torus(t.rank, tuple((j, i, a) for i, j, a in t.form)) for t in tori]
+    assert not all(_reads_as_dense(t, m, rng) for t, m in zip(mutants, _DENSE))
+
+
 def test_monomial_commutation():
     # the triangle relations: beta*alpha = q alpha*beta and its cyclic mates
     for i in range(3):
@@ -315,6 +373,7 @@ def test_ambient_torus_equals_the_checked_block_sum():
         torus = ambient_torus(tri)
         assert (torus.rank, torus.matrix) == (checked.rank, checked.matrix)
         assert torus == checked and hash(torus) == hash(checked)
+        assert len(torus.form) == rank
     with pytest.raises(ValueError, match="rank must be positive"):
         ambient_torus(Triangulation([], []))
 
@@ -452,6 +511,15 @@ def test_curve_json_round_trip():
     assert tagged.to_dict() == curve.to_dict()
 
 
+@pytest.mark.parametrize("states", [{"+": 1, "-": 2}, [1, 2], ["+", 2], 12, None])
+def test_curve_states_are_a_string_or_a_list_of_strings(states):
+    data = {"steps": [{"face": "F0", "enter": 1, "exit": 2}, {"face": "F1", "enter": 2, "exit": 1}]}
+    for good in ("+-", ["+", "-"]):
+        assert NormalCurve.from_dict(dict(data, states=good)).end_states == ("+", "-")
+    with pytest.raises(TypeError, match="states must be a string or a list of strings"):
+        NormalCurve.from_dict(dict(data, states=states))
+
+
 # ---------------------------------------------------------------------------
 # the trace sweep against the lift enumerator and the classical limit
 # ---------------------------------------------------------------------------
@@ -586,7 +654,7 @@ def test_sweep_matches_the_lift_enumerator(tri, curve):
 def test_triangle_pairing_is_the_reorder_power_written_out():
     for k in itertools.product(range(-2, 3), repeat=3):
         for l in itertools.product(range(-2, 3), repeat=3):
-            assert _tri_power(k, l) == _reorder_power(TRIANGLE.matrix, k, l)
+            assert _tri_power(k, l) == _reorder_power(TRIANGLE.form, k, l)
 
 
 @pytest.mark.parametrize("term", range(3))
@@ -600,6 +668,16 @@ def test_oracle_catches_a_one_sign_mutant_of_the_triangle_pairing(term, monkeypa
 
     monkeypatch.setattr(qtorus, "_tri_power", mutant)
     assert any(quantum_trace(tri, curve) != _enumerated_trace(tri, curve) for _, tri, curve in _ORACLE_CASES)
+
+
+def test_oracle_catches_a_per_face_torus_shifted_by_one(monkeypatch):
+    def shifted(tri):
+        count = len(tri.faces)
+        shift = [3 * pos + 1 for pos in range(count)]
+        return qtorus._torus(3 * count, tuple((i + d, j + d, a) for d in shift for i, j, a in TRIANGLE.form))
+
+    monkeypatch.setattr(qtorus, "ambient_torus", shifted)
+    assert all(quantum_trace(tri, curve) != _enumerated_trace(tri, curve) for _, tri, curve in _ORACLE_CASES)
 
 
 _UPPER_TURN = SL2Matrix(((1, 1), (0, 1)))
