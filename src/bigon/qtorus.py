@@ -79,7 +79,8 @@ class QuantumTorus:
 
 def _torus(rank, form):
     """The torus of `rank` with below-diagonal entries `form`, unchecked: only
-    for block sums of checked tori, their entries in row-major order."""
+    for entries in row-major order that are antisymmetric by construction,
+    block sums of checked tori or sums of face contributions."""
     out = object.__new__(QuantumTorus)
     out.rank, out.form = rank, form
     return out
@@ -397,17 +398,26 @@ def ambient_torus(tri):
 
 
 def chekhov_fock(tri):
-    """The edge commutation torus: corner contributions summed over faces."""
+    """The edge commutation torus: corner contributions summed over faces.
+
+    Within a face, the edge after contributes +1 against the edge before.
+    The sums are kept by pair of edges below the diagonal, and a pair whose
+    corners cancel is dropped, so the torus costs O(F) for F faces and its
+    entries are antisymmetric by construction.
+    """
     rank = len(tri.edges)
-    matrix = [[0] * rank for _ in range(rank)]
+    if not rank:
+        raise ValueError("rank must be positive")
+    entries = {}
     for fid, sides in tri.faces:
         idx = [tri.edge_index(fid, label) for label in sides]
         for a in range(3):
-            b = (a + 1) % 3
-            # within a face, the edge after contributes +1 against the edge before
-            matrix[idx[b]][idx[a]] += 1
-            matrix[idx[a]][idx[b]] -= 1
-    return QuantumTorus(matrix)
+            later, earlier = idx[(a + 1) % 3], idx[a]
+            if later > earlier:
+                add_to(entries, (later, earlier), 1)
+            elif later < earlier:
+                add_to(entries, (earlier, later), -1)
+    return _torus(rank, tuple((i, j, a) for (i, j), a in sorted(entries.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,17 @@ import operator
 import re
 
 
+_UNIT = {0: 1}  # the terms of ONE
+
+
 class HalfLaurent:
     """A Laurent polynomial in v with integer coefficients.
 
     Immutable.  The internal representation is a dict mapping v-exponent to a
     nonzero integer coefficient; q is v^2 by convention throughout.  A
-    non-integral exponent or coefficient is a TypeError.
+    non-integral exponent or coefficient is a TypeError.  A result may be one
+    of its operands itself (x * 1 and x + 0 are x), so nothing may change a
+    value once it is made.
     """
 
     __slots__ = ("_c", "_hash")
@@ -50,15 +55,29 @@ class HalfLaurent:
         self._hash = None
 
     # -- ring structure ----------------------------------------------------
+    # Each operation does only what its operands need: an exact-type check
+    # before any coercion, and a zero summand or unit factor returns the other
+    # operand itself.
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = dict(self._c)
-        for e, a in other._c.items():
-            c[e] = c.get(e, 0) + a
-            if not c[e]:
+        if type(other) is not HalfLaurent:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p, r = self._c, other._c
+        if not r:
+            return self
+        if not p:
+            return other
+        if len(p) < len(r):
+            p, r = r, p
+        c = dict(p)
+        get = c.get
+        for e, a in r.items():
+            a += get(e, 0)
+            if a:
+                c[e] = a
+            else:
                 del c[e]
         out = HalfLaurent.__new__(HalfLaurent)
         out._c = c
@@ -74,34 +93,64 @@ class HalfLaurent:
         return out
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not HalfLaurent:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        r = other._c
+        if not r:
+            return self
+        c = dict(self._c)
+        get = c.get
+        for e, a in r.items():
+            a = get(e, 0) - a
+            if a:
+                c[e] = a
+            else:
+                del c[e]
+        out = HalfLaurent.__new__(HalfLaurent)
+        out._c = c
+        out._hash = None
+        return out
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not HalfLaurent:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         p, r = self._c, other._c
-        if len(p) == 1 or len(r) == 1:
+        if r == _UNIT:
+            return self
+        if p == _UNIT:
+            return other
+        if len(p) == 1:
+            p, r = r, p
+        if len(r) == 1:
             # a monomial factor shifts the exponents; nothing can cancel
-            if len(r) != 1:
-                p, r = r, p
             ((e2, a2),) = r.items()
-            c = {e1 + e2: a1 * a2 for e1, a1 in p.items()}
+            if len(p) == 1:
+                ((e1, a1),) = p.items()
+                c = {e1 + e2: a1 * a2}
+            elif a2 == 1:
+                c = {e1 + e2: a1 for e1, a1 in p.items()}
+            else:
+                c = {e1 + e2: a1 * a2 for e1, a1 in p.items()}
+        elif not p or not r:
+            return self if not p else other
         else:
             c = {}
+            get = c.get
+            r = r.items()
             for e1, a1 in p.items():
-                for e2, a2 in r.items():
+                for e2, a2 in r:
                     e = e1 + e2
-                    c[e] = c.get(e, 0) + a1 * a2
+                    c[e] = get(e, 0) + a1 * a2
             c = {e: a for e, a in c.items() if a}
         out = HalfLaurent.__new__(HalfLaurent)
         out._c = c
@@ -120,7 +169,7 @@ class HalfLaurent:
             if a not in (1, -1):
                 raise ValueError("only unit monomials are invertible")
             return HalfLaurent({e * n: 1 if (a == 1 or n % 2 == 0) else -1})
-        out = HalfLaurent({0: 1})
+        out = ONE
         base = self
         k = n
         while k:
@@ -131,9 +180,10 @@ class HalfLaurent:
         return out
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not HalfLaurent:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._c == other._c
 
     def __hash__(self):

@@ -305,10 +305,11 @@ def test_an_unchecked_matrix_from_outside_is_seen(tmp_path):
 
 
 def test_unchecked_tori_and_elements_come_only_from_the_trace():
-    # the per-face torus is a block sum of the checked triangle torus, and a trace's
-    # keys are integer vectors the sweep builds at that rank
+    # the per-face torus is a block sum of the checked triangle torus, the edge torus
+    # a sum of face contributions kept below the diagonal, and a trace's keys are
+    # integer vectors the sweep builds at that rank
     paths = sorted(PACKAGE.glob("*.py"))
-    assert callers(paths, "_torus") == {"ambient_torus"}
+    assert callers(paths, "_torus") == {"ambient_torus", "chekhov_fock"}
     assert callers(paths, "_qt_element") == {"quantum_trace"}
 
 
@@ -358,3 +359,71 @@ def test_a_dense_matrix_reader_is_seen(tmp_path):
         "_ROWS = TRIANGLE.matrix\n"
     )
     assert dense_matrix_readers([source]) == {"qt_multiply", "Triangulation.blocks", "_ROWS"}
+
+
+_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__", "__ior__"}
+
+
+def _written(target):
+    """The nodes a target of an assignment or `del` writes: a tuple or list target is each of its items."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [node for item in target.elts for node in _written(item)]
+    return _written(target.value) if isinstance(target, ast.Starred) else [target]
+
+
+def _is_laurent_dict(node):
+    """Whether `node` is `<expr>._c` or an item of one, `<expr>._c[...]`."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "_c"
+
+
+def laurent_dict_writers(paths):
+    """The "module.unit" of every unit of `paths` that assigns or deletes `._c` or an item
+    of it, or calls a mutator on it; a module-level statement that binds no name is `<module>`."""
+    out = set()
+    for path in paths:
+        for st in ast.parse(path.read_text(), str(path)).body:
+            for label, node in _units(st) or [("<module>", st)]:
+                for n in ast.walk(node):
+                    if isinstance(n, (ast.Assign, ast.Delete)):
+                        targets = n.targets
+                    elif isinstance(n, (ast.AugAssign, ast.AnnAssign)):
+                        targets = [n.target]
+                    elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in _MUTATORS:
+                        targets = [n.func.value]
+                    else:
+                        continue
+                    if any(map(_is_laurent_dict, (w for t in targets for w in _written(t)))):
+                        out.add("%s.%s" % (path.stem, label))
+    return out
+
+
+def test_only_the_scalar_kernel_writes_a_laurent_dict():
+    # a HalfLaurent result may be one of its operands, so no value may change once made:
+    # only its own methods and the dense builder fill the dict of a new one
+    writers = laurent_dict_writers(sorted(PACKAGE.glob("*.py")))
+    assert {w for w in writers if not w.startswith("ring.HalfLaurent.")} == {"ring.from_dense"}
+
+
+def test_a_laurent_dict_write_is_seen(tmp_path):
+    source = tmp_path / "ring.py"
+    source.write_text(
+        "class HalfLaurent:\n    def __neg__(self):\n        out = HalfLaurent()\n        out._c = {}\n        return out\n\n\n"
+        "def from_dense(cs):\n    out = HalfLaurent()\n    out._c = dict(cs)\n    return out\n\n\n"
+        "def scale(x, k):\n    x._c[0] *= k\n\n\n"
+        "def clear(x):\n    x._c.clear()\n\n\n"
+        "def drop(x):\n    del x._c[0]\n\n\n"
+        "def swap(x, y):\n    x._c, [y._c] = y._c, [x._c]\n\n\n"
+        "def read(x, table):\n    table[x._c.get(0)] = dict(x._c)\n    return x._c\n\n\n"
+        "ONE = HalfLaurent()\nONE._c.update({0: 1})\n"
+    )
+    assert laurent_dict_writers([source]) == {
+        "ring.HalfLaurent.__neg__",
+        "ring.from_dense",
+        "ring.scale",
+        "ring.clear",
+        "ring.drop",
+        "ring.swap",
+        "ring.<module>",
+    }

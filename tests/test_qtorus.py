@@ -351,6 +351,33 @@ def test_punctured_torus_edge_commutation():
                 assert abs(K.matrix[i][j]) == 2
 
 
+def _dense_chekhov_fock(tri):
+    """The edge torus summed into a dense E x E matrix and checked entry by entry:
+    the oracle for the sparse sum."""
+    rank = len(tri.edges)
+    matrix = [[0] * rank for _ in range(rank)]
+    for fid, sides in tri.faces:
+        idx = [tri.edge_index(fid, label) for label in sides]
+        for a in range(3):
+            b = (a + 1) % 3
+            matrix[idx[b]][idx[a]] += 1
+            matrix[idx[a]][idx[b]] -= 1
+    return QuantumTorus(matrix)
+
+
+# two faces glued along two edges whose corners cancel: those edges commute
+CANCELLING = Triangulation([("F0", (0, 1, 2)), ("F1", (0, 1, 2))], [("F0", 0, "F1", 1), ("F0", 1, "F1", 0)])
+
+
+def test_edge_torus_matches_the_dense_sum():
+    cases = [SQUARE, PUNCTURED_TORUS, ONE_TRIANGLE, CANCELLING]
+    cases += [_strip(faces, faces % 2, 200 + faces)[0] for faces in range(1, 13)]
+    assert [chekhov_fock(tri) for tri in cases] == [_dense_chekhov_fock(tri) for tri in cases]
+    i, j = CANCELLING.edge_index("F0", 0), CANCELLING.edge_index("F0", 1)
+    assert chekhov_fock(CANCELLING).matrix[i][j] == 0
+    assert all(a for _, _, a in chekhov_fock(CANCELLING).form)
+
+
 def test_ambient_torus_blocks():
     torus = ambient_torus(SQUARE)
     assert torus.rank == 6

@@ -95,6 +95,76 @@ def test_ring_axioms(a, b, c):
     assert a * ONE == a
 
 
+def _as_laurent(x):
+    return HalfLaurent({0: x}) if isinstance(x, int) else x
+
+
+def _dict_add(x, y):
+    """The sum by a copy of one dict and a pass over the other: the oracle for `+`."""
+    c = dict(_as_laurent(x).items())
+    for e, a in _as_laurent(y).items():
+        c[e] = c.get(e, 0) + a
+        if not c[e]:
+            del c[e]
+    return HalfLaurent(c)
+
+
+def _dict_mul(x, y):
+    """The product by a double loop, or a shift when a factor is a monomial: the oracle for `*`."""
+    p, r = dict(_as_laurent(x).items()), dict(_as_laurent(y).items())
+    if len(p) == 1 or len(r) == 1:
+        if len(r) != 1:
+            p, r = r, p
+        ((e2, a2),) = r.items()
+        c = {e1 + e2: a1 * a2 for e1, a1 in p.items()}
+    else:
+        c = {}
+        for e1, a1 in p.items():
+            for e2, a2 in r.items():
+                e = e1 + e2
+                c[e] = c.get(e, 0) + a1 * a2
+        c = {e: a for e, a in c.items() if a}
+    return HalfLaurent(c)
+
+
+def _kernel_values(rng):
+    """ZERO, ONE, -1, signed monomials, and values of several terms, some seeded."""
+    values = [ZERO, ONE, HalfLaurent({0: -1}), half(0, 2)]
+    values += [half(e, a) for e in (-3, -1, 1, 4) for a in (1, -1, 3)]
+    values += [
+        HalfLaurent({rng.randint(-6, 6): rng.randint(-4, 4) for _ in range(rng.randint(2, 5))})
+        for _ in range(12)
+    ]
+    return values + [HalfLaurent({0: 2, 1: -1}), HalfLaurent({-2: 1, 2: 1})]
+
+
+def _same(got, want):
+    return type(got) is HalfLaurent and dict(got.items()) == dict(want.items())
+
+
+def test_the_kernel_matches_the_dict_oracle_on_seeded_pairs():
+    values = _kernel_values(seeded(26))
+    ints = [0, 1, -1, 2, 3]
+    pairs = [(x, y) for x in values for y in values + ints] + [(k, y) for k in ints for y in values]
+    wrong = [
+        (name, x, y)
+        for x, y in pairs
+        for name, got, want in (
+            ("*", x * y, _dict_mul(x, y)),
+            ("+", x + y, _dict_add(x, y)),
+            ("-", x - y, _dict_add(x, _dict_mul(-1, y))),
+        )
+        if not _same(got, want)
+    ]
+    assert wrong == []
+
+
+def test_a_unit_factor_or_zero_summand_returns_the_other_operand():
+    for x in _kernel_values(seeded(27)):
+        assert x * ONE is x and ONE * x is x and x * 1 is x and 1 * x is x
+        assert x + ZERO is x and ZERO + x is x and x + 0 is x and x - ZERO is x
+
+
 @given(small_poly, small_poly)
 def test_conjugate_is_ring_map(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
