@@ -25,12 +25,14 @@ multiplies each leg by its generator through the memoised normal form, so
 its cost follows the number of terms rather than the 2^n raw words of the
 expansion.  Both sweeps are memoised per word (`normal_word`,
 `coproduct_word`), and the braiding forms per pair of words (`rho_word`);
-the closed forms under them -- powers of q, one generator of U paired with
+the closed forms under them -- powers of q, one U-word token paired with
 a basis word -- are not memoised.
 
 The dual pairing and the action take a U-word as a tuple of (letter, n)
 tokens, e.g. (("E", 1), ("F", 2)), and check each token where it enters;
-U-words have no text form.
+U-words have no text form.  Each token, a divided power E^(n) or F^(n)
+included, pairs with a basis word in closed form (`_pair_token`), so a
+U-word is one sweep step per token whatever its exponents.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ import functools
 import itertools
 import re
 
-from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, divexact, expand, format_sum
-from .ring import from_dense, half, one_minus_power, q_factorial, q_power, sweep
+from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, expand, format_sum
+from .ring import from_dense, half, one_minus_power, q_power, sweep
 
 GENERATORS = "abcd"
 STATES = ("+", "-")
@@ -387,21 +389,22 @@ def co_r_mirror(x, y):
 # the E/F exponents meaning divided powers E^(n) = E^n / [n]!.
 
 
-def _pair_letter_word(letter, sign, word):
-    """Pairing of one generator K^sign, E or F with a basis word, in closed form:
+def _pair_token(token, word):
+    """Pairing of one token K^s, E^(n) or F^(n) with a basis word, in closed form:
 
-        <K^s, a^h d^l> = q^(2s(h-l))    <E, a^h b d^l> = q^(-2l)    <F, a^h c d^l> = q^(-2h)
+        <K^s, a^h d^l> = q^(2s(h-l))    <E^(n), a^h b^n d^l> = q^(-2nl)    <F^(n), a^h c^n d^l> = q^(-2nh)
 
     and 0 on every other basis word.
     """
+    letter, n = token
     h, x, k, l = mono_parts(word)
     if letter == "K":
-        return ZERO if k else q_power(2 * sign * (h - l))
-    if k != 1:
+        return ZERO if k else q_power(2 * n * (h - l))
+    if k != n:
         return ZERO
     if letter == "E":
-        return q_power(-2 * l) if x == "b" else ZERO
-    return q_power(-2 * h) if x == "c" else ZERO
+        return q_power(-2 * n * l) if x == "b" else ZERO
+    return q_power(-2 * n * h) if x == "c" else ZERO
 
 
 def _check_token(token):
@@ -416,24 +419,11 @@ def _check_token(token):
     )
 
 
-def _expand_uword(u):
-    """Flatten divided powers: plain letter sequence and the [n]! denominator."""
-    letters = []
-    denom = ONE
-    for letter, n in map(_check_token, u):
-        if letter == "K":
-            letters.append(("K", n))
-        else:
-            letters.extend((letter, 1) for _ in range(n))
-            denom = denom * q_factorial(n)
-    return letters, denom
-
-
 def _pair_leg(word, step):
-    """The other coproduct leg, weighted by leg `leg` paired (nonzero) with K^sign, E or F."""
-    letter, sign, leg = step
+    """The other coproduct leg, weighted by leg `leg` paired (nonzero) with the token."""
+    token, leg = step
     for pair, d in coproduct_word(word):
-        val = _pair_letter_word(letter, sign, pair[leg])
+        val = _pair_token(token, pair[leg])
         if val:
             yield pair[1 - leg], d * val
 
@@ -441,21 +431,18 @@ def _pair_leg(word, step):
 def hopf_pairing(u, x):
     """Pairing of a UWord against an element; exact in the ground ring.
 
-    <u1 u2 ... un, x> = sum <u1, x'> <u2 ... un, x''>: each letter is a step
+    <u1 u2 ... un, x> = sum <u1, x'> <u2 ... un, x''>: each token is a step
     that pairs with the first coproduct leg of what is left (`_pair_leg`).
     """
-    letters, denom = _expand_uword(u)
-    words = sweep(x.terms, [(letter, sign, 0) for letter, sign in letters], _pair_leg)
-    return divexact(sum((c * counit_word(w) for w, c in words.items()), ZERO), denom)
+    steps = [(_check_token(token), 0) for token in u]
+    words = sweep(x.terms, steps, _pair_leg)
+    return sum((c * counit_word(w) for w, c in words.items()), ZERO)
 
 
 def u_action(u, x):
-    """Left action dual to the coproduct: u·x = Σ x' ⟨u, x''⟩."""
-    letters, denom = _expand_uword(u)
-    terms = sweep(x.terms, [(letter, sign, 1) for letter, sign in reversed(letters)], _pair_leg)
-    if denom != ONE:
-        terms = {w: divexact(c, denom) for w, c in terms.items()}
-    return OqElement(terms)
+    """Left action dual to the coproduct: u·x = Σ x' ⟨u, x''⟩, one step per token from the right."""
+    steps = [(_check_token(token), 1) for token in u]
+    return OqElement(sweep(x.terms, steps[::-1], _pair_leg))
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,10 @@ class HalfLaurent:
         return self._c == other._c
 
     def __hash__(self):
+        # equal values hash equally: zero and the constants hash as their integers
         if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
+            c = self._c
+            self._hash = hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
         return self._hash
 
     def __bool__(self):
@@ -513,7 +515,8 @@ class RatFunc:
         return (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a fraction over ONE equals its numerator, so it hashes as it
+        return hash(self.num) if self.den == ONE else hash((self.num, self.den))
 
     def __bool__(self):
         return bool(self.num)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 
 import pytest
 
@@ -31,7 +32,7 @@ from bigon.hopf import (
     u_action,
     word_weight,
 )
-from bigon.ring import HalfLaurent, ONE, ZERO, add_to, half, q_power, sweep
+from bigon.ring import HalfLaurent, ONE, ZERO, add_to, divexact, half, q_factorial, q_power, sweep
 
 from support import basis_words, oq, random_element, random_word, seeded, word_triples
 
@@ -896,11 +897,44 @@ def _recursive_pair_letter_word(letter, sign, word):
     raise ValueError(letter)
 
 
+# The letter route that `_pair_token` replaced, kept as its oracle: each
+# divided power flattened into n letters, each letter paired in closed form,
+# and the result divided by the [n]! denominators.
+def _pair_letter_word(letter, sign, word):
+    """Pairing of one generator K^sign, E or F with a basis word, in closed form:
+
+        <K^s, a^h d^l> = q^(2s(h-l))    <E, a^h b d^l> = q^(-2l)    <F, a^h c d^l> = q^(-2h)
+
+    and 0 on every other basis word.
+    """
+    h, x, k, l = mono_parts(word)
+    if letter == "K":
+        return ZERO if k else q_power(2 * sign * (h - l))
+    if k != 1:
+        return ZERO
+    if letter == "E":
+        return q_power(-2 * l) if x == "b" else ZERO
+    return q_power(-2 * h) if x == "c" else ZERO
+
+
+def _expand_uword(u):
+    """Flatten divided powers: plain letter sequence and the [n]! denominator."""
+    letters = []
+    denom = ONE
+    for letter, n in map(hopf._check_token, u):
+        if letter == "K":
+            letters.append(("K", n))
+        else:
+            letters.extend((letter, 1) for _ in range(n))
+            denom = denom * q_factorial(n)
+    return letters, denom
+
+
 def test_letter_pairing_matches_the_recursion():
     for w in basis_words(6):
         for letter, sign in (("K", 1), ("K", -1), ("E", 1), ("F", 1)):
             expected = _recursive_pair_letter_word(letter, sign, w)
-            assert hopf._pair_letter_word(letter, sign, w) == expected, (letter, sign, w)
+            assert _pair_letter_word(letter, sign, w) == expected, (letter, sign, w)
 
 
 # The recursion that split the word once per coproduct branch, kept as the
@@ -910,34 +944,44 @@ def _recursive_pair_letters_word(letters, word):
         return counit_word(word)
     head, rest = letters[0], letters[1:]
     if not rest:
-        return hopf._pair_letter_word(head[0], head[1], word)
+        return _pair_letter_word(head[0], head[1], word)
     total = ZERO
     for (z1, z2), c in coproduct_word(word):
-        first = hopf._pair_letter_word(head[0], head[1], z1)
+        first = _pair_letter_word(head[0], head[1], z1)
         if first:
             total = total + c * first * _recursive_pair_letters_word(rest, z2)
     return total
 
 
 def _recursive_pairing(u, x):
-    letters, denom = hopf._expand_uword(u)
+    letters, denom = _expand_uword(u)
     total = sum((c * _recursive_pair_letters_word(letters, w) for w, c in x.terms.items()), ZERO)
-    return hopf.divexact(total, denom)
+    return divexact(total, denom)
+
+
+def _recursive_action(u, x):
+    """u·x = Σ x' ⟨u, x''⟩ straight from its definition, one coproduct per word of x."""
+    terms = {}
+    for w, c in x.terms.items():
+        for (z1, z2), d in coproduct_word(w):
+            add_to(terms, z1, c * d * _recursive_pairing(u, oq(z2)))
+    return OqElement(terms)
 
 
 _ORACLE_UWORDS = [(("K", 1),), (("K", -1),), (("E", 1),), (("F", 1),), (("E", 2),), (("F", 2),)]
+_MULTI_TOKEN_UWORDS = [
+    (("E", 1), ("F", 1)),
+    (("F", 1), ("K", -1), ("E", 1)),
+    (("E", 2), ("K", 1), ("F", 2)),
+    (("K", 1), ("E", 3), ("F", 1)),
+]
 
 
 def test_pairing_matches_the_recursion():
     for u in _ORACLE_UWORDS:
         for w in basis_words(6):
             assert hopf_pairing(u, oq(w)) == _recursive_pairing(u, oq(w)), (u, w)
-    for u in (
-        (("E", 1), ("F", 1)),
-        (("F", 1), ("K", -1), ("E", 1)),
-        (("E", 2), ("K", 1), ("F", 2)),
-        (("K", 1), ("E", 3), ("F", 1)),
-    ):
+    for u in _MULTI_TOKEN_UWORDS:
         for w in basis_words(4):
             assert hopf_pairing(u, oq(w)) == _recursive_pairing(u, oq(w)), (u, w)
     rng = seeded(38)
@@ -945,6 +989,92 @@ def test_pairing_matches_the_recursion():
     for _ in range(10):
         x = random_element(rng, 4, n_terms=3)
         assert hopf_pairing(u, x) == _recursive_pairing(u, x)
+
+
+_TOKENS = [("K", 1), ("K", -1)] + [(letter, n) for letter in "EF" for n in range(1, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _letter_route_values():
+    """{(token, basis word): the letter route's pairing} on every basis word of length <= 6."""
+    return {(token, w): _recursive_pairing((token,), oq(w)) for token in _TOKENS for w in basis_words(6)}
+
+
+def _token_mismatches():
+    """The (token, word) pairs on which `hopf_pairing` of one token leaves the letter route."""
+    values = _letter_route_values()
+    return [key for key, value in values.items() if hopf_pairing((key[0],), oq(key[1])) != value]
+
+
+def test_token_pairing_matches_the_letter_route():
+    for (token, w), value in _letter_route_values().items():
+        assert hopf._pair_token(token, w) == value, (token, w)
+    assert _token_mismatches() == []
+
+
+def test_pairing_and_action_match_the_letter_route():
+    words = basis_words(4)
+    for u in _ORACLE_UWORDS + _MULTI_TOKEN_UWORDS:
+        for w in words:
+            assert u_action(u, oq(w)) == _recursive_action(u, oq(w)), (u, w)
+    rng = seeded(39)
+    for _ in range(12):
+        u = tuple(rng.choice(_TOKENS) for _ in range(rng.randint(1, 3)))
+        x = random_element(rng, 5, n_terms=3)
+        assert hopf_pairing(u, x) == _recursive_pairing(u, x), (u, x)
+        assert u_action(u, x) == _recursive_action(u, x), (u, x)
+
+
+_CLOSED_FORM = hopf._pair_token
+
+
+def _e_drops_n(token, word):
+    """q^(-2l) in place of q^(-2nl) for E^(n)."""
+    value = _CLOSED_FORM(token, word)
+    return value * q_power(2 * (token[1] - 1) * mono_parts(word)[3]) if token[0] == "E" else value
+
+
+def _k_at_least_n(token, word):
+    """k >= n in place of k = n: E^(n) or F^(n) also pairs with a^h x^k d^l for k > n."""
+    h, x, k, l = mono_parts(word)
+    if token[0] != "K" and k > token[1]:
+        word = "a" * h + x * token[1] + "d" * l
+    return _CLOSED_FORM(token, word)
+
+
+def _f_reads_l(token, word):
+    """F^(n) reads the d-power l in place of the a-power h."""
+    if token[0] == "F":
+        h, x, k, l = mono_parts(word)
+        word = "a" * l + x * k + "d" * h
+    return _CLOSED_FORM(token, word)
+
+
+@pytest.mark.parametrize("mutant", [_e_drops_n, _k_at_least_n, _f_reads_l], ids=lambda f: f.__name__)
+def test_letter_route_catches_closed_form_mutants(mutant, monkeypatch):
+    monkeypatch.setattr(hopf, "_pair_token", mutant)
+    assert _token_mismatches()
+
+
+def test_pairing_and_action_sweep_once_per_token(monkeypatch):
+    # one step per token: a divided power reads each word's coproduct once, not once per letter
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return coproduct_word(word)
+
+    monkeypatch.setattr(hopf, "coproduct_word", counted)
+    x = random_element(seeded(40), 5, n_terms=4)
+    for enter in (hopf_pairing, u_action):
+        calls.clear()
+        enter((("E", 4),), x)
+        assert len(calls) == len(x.terms), enter
+    calls.clear()
+    start = time.perf_counter()
+    assert hopf_pairing((("E", 10**6),), OqElement.from_word("abd")) == ZERO
+    assert time.perf_counter() - start < 1.0
+    assert calls == ["abd"]
 
 
 def test_pairing_oracle_catches_peeling_the_second_leg(monkeypatch):

@@ -333,6 +333,15 @@ def test_ratfunc_scaling_invariance(a, b, k):
     assert hash(scaled) == hash(plain)
 
 
+@pytest.mark.parametrize("n", [0, 1, -1, 3, 2**70])
+def test_equal_scalars_hash_equally(n):
+    # a constant, a HalfLaurent and a RatFunc over ONE that compare equal are one set member
+    laurent, fraction = HalfLaurent({0: n}), RatFunc(n)
+    assert laurent == n and fraction == n and fraction == laurent
+    assert hash(laurent) == hash(fraction) == hash(n)
+    assert len({n, laurent, fraction}) == 1
+
+
 def test_ratfunc_canonical_equality_is_structural():
     r1 = RatFunc(half(3, 2), half(1, 4))
     r2 = RatFunc(half(2), half(0, 2))
