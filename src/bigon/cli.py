@@ -245,16 +245,21 @@ def parse_braided(text):
 # ---------------------------------------------------------------------------
 
 
+# A reply is its text and its JSON payload; a payload with one q-form per
+# coefficient comes as a function, which `main` calls only for --json.
 def _element_reply(x):
     text = element_to_string(x)
     words = sorted(x.terms, key=lambda w: (len(w), w))
-    terms = [{"word": w, "coefficient": format_qform(x.terms[w])} for w in words]
-    return text, {"terms": terms, "text": text}
+    return text, lambda: {
+        "terms": [{"word": w, "coefficient": format_qform(x.terms[w])} for w in words],
+        "text": text,
+    }
 
 
 def _legs_reply(terms):
-    payload = [{"legs": list(k), "coefficient": format_qform(terms[k])} for k in sorted(terms)]
-    return format_leg_terms(terms), {"terms": payload}
+    return format_leg_terms(terms), lambda: {
+        "terms": [{"legs": list(k), "coefficient": format_qform(terms[k])} for k in sorted(terms)]
+    }
 
 
 def _value_reply(text):
@@ -385,10 +390,9 @@ def _cmd_qtrace(args):
     x = quantum_trace(tri, curve)
     if not check_balanced(tri, x):
         raise CliError(1, "trace is not balanced")
-    payload = [
-        {"coefficient": format_qform(x.terms[v]), "exponents": list(v)} for v in sorted(x.terms)
-    ]
-    return format_qtorus(x), {"terms": payload}
+    return format_qtorus(x), lambda: {
+        "terms": [{"coefficient": format_qform(x.terms[v]), "exponents": list(v)} for v in sorted(x.terms)]
+    }
 
 
 def _cmd_classical(args):
@@ -695,6 +699,8 @@ def main(argv=None):
         raise
     try:
         text, payload = args.func(args)
+        if callable(payload):
+            payload = payload() if args.json else {}
     except CliError as err:
         print("error: %s" % err, file=sys.stderr)
         return err.code

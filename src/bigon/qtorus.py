@@ -14,15 +14,15 @@ On top of that sit:
   checked entries;
 * the trace of a normal curve: its state sum over lifts at internal edge
   crossings, computed in one sweep along the curve that carries partial
-  lifts (junction state and per-face exponent data) with their
-  coefficients, so its cost follows the number of live partial monomials.
+  lifts (junction state, per-face exponent data and power of v) with
+  integer weights, so its cost follows the number of live partial monomials.
 """
 
 import itertools
 import operator
 
 from .hopf import STATES
-from .ring import ONE, Combination, add_to, format_qform, from_dense, half, sweep
+from .ring import ONE, Combination, HalfLaurent, add_to, format_qform, half, sweep
 
 
 class SurfaceError(ValueError):
@@ -548,9 +548,10 @@ def _lift_step(key, step):
     step) order, which the curve fixes; so the arc's q-power comes from the
     running sums of the face's arcs at the corners up to its own (`before`)
     and after it (`after`), summed once per partial lift.  On the face's last
-    visit its sums are pushed into its block."""
+    visit its sums are pushed into its block.  A lift keeps its power of v in
+    its key, so the step's weight is the arc's sign."""
     pos, corner, forward, last, states = step
-    state, faces = key
+    state, faces, power = key
     sums = faces[pos]
     if corner == 0:
         before, after = sums[0], _add(sums[1], sums[2])
@@ -565,23 +566,25 @@ def _lift_step(key, step):
         if arc is None:
             continue
         exp, sign, vec = arc
-        exp += 2 * (_tri_power(before, vec) + _tri_power(vec, after))
+        exp += power + 2 * (_tri_power(before, vec) + _tri_power(vec, after))
         if last:
             push, entry = _push(_add(whole, vec))
             exp += push
         else:
             entry = sums[:corner] + (_add(sums[corner], vec),) + sums[corner + 1 :]
-        yield (nxt, head + (entry,) + tail), from_dense(exp, (sign,))
+        yield (nxt, head + (entry,) + tail, exp), sign
 
 
 def quantum_trace(tri, curve):
     """The curve's state sum over lifts, valued in the per-face torus.
 
-    A sweep along the curve carries partial lifts, keyed by (state at the
-    current junction, per-face data); each curve step is a step of it
-    (`_lift_step`).  A closed curve runs once per initial state and keeps
-    the lifts that return to it.  The cost is steps times live partial
-    monomials, not 2^junctions.
+    A sweep along the curve carries partial lifts with integer weights,
+    keyed by (state at the current junction, per-face data, power of v);
+    each curve step is a step of it (`_lift_step`).  A closed curve runs
+    once per initial state and keeps the lifts that return to it.  The live
+    lifts are grouped by exponent vector, and each coefficient is built once
+    at the end.  The cost is steps times live partial monomials, not
+    2^junctions.
     """
     _validate_curve(tri, curve)
     last_visit = {tri.face_position(fid): k for k, (fid, _, _) in enumerate(curve.steps)}
@@ -597,13 +600,14 @@ def quantum_trace(tri, curve):
     start = tuple(
         ((0, 0, 0),) * 3 if pos in last_visit else (0, 0, 0) for pos in range(len(tri.faces))
     )
-    total = {}  # keys are integer tuples of rank 3F, and add_to stores no zero
+    total = {}  # integer tuples of rank 3F to {power of v: weight}
     for first, final in ((s, s) for s in STATES) if curve.closed else (curve.end_states,):
         # the last step may only reach the final state
-        live = sweep({(first, start): ONE}, steps[:-1] + [steps[-1][:-1] + ((final,),)], _lift_step)
-        for (_, faces), coeff in live.items():
-            add_to(total, tuple(itertools.chain.from_iterable(faces)), coeff)
-    return _qt_element(ambient_torus(tri), total)
+        live = sweep({(first, start, 0): 1}, steps[:-1] + [steps[-1][:-1] + ((final,),)], _lift_step)
+        for (_, faces, exp), weight in live.items():
+            add_to(total.setdefault(tuple(itertools.chain.from_iterable(faces)), {}), exp, weight)
+    # a vector whose lifts cancel across the two runs of a closed curve holds no term
+    return _qt_element(ambient_torus(tri), {vec: HalfLaurent(c) for vec, c in total.items() if c})
 
 
 def check_balanced(tri, x):

@@ -897,6 +897,30 @@ def test_text_and_json_replies_agree(capsys, tmp_path):
                 assert payload[key] + "\n" == text, argv
 
 
+def test_plain_replies_build_no_json_payload(capsys, tmp_path, monkeypatch):
+    # a payload formats one q-form per coefficient; only --json prints it
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return format_qform(p)
+
+    monkeypatch.setattr(cli, "format_qform", spy)
+    surface, curve = _write(tmp_path, "tri.json", SQUARE), _write(tmp_path, "arc.json", ARC)
+    for argv in [
+        ("normal-form", "b*c"),
+        ("hopf", "coproduct", "--expr", "a^3*d^3"),
+        ("hopf", "antipode", "--expr", "b*c"),
+        ("braided", "--x", "(|a)", "--y", "(a|)"),
+        ("qtrace", "--surface", surface, "--curve", curve),
+    ]:
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0 and text and not calls, argv
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["terms"] and calls, argv
+        calls.clear()
+
+
 # ---------------------------------------------------------------------------
 # determinism and selftest
 # ---------------------------------------------------------------------------
@@ -951,3 +975,15 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "0 failed" in out.splitlines()[-1]
     assert all(line.startswith("ok") for line in out.splitlines()[:-1])
+
+
+def test_a_failed_selftest_check_exits_one(capsys, monkeypatch):
+    def broken():
+        raise AssertionError
+
+    monkeypatch.setattr(cli, "_SELFTESTS", [("broken", broken)] + cli._SELFTESTS[:1])
+    code, out, _ = run_cli(capsys, "selftest")
+    lines = ["FAIL broken", "ok   %s" % cli._SELFTESTS[1][0], "1 passed, 1 failed"]
+    assert code == 1 and out.splitlines() == lines
+    code, out, _ = run_cli(capsys, "selftest", "--json")
+    assert code == 1 and json.loads(out)["failed"] == 1

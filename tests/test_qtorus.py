@@ -26,11 +26,15 @@ from bigon.qtorus import (
     qt_power,
     quantum_trace,
     triangle_element,
+    _ARCS,
+    _add,
+    _push,
+    _qt_element,
     _reorder_power,
     _tri_power,
     _validate_curve,
 )
-from bigon.ring import ONE, ZERO, half, q_power
+from bigon.ring import ONE, ZERO, add_to, from_dense, half, q_power, sweep
 from support import seeded
 
 
@@ -705,6 +709,136 @@ def test_oracle_catches_a_per_face_torus_shifted_by_one(monkeypatch):
 
     monkeypatch.setattr(qtorus, "ambient_torus", shifted)
     assert all(quantum_trace(tri, curve) != _enumerated_trace(tri, curve) for _, tri, curve in _ORACLE_CASES)
+
+
+def _laurent_lift_step(key, step):
+    """Extend a partial lift by the stated corner arc of one curve step.
+
+    Face blocks commute, and within a face the arcs multiply in (corner,
+    step) order, which the curve fixes; so the arc's q-power comes from the
+    running sums of the face's arcs at the corners up to its own (`before`)
+    and after it (`after`), summed once per partial lift.  On the face's last
+    visit its sums are pushed into its block."""
+    pos, corner, forward, last, states = step
+    state, faces = key
+    sums = faces[pos]
+    if corner == 0:
+        before, after = sums[0], _add(sums[1], sums[2])
+    elif corner == 1:
+        before, after = _add(sums[0], sums[1]), sums[2]
+    else:
+        before, after = _add(_add(sums[0], sums[1]), sums[2]), (0, 0, 0)
+    whole = _add(before, after)
+    head, tail = faces[:pos], faces[pos + 1 :]
+    for nxt in states:
+        arc = _ARCS.get((corner, state, nxt) if forward else (corner, nxt, state))
+        if arc is None:
+            continue
+        exp, sign, vec = arc
+        exp += 2 * (_tri_power(before, vec) + _tri_power(vec, after))
+        if last:
+            push, entry = _push(_add(whole, vec))
+            exp += push
+        else:
+            entry = sums[:corner] + (_add(sums[corner], vec),) + sums[corner + 1 :]
+        yield (nxt, head + (entry,) + tail), from_dense(exp, (sign,))
+
+
+def _laurent_weighted_trace(tri, curve, fold=sweep):
+    """The trace sweep whose lifts carry `HalfLaurent` weights, keyed by
+    (state, per-face data): `quantum_trace` before the power of v moved into
+    the key, kept as its oracle.  `fold` is the sweep it runs."""
+    _validate_curve(tri, curve)
+    last_visit = {tri.face_position(fid): k for k, (fid, _, _) in enumerate(curve.steps)}
+    steps = []
+    for k, (fid, enter, leave) in enumerate(curve.steps):
+        e_slot = tri.slot(fid, enter)
+        corner = 3 - e_slot - tri.slot(fid, leave)
+        pos = tri.face_position(fid)
+        # the arc's state pair runs counterclockwise from slot corner + 2
+        steps.append((pos, corner, e_slot == (corner + 2) % 3, k == last_visit[pos], STATES))
+    # a face holds its three corner sums until its last visit, then its
+    # pushed exponent vector; a face the curve misses holds y^0 throughout
+    start = tuple(
+        ((0, 0, 0),) * 3 if pos in last_visit else (0, 0, 0) for pos in range(len(tri.faces))
+    )
+    total = {}  # keys are integer tuples of rank 3F, and add_to stores no zero
+    for first, final in ((s, s) for s in STATES) if curve.closed else (curve.end_states,):
+        # the last step may only reach the final state
+        live = fold({(first, start): ONE}, steps[:-1] + [steps[-1][:-1] + ((final,),)], _laurent_lift_step)
+        for (_, faces), coeff in live.items():
+            add_to(total, tuple(itertools.chain.from_iterable(faces)), coeff)
+    return _qt_element(ambient_torus(tri), total)
+
+
+@pytest.mark.parametrize(
+    "tri, curve", [case[1:] for case in _ORACLE_CASES], ids=[case[0] for case in _ORACLE_CASES]
+)
+def test_integer_weights_match_the_laurent_weighted_sweep(tri, curve):
+    assert quantum_trace(tri, curve) == _laurent_weighted_trace(tri, curve)
+
+
+def _long_strips(faces):
+    """Both mirror images of a `faces`-face strip, each with all four end-state pairs."""
+    for mirror in (False, True):
+        tri, curve = _strip(faces, mirror, 300 + faces)
+        for states in itertools.product(STATES, repeat=2):
+            yield tri, NormalCurve(curve.steps, end_states=states)
+
+
+@pytest.mark.parametrize("faces", range(11, 21))
+def test_long_strips_match_the_laurent_weighted_sweep(faces):
+    # 2^(faces - 1) lifts: out of the enumerator's reach
+    for tri, curve in _long_strips(faces):
+        assert quantum_trace(tri, curve) == _laurent_weighted_trace(tri, curve)
+
+
+def _drop_the_step_power(step):
+    def mutant(key, data):
+        for (nxt, faces, _), sign in step(key, data):
+            yield (nxt, faces, key[2]), sign
+
+    return mutant
+
+
+def _flip_the_step_sign(step):
+    def mutant(key, data):
+        for new, sign in step(key, data):
+            yield new, -sign
+
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_drop_the_step_power, _flip_the_step_sign])
+def test_laurent_weighted_sweep_catches_a_step_mutant(mutate, monkeypatch):
+    monkeypatch.setattr(qtorus, "_lift_step", mutate(qtorus._lift_step))
+    assert any(
+        quantum_trace(tri, curve) != _laurent_weighted_trace(tri, curve) for _, tri, curve in _ORACLE_CASES
+    )
+
+
+def _counting_sweep(counts, size):
+    """`sweep` one step at a time, appending size(live lifts) after each step."""
+
+    def fold(terms, steps, image):
+        for step in steps:
+            terms = sweep(terms, (step,), image)
+            counts.append(size(terms))
+        return terms
+
+    return fold
+
+
+@pytest.mark.parametrize("faces", [12, 16])
+def test_integer_weights_keep_one_live_entry_per_monomial(faces, monkeypatch):
+    # after every step, the sweep holds one key per monomial that the
+    # Laurent-weighted sweep's coefficients hold: no timer, a count
+    for tri, curve in _long_strips(faces):
+        counts, monomials = [], []
+        monkeypatch.setattr(qtorus, "sweep", _counting_sweep(counts, len))
+        fold = _counting_sweep(monomials, lambda live: sum(len(c.items()) for c in live.values()))
+        assert quantum_trace(tri, curve) == _laurent_weighted_trace(tri, curve, fold)
+        assert len(counts) == faces and counts == monomials and max(counts) > 1
 
 
 _UPPER_TURN = SL2Matrix(((1, 1), (0, 1)))
