@@ -19,11 +19,10 @@ import functools
 from .hopf import (
     OqElement,
     OqTensor,
-    antipode,
+    antipode_word,
     coproduct,
     coproduct_word,
     format_leg_terms,
-    multiply,
     normal_word,
     rho_word,
 )
@@ -164,10 +163,10 @@ def trivial_coaction(x):
 
 
 def _antipode_flipped(w):
-    """One word's image: sum of x'' tensor S(x') over its coproduct."""
+    """One word's image: sum of x'' tensor S(x') over its coproduct, each S(x') one word."""
     for (w1, w2), d in coproduct_word(w):
-        for sw, e in antipode(OqElement.from_word(w1)).terms.items():
-            yield (w2, sw), d * e
+        sw, e = antipode_word(w1)
+        yield (w2, sw), d * e
 
 
 def antipode_flip_coaction(x):
@@ -184,11 +183,11 @@ def _triple_coproduct_word(w):
 
 
 def _adjoint_word(w):
-    """One word's image: x'' tensor S(x')x''' over its triple coproduct."""
+    """One word's image: x'' tensor S(x')x''' over its triple coproduct, S(x') one word."""
     for (w1, w2, w3), d in _triple_coproduct_word(w):
-        wing = multiply(antipode(OqElement.from_word(w1)), OqElement.from_word(w3))
-        for uw, e in wing.terms.items():
-            yield (w2, uw), d * e
+        sw, e = antipode_word(w1)
+        for uw, f in normal_word(sw + w3):
+            yield (w2, uw), d * e * f
 
 
 def adjoint_coaction(x):

@@ -25,8 +25,9 @@ multiplies each leg by its generator through the memoised normal form, so
 its cost follows the number of terms rather than the 2^n raw words of the
 expansion.  Both sweeps are memoised per word (`normal_word`,
 `coproduct_word`), and the braiding forms per pair of words (`rho_word`);
-the closed forms under them -- powers of q, one U-word token paired with
-a basis word -- are not memoised.
+the closed forms under them -- powers of q, the counit and the antipode of
+a basis word (one basis word, `antipode_word`), one U-word token paired
+with a basis word -- are not memoised.
 
 The dual pairing and the action take a U-word as a tuple of (letter, n)
 tokens, e.g. (("E", 1), ("F", 2)), and check each token where it enters;
@@ -111,12 +112,12 @@ def _word_product(w1, w2):
         middle = list(enumerate(_b_times_c(min(k1, k2), abs(k1 - k2))))
         mid = z * abs(k1 - k2)
     else:
-        middle, mid = [(0, None)], (x or y) * (k1 + k2)
+        middle, mid = [(0, ONE)], (x or y) * (k1 + k2)
     out = {}
     for j, c in enumerate(_d_times_a(l1, h2, k1, k2)):
         for r, e in middle:
             word = "a" * (h1 + h2 - j + r) + mid + "d" * (l1 + l2 - j + r)
-            add_to(out, word, c if e is None else c * e)
+            add_to(out, word, c * e)
     return out.items()
 
 
@@ -275,15 +276,22 @@ def counit(x):
 
 
 _SWAP_AD = str.maketrans("ad", "da")
+_SWAP_BC = str.maketrans("bc", "cb")
+
+
+def antipode_word(word):
+    """The antipode of a basis word, as (basis word, coefficient).
+
+    S is the anti-automorphism a -> d, d -> a, b -> -q^2 b, c -> -q^-2 c, so
+    it sends a^h x^k d^l to the basis word a^l x^k d^h times (-q^(±2))^k.
+    """
+    nb, nc = word.count("b"), word.count("c")
+    return word[::-1].translate(_SWAP_AD), half(4 * (nb - nc), (-1) ** (nb + nc))
 
 
 def antipode(x):
-    """The anti-automorphism a -> d, d -> a, b -> -q^2 b, c -> -q^-2 c."""
-    images = {}
-    for w, c in x.terms.items():
-        nb, nc = w.count("b"), w.count("c")
-        images[w[::-1].translate(_SWAP_AD)] = c * half(4 * (nb - nc), (-1) ** (nb + nc))
-    return OqElement(expand(images, normal_word))
+    """The antipode of an element, one basis word per term (`antipode_word`)."""
+    return OqElement(expand(x.terms, lambda w: [antipode_word(w)]))
 
 
 def bar_involution(x):
@@ -293,8 +301,7 @@ def bar_involution(x):
 
 def rotation(x):
     """The algebra involution swapping b and c (a, d fixed)."""
-    swap = str.maketrans("bc", "cb")
-    return OqElement({w.translate(swap): c for w, c in x.terms.items()})
+    return OqElement({w.translate(_SWAP_BC): c for w, c in x.terms.items()})
 
 
 def reduce_bigon(x):

@@ -302,8 +302,6 @@ class Triangulation:
                 if end in used:
                     raise SurfaceError("side %r glued twice" % (end,))
                 used.add(end)
-            if a == b:
-                raise SurfaceError("cannot glue side %r to itself" % (a,))
             self.gluings.append((a, b))
         self._partner = {}
         for a, b in self.gluings:

@@ -40,7 +40,7 @@ class HalfLaurent:
     value once it is made.
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
         c = {}
@@ -52,7 +52,6 @@ class HalfLaurent:
                     if not c[e]:
                         del c[e]
         self._c = c
-        self._hash = None
 
     # -- ring structure ----------------------------------------------------
     # Each operation does only what its operands need: an exact-type check
@@ -81,7 +80,6 @@ class HalfLaurent:
                 del c[e]
         out = HalfLaurent.__new__(HalfLaurent)
         out._c = c
-        out._hash = None
         return out
 
     __radd__ = __add__
@@ -89,7 +87,6 @@ class HalfLaurent:
     def __neg__(self):
         out = HalfLaurent.__new__(HalfLaurent)
         out._c = {e: -a for e, a in self._c.items()}
-        out._hash = None
         return out
 
     def __sub__(self, other):
@@ -110,7 +107,6 @@ class HalfLaurent:
                 del c[e]
         out = HalfLaurent.__new__(HalfLaurent)
         out._c = c
-        out._hash = None
         return out
 
     def __rsub__(self, other):
@@ -154,7 +150,6 @@ class HalfLaurent:
             c = {e: a for e, a in c.items() if a}
         out = HalfLaurent.__new__(HalfLaurent)
         out._c = c
-        out._hash = None
         return out
 
     __rmul__ = __mul__
@@ -188,10 +183,8 @@ class HalfLaurent:
 
     def __hash__(self):
         # equal values hash equally: zero and the constants hash as their integers
-        if self._hash is None:
-            c = self._c
-            self._hash = hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
-        return self._hash
+        c = self._c
+        return hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
 
     def __bool__(self):
         return bool(self._c)
@@ -333,7 +326,6 @@ def from_dense(shift, cs, step=1):
     """The Laurent polynomial sum_i cs[i] v^(shift + step i)."""
     out = HalfLaurent.__new__(HalfLaurent)
     out._c = {shift + step * i: a for i, a in enumerate(cs) if a}
-    out._hash = None
     return out
 
 

@@ -33,7 +33,7 @@ from bigon.hopf import (
     normal_word,
     rho_word,
 )
-from bigon.ring import ONE, ZERO, add_to, q_power
+from bigon.ring import ONE, ZERO, add_to, expand, q_power
 from support import basis_words, oq, random_element, random_scalar, random_word, seeded
 
 
@@ -253,6 +253,67 @@ def test_covariantized_product_is_a_comodule_algebra_map():
                             elif key in acc:
                                 del acc[key]
             assert lhs == OqTensor(acc)
+
+
+# The coactions through the element-level antipode and product, kept as the
+# oracle for the word maps in `braided`.
+def _antipode_flipped(w):
+    """One word's image: sum of x'' tensor S(x') over its coproduct."""
+    for (w1, w2), d in coproduct_word(w):
+        for sw, e in antipode(OqElement.from_word(w1)).terms.items():
+            yield (w2, sw), d * e
+
+
+def _adjoint_word(w):
+    """One word's image: x'' tensor S(x')x''' over its triple coproduct."""
+    for (w1, w2, w3), d in _triple_coproduct_word(w):
+        wing = multiply(antipode(OqElement.from_word(w1)), OqElement.from_word(w3))
+        for uw, e in wing.terms.items():
+            yield (w2, uw), d * e
+
+
+def _element_antipode_flip_coaction(x):
+    return OqTensor(expand(x.terms, _antipode_flipped))
+
+
+def _element_adjoint_coaction(x):
+    return OqTensor(expand(x.terms, _adjoint_word))
+
+
+def _element_transmutation_product(x, y):
+    return self_braided_product(x, y, _element_antipode_flip_coaction, _element_adjoint_coaction)
+
+
+def _free_words(max_len):
+    return ["".join(p) for n in range(max_len + 1) for p in itertools.product(GENERATORS, repeat=n)]
+
+
+def test_coactions_match_the_element_route():
+    for w in _free_words(4):
+        x = oq(w)
+        assert antipode_flip_coaction(x) == _element_antipode_flip_coaction(x), w
+        assert adjoint_coaction(x) == _element_adjoint_coaction(x), w
+
+
+def test_transmutation_matches_the_element_route():
+    # both products are bilinear, and a free word of n letters normal-forms into
+    # the basis words of at most n letters: the basis pairs cover every free pair
+    elements = [oq(w) for w in basis_words(3)] + [oq(w) for w in _free_words(2)]
+    for x, y in itertools.product(elements, repeat=2):
+        assert transmutation_product(x, y) == _element_transmutation_product(x, y)
+
+
+@pytest.mark.parametrize("degree", (1, 2, 3))
+@pytest.mark.parametrize("middle", "bc")
+def test_transmutation_matches_the_element_route_on_deep_words(degree, middle):
+    # a^k times b^k or c^k, and both sides of its associativity check against a generator
+    x, y = oq("a" * degree), oq(middle * degree)
+    xy = transmutation_product(x, y)
+    assert xy == _element_transmutation_product(x, y)
+    for z in map(oq, GENERATORS):
+        assert transmutation_product(xy, z) == _element_transmutation_product(xy, z)
+        yz = _element_transmutation_product(y, z)
+        assert transmutation_product(x, transmutation_product(y, z)) == _element_transmutation_product(x, yz)
 
 
 # The transmutation as a braided group (Majid's BSL_q(2)): its determinant and

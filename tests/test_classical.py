@@ -232,6 +232,14 @@ def test_incomplete_dictionary():
         skein_vs_classical(oq("a"), rep, dic)
 
 
+def test_a_dictionary_sending_b_and_c_to_one_arc_is_not_multiplicative():
+    rep = GroupoidRep({"g": ((2, 1), (1, 1))})
+    dic = _dictionary()
+    assert skein_vs_classical(oq("a"), rep, dic)
+    dic["c"] = dic["b"]
+    assert not skein_vs_classical(oq("a"), rep, dic)
+
+
 def test_commutators_collapse_at_one():
     rng = seeded(11)
     dic = _dictionary()

@@ -32,7 +32,7 @@ from bigon.hopf import (
     u_action,
     word_weight,
 )
-from bigon.ring import HalfLaurent, ONE, ZERO, add_to, divexact, half, q_factorial, q_power, sweep
+from bigon.ring import HalfLaurent, ONE, ZERO, add_to, divexact, expand, half, q_factorial, q_power, sweep
 
 from support import basis_words, oq, random_element, random_word, seeded, word_triples
 
@@ -257,6 +257,19 @@ def test_word_folds_reject_letters_outside_abcd(word, letter):
             fold(word)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: OqElement.unit("x"), TypeError, "ground-ring scalar"),
+        (lambda: rho_word("a", "d", "other"), ValueError, "unknown form"),
+    ],
+    ids=["unit-of-a-string", "unknown-form"],
+)
+def test_bad_scalars_and_form_kinds_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("word", ["ba", "da", "bc", "ax", "dab"])
 def test_elements_reject_keys_outside_the_basis(word):
     # a free word is normal-formed by from_word; as a raw key it would print
@@ -416,6 +429,74 @@ def test_antipode_is_antimorphism():
     for _ in range(20):
         x, y = random_element(rng, 2), random_element(rng, 2)
         assert antipode(x * y) == antipode(y) * antipode(x)
+
+
+_SWAP_AD = str.maketrans("ad", "da")
+
+
+def _normal_form_antipode(x):
+    """The anti-automorphism a -> d, d -> a, b -> -q^2 b, c -> -q^-2 c."""
+    images = {}
+    for w, c in x.terms.items():
+        nb, nc = w.count("b"), w.count("c")
+        images[w[::-1].translate(_SWAP_AD)] = c * half(4 * (nb - nc), (-1) ** (nb + nc))
+    return OqElement(expand(images, normal_word))
+
+
+_GENERATOR_ANTIPODES = {"a": oq("d"), "b": oq("b", q_power(2, -1)), "c": oq("c", q_power(-2, -1)), "d": oq("a")}
+
+
+def _letter_antipode(word):
+    """S(g1 ... gn) = S(gn) ... S(g1), each product through the normal form."""
+    out = OqElement.unit()
+    for g in reversed(word):
+        out = out * _GENERATOR_ANTIPODES[g]
+    return out
+
+
+def _antipode_word_mismatches():
+    """The basis words of length <= 10 whose `antipode_word` is not one basis word
+    with a coefficient ±q^(2m), or differs from the normal-form route."""
+    bad = []
+    for w in basis_words(10):
+        s, e = hopf.antipode_word(w)
+        ((exp, lead),) = e.items()
+        image = OqElement({s: e})
+        if normal_word(s) != ((s, ONE),) or exp % 4 or lead not in (1, -1):
+            bad.append(w)
+        elif image != _normal_form_antipode(oq(w)) or antipode(oq(w)) != image:
+            bad.append(w)
+    return bad
+
+
+def test_antipode_of_a_basis_word_is_one_basis_word():
+    assert _antipode_word_mismatches() == []
+
+
+def test_normal_form_antipode_is_the_letter_antipode():
+    # the oracle itself, against S applied letter by letter as an anti-automorphism
+    for w in basis_words(6):
+        assert _normal_form_antipode(oq(w)) == _letter_antipode(w), w
+
+
+_ANTIPODE_WORD = hopf.antipode_word
+
+
+def _drop_the_sign(w):
+    s, e = _ANTIPODE_WORD(w)
+    return s, -e if (w.count("b") + w.count("c")) % 2 else e
+
+
+def _flip_the_q_power(w):
+    s, e = _ANTIPODE_WORD(w)
+    ((exp, lead),) = e.items()
+    return s, half(-exp, lead)
+
+
+@pytest.mark.parametrize("mutant", [_drop_the_sign, _flip_the_q_power], ids=["no-sign", "flipped-q"])
+def test_antipode_oracle_catches_mutants(mutant, monkeypatch):
+    monkeypatch.setattr(hopf, "antipode_word", mutant)
+    assert _antipode_word_mismatches()
 
 
 def test_bar_involution():

@@ -119,6 +119,16 @@ def test_normal_word_is_the_only_straightening_path():
     assert readers(sorted(PACKAGE.glob("*.py")), "_word_product") == {"normal_word"}
 
 
+def test_only_the_cli_takes_the_antipode_of_an_element():
+    # the antipode of a basis word is one basis word (`hopf.antipode_word`): the
+    # coactions map words, and only the CLI command and its self-check read `antipode`
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert readers(paths, "antipode") == {"_cmd_hopf", "_st_counit_antipode"}
+    braided = ast.parse((PACKAGE / "braided.py").read_text())
+    imported = {alias.name for node in ast.walk(braided) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"antipode", "multiply"})
+
+
 def test_a_second_reader_is_seen(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text(

@@ -319,6 +319,12 @@ def test_triangulation_validation():
         Triangulation([("F", (0, 1, 2))], [], boundary=[("F", 0)])
 
 
+def test_a_side_glued_to_itself_is_refused():
+    # the gluing's second end is the side its first end has just taken
+    with pytest.raises(SurfaceError, match=r"side \('F0', 0\) glued twice"):
+        Triangulation([("F0", (0, 1, 2)), ("F1", (0, 1, 2))], [("F0", 0, "F0", 0)])
+
+
 def test_triangulation_json_round_trip():
     text = json.dumps(SQUARE.to_dict())
     again = Triangulation.from_dict(json.loads(text))
@@ -527,6 +533,29 @@ def test_curve_validation():
     with pytest.raises(SurfaceError):
         # closed curve must close up
         quantum_trace(PUNCTURED_TORUS, NormalCurve([("F0", 0, 1)], closed=True))
+
+
+def test_the_zeroth_power_is_the_unit():
+    assert qt_power(_mul(_gen(0), _gen(2, -1)), 0) == QTElement.unit(TRIANGLE)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: qt_invert(_gen(0) + _gen(1)), ValueError, "only monomials are invertible"),
+        (lambda: qt_invert(QTElement.monomial(TRIANGLE, (1, 0, 0), half(0, 2))), ValueError, "not invertible"),
+        (lambda: NormalCurve([("F0", 0)], end_states="+-"), SurfaceError, "each step is"),
+        (
+            lambda: quantum_trace(SQUARE, NormalCurve([("F0", 0, 2)], end_states="++")),
+            SurfaceError,
+            "must end on the boundary",
+        ),
+    ],
+    ids=["two-terms", "coefficient-2", "two-part-step", "ends-inside"],
+)
+def test_monomials_and_curves_out_of_range_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_curve_json_round_trip():

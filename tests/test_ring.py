@@ -7,8 +7,8 @@ from support import seeded
 
 from bigon.braided import BraidedElement, braided_product
 from bigon.hopf import OqElement, OqTensor
-from bigon.qtorus import TRIANGLE, QTElement, QuantumTorus, qt_multiply
-from bigon.tangle import TangleError, TLElement
+from bigon.qtorus import TRIANGLE, QTElement, QuantumTorus, StatedCornerArc, qt_multiply
+from bigon.tangle import Slice, TangleError, TLElement
 from bigon.ring import (
     HalfLaurent,
     RatFunc,
@@ -340,6 +340,42 @@ def test_equal_scalars_hash_equally(n):
     assert laurent == n and fraction == n and fraction == laurent
     assert hash(laurent) == hash(fraction) == hash(n)
     assert len({n, laurent, fraction}) == 1
+
+
+def test_a_scalar_stores_only_its_terms():
+    # no hash is cached: each call computes it afresh from the terms
+    x = half(3, 2) + half(-1)
+    assert HalfLaurent.__slots__ == ("_c",)
+    assert hash(x) == hash(x) == hash(half(-1) + half(3, 2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: half(0, 2) ** -1, ValueError, "only unit monomials"),
+        (lambda: q_binom(3, 1, 0), ZeroDivisionError, "zero polynomial"),
+        (lambda: RatFunc(ONE, ZERO), ZeroDivisionError, "zero denominator"),
+    ],
+    ids=["invert-2", "binomial-at-q0", "zero-denominator"],
+)
+def test_scalars_out_of_range_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Slice("cap", 0, 2),
+        lambda: StatedCornerArc(1, "+-"),
+        lambda: OqElement.from_word("ba"),
+    ],
+    ids=["slice", "corner-arc", "element"],
+)
+def test_equal_values_compare_and_hash_equal(make):
+    x, y = make(), make()
+    assert x is not y and x == y
+    assert hash(x) == hash(y) and len({x, y}) == 1
 
 
 def test_ratfunc_canonical_equality_is_structural():

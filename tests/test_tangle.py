@@ -17,6 +17,7 @@ from bigon.tangle import (
     TLDiagram,
     TLElement,
     evaluate_matching,
+    format_tangle_word,
     jones_wenzl,
     kauffman_reduce,
     matching_to_slices,
@@ -863,3 +864,21 @@ def test_jw_coproduct_binomial():
                     elif key in rhs:
                         del rhs[key]
         assert lhs == rhs, (n, mu_l, mu_r)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Slice("zz", 0, 2), "unknown slice kind"),
+        (lambda: Slice("cap", -1, 2), "negative slice geometry"),
+        (lambda: Slice("cup", 3, 1), "cannot attach above"),
+        (lambda: Slice("id", 1, 2), "carry no position"),
+        (lambda: format_tangle_word([]), "explicit strand count"),
+        (lambda: TLDiagram.e(3, 2), "does not fit"),
+        (lambda: jones_wenzl(0), "n >= 1"),
+    ],
+    ids=["unknown-kind", "negative-position", "cup-above", "id-with-position", "empty-word", "e-too-high", "jw-0"],
+)
+def test_slices_words_and_diagrams_out_of_range_are_refused(call, message):
+    with pytest.raises(TangleError, match=message):
+        call()
