@@ -5,8 +5,9 @@ values -- lives over Laurent polynomials in a single variable ``v`` whose
 square plays the role of the quantum parameter ``q``.  Storing the half power
 directly keeps values like q^(5/2) exact integers of v-degree 5.
 
-The module also provides the small field-of-fractions type used by the
-Temperley-Lieb idempotents, quantum integers/binomials, the one text of a
+The module also provides the plain fraction type of the Temperley-Lieb
+coefficients (`RatFunc`: nothing is cancelled, and two fractions are equal
+by cross multiplication), quantum integers/binomials, the one text of a
 scalar (`format_qform`: its repr, what the command line prints, and read
 back bit-exactly), and the sparse linear-combination core of every element
 type: `add_to`, `Combination` with its one product rule, and `sweep`, the
@@ -300,26 +301,31 @@ def one_minus_power(cs, s, divide=False):
 
 
 def divexact(num, den):
-    """Exact division in Z[v, v^-1]; raises ValueError when inexact."""
+    """Exact division in Z[v, v^-1]; raises ValueError when inexact.
+
+    Both operands are dense lists in v^step, step the gcd of their exponent
+    offsets: quantum integers live in v^4, so their divisions run on lists a
+    quarter as long.
+    """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return ZERO
-    nshift, ncs = _to_dense(num)
-    dshift, dcs = _to_dense(den)
-    q, r = _dense_divmod(ncs, dcs)
+    nlo, dlo = num.min_exp(), den.min_exp()
+    step = math.gcd(*(e - nlo for e in num._c), *(e - dlo for e in den._c)) or 1
+    q, r = _dense_divmod(_to_dense(num, step), _to_dense(den, step))
     if r is None or any(r):
         raise ValueError("inexact polynomial division")
-    return from_dense(nshift - dshift, q)
+    return from_dense(nlo - dlo, q, step)
 
 
-def _to_dense(p):
+def _to_dense(p, step):
+    """The coefficients of p / v^min_exp as a dense ascending list in v^step."""
     lo = p.min_exp()
-    hi = p.max_exp()
-    cs = [0] * (hi - lo + 1)
+    cs = [0] * ((p.max_exp() - lo) // step + 1)
     for e, a in p.items():
-        cs[e - lo] = a
-    return lo, cs
+        cs[(e - lo) // step] = a
+    return cs
 
 
 def from_dense(shift, cs, step=1):
@@ -355,116 +361,35 @@ def _dense_divmod(n, d):
 # ---------------------------------------------------------------------------
 
 
-def _dense_content(cs):
-    g = 0
-    for a in cs:
-        g = math.gcd(g, abs(a))
-    return g or 1
-
-
-def _dense_primitive(cs):
-    g = _dense_content(cs)
-    return [a // g for a in cs], g
-
-
-def _dense_trim(cs):
-    while cs and not cs[-1]:
-        cs.pop()
-    lo = 0
-    while lo < len(cs) and not cs[lo]:
-        lo += 1
-    return cs[lo:], lo
-
-
-def _poly_gcd(a, b):
-    """gcd of dense integer polynomials (ascending, nonzero), primitive PRS."""
-    a, _ = _dense_trim(list(a))
-    b, _ = _dense_trim(list(b))
-    ca = _dense_content(a)
-    cb = _dense_content(b)
-    a = [x // ca for x in a]
-    b = [x // cb for x in b]
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        # pseudo-remainder of a by b: scale by the lead only where dividing by it is inexact
-        r = list(a)
-        lead = b[-1]
-        for k in range(len(a) - len(b), -1, -1):
-            f = r[k + len(b) - 1]
-            if f % lead:
-                r = [x * lead for x in r]
-            else:
-                f //= lead
-            for j, bj in enumerate(b):
-                r[k + j] -= f * bj
-        r, _ = _dense_trim(r)
-        if r:
-            r, _ = _dense_primitive(r)
-        a, b = b, r
-    a, _ = _dense_primitive(a)
-    if a and a[-1] < 0:
-        a = [-x for x in a]
-    g = math.gcd(ca, cb)
-    return [x * g for x in a]
-
-
-def laurent_gcd(p, q):
-    """A gcd in Z[v, v^-1], normalised to lowest exponent 0, taken in v^step where both live."""
-    if not p:
-        return q
-    if not q:
-        return p
-    _, pc = _to_dense(p)
-    _, qc = _to_dense(q)
-    step = math.gcd(*(i for cs in (pc, qc) for i, a in enumerate(cs) if a)) or 1
-    return HalfLaurent({i * step: a for i, a in enumerate(_poly_gcd(pc[::step], qc[::step])) if a})
-
-
 class RatFunc:
-    """A fraction of two HalfLaurent values, kept in canonical form.
+    """A fraction of two HalfLaurent values, kept as it is given.
 
-    Canonical means: common polynomial and content factors removed, the
-    denominator has no negative v-powers, a nonzero constant term, and a
-    positive leading coefficient.  Equality is then structural: it compares
-    (num, den), as the hash does, and agrees with cross multiplication.
+    Nothing is cancelled: equality is cross multiplication, a sum over one
+    denominator keeps it, and any other sum or product multiplies the
+    denominators.  With no canonical form no hash can agree with ==, so a
+    fraction is unhashable.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=ONE):
-        num = _coerce(num)
-        den = _coerce(den)
-        if not den:
+        self.num = _coerce(num)
+        self.den = _coerce(den)
+        if not self.den:
             raise ZeroDivisionError("RatFunc with zero denominator")
-        if not num:
-            self.num, self.den = ZERO, ONE
-            return
-        g = laurent_gcd(num, den)
-        num = divexact(num, g)
-        den = divexact(den, g)
-        # push all v-shifts into the numerator
-        shift = den.min_exp()
-        den = HalfLaurent({e - shift: a for e, a in den.items()})
-        num = HalfLaurent({e - shift: a for e, a in num.items()})
-        if den.coefficient(den.max_exp()) < 0:
-            den = -den
-            num = -num
-        self.num, self.den = num, den
 
     def __add__(self, other):
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num, out.den = -self.num, self.den
-        return out
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce_rf(other)
@@ -504,19 +429,18 @@ class RatFunc:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.num, self.den) == (other.num, other.den)
+        return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        # a fraction over ONE equals its numerator, so it hashes as it
-        return hash(self.num) if self.den == ONE else hash((self.num, self.den))
+    __hash__ = None
 
     def __bool__(self):
         return bool(self.num)
 
     def as_half(self):
-        if self.den != ONE:
-            raise ValueError("fraction %s is not a Laurent polynomial" % self)
-        return self.num
+        try:
+            return divexact(self.num, self.den)
+        except ValueError:
+            raise ValueError("fraction %s is not a Laurent polynomial" % self) from None
 
     def __str__(self):
         if self.den == ONE:

@@ -24,8 +24,9 @@ Jones-Wenzl idempotents at the end of the module: two diagrams glue by
 running the second one's cap/cup word, slice by slice, on the flat picture
 at the first one's right edge.  One bracket walk over the endpoints
 (``_bracket_walk``) checks that pairs form a crossingless matching and
-writes its cap/cup word.  Temperley-Lieb products run fraction-free and
-reduce once per output coefficient.
+writes its cap/cup word.  Temperley-Lieb products run fraction-free, over
+one denominator per element, and JW(n) is kept over [n]!, which clears every
+denominator it has.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import functools
 
 from .hopf import STATE_LETTERS, STATES, OqElement, normal_word
 from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, divexact, half
-from .ring import expand, laurent_gcd, q_int, q_power, sweep
+from .ring import expand, q_int, q_power, sweep
 
 LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
 
@@ -492,15 +493,19 @@ def _glue_diagrams(d1, d2):
 
 
 def _glue_sum(x, y):
-    """The {diagram: numerator} product of two such maps; right numerators summed per gluing."""
+    """The {diagram: numerator} product of two such maps: for each left diagram, the
+    right numerators summed per gluing and their loop factors per output diagram,
+    then one product with the left numerator per output diagram."""
     out = {}
     for d1, c1 in x.items():
-        glued = {}
+        glued, looped = {}, {}
         for d2, c2 in y.items():
             loops, pairs = _glue_diagrams(d1, d2)
             add_to(glued, (TLDiagram._matching(d1.n, pairs), loops), c2)
         for (d, loops), c in glued.items():
-            add_to(out, d, c1 * c * LOOP**loops)
+            add_to(looped, d, c * LOOP**loops)
+        for d, c in looped.items():
+            add_to(out, d, c1 * c)
     return out
 
 
@@ -536,12 +541,18 @@ class TLElement(Combination):
         return self.terms.get(TLDiagram.identity(self.n), RatFunc(ZERO))
 
     def _fraction_free(self):
-        """(D, {diagram: c * D}), D the lcm of the denominators: built once, no gcd if all are 1."""
+        """(D, {diagram: c * D}), D the product of the distinct denominators, built once.
+
+        Everything the package builds has one denominator, so each
+        coefficient is already over D and keeps its numerator.
+        """
         if not hasattr(self, "_common"):
             den = ONE
-            for other in {c.den for c in self.terms.values()} - {ONE}:
-                den = other if den == ONE else den * divexact(other, laurent_gcd(den, other))
-            self._common = den, {k: c.num * divexact(den, c.den) for k, c in self.terms.items()}
+            for other in {c.den for c in self.terms.values()}:
+                den = den * other
+            self._common = den, {
+                k: c.num if c.den == den else c.num * divexact(den, c.den) for k, c in self.terms.items()
+            }
         return self._common
 
 
@@ -555,8 +566,10 @@ def tl_product(x, y):
 
 @functools.lru_cache(maxsize=None)
 def jones_wenzl(n):
-    """The n-strand idempotent killing every hook generator: with JW(n-1) = N / D,
-    JW(n) = JW(n-1) + [n-1]/[n] JW(n-1) e JW(n-1) = ([n] D N + [n-1] N e N) / ([n] D^2)."""
+    """The n-strand idempotent killing every hook generator, kept over [n]!: with
+    JW(n-1) = N / [n-1]!, JW(n) = JW(n-1) + [n-1]/[n] JW(n-1) e JW(n-1) is
+    ([n] N + [n-1] (N e N) / [n-1]!) / [n]!.  Each numerator of N e N is one
+    exact division, which raises should [n]! JW(n) ever not be integral."""
     if n < 1:
         raise TangleError("defined for n >= 1")
     if n == 1:
@@ -564,9 +577,10 @@ def jones_wenzl(n):
     den, prev = jones_wenzl(n - 1)._fraction_free()
     prev = {d.embed(n): c for d, c in prev.items()}
     terms = _glue_sum(_glue_sum(prev, {TLDiagram.e(n, n - 2): q_int(n - 1)}), prev)
+    terms = {d: divexact(c, den) for d, c in terms.items()}
     for d, c in prev.items():
-        add_to(terms, d, c * q_int(n) * den)
-    den = q_int(n) * den * den
+        add_to(terms, d, q_int(n) * c)
+    den = q_int(n) * den
     return TLElement(n)._with({d: RatFunc(c, den) for d, c in terms.items()})
 
 

@@ -132,6 +132,11 @@ def test_unit_is_a_two_sided_identity():
             assert braided_product(x, one, variant) == x
 
 
+def test_units_with_no_legs_multiply_to_the_unit():
+    # the base case of `_mul_legs`: no legs left to multiply
+    assert braided_product(BraidedElement.unit(0), BraidedElement.unit(0)) == BraidedElement.unit(0)
+
+
 def test_associativity_on_generator_triples():
     atoms = [_legs(g, "") for g in GENERATORS] + [_legs("", g) for g in GENERATORS]
     for variant in ("standard", "mirror"):

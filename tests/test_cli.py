@@ -987,3 +987,26 @@ def test_a_failed_selftest_check_exits_one(capsys, monkeypatch):
     assert code == 1 and out.splitlines() == lines
     code, out, _ = run_cli(capsys, "selftest", "--json")
     assert code == 1 and json.loads(out)["failed"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["braided", "--x", "(a|)*q", "--y", "(|)"], (0, "q*(a|)\n", "")),
+        (
+            ["normal-form", "(2)^-1"],
+            (2, "", "error: negative power of a non-invertible factor (at position 3)\n"),
+        ),
+        (
+            ["braided", "--x", "0", "--y", "(|)"],
+            (2, "", "error: cannot infer leg count of the zero element (at position 0)\n"),
+        ),
+        (
+            ["braided", "--x", "(a|)^2", "--y", "(|)"],
+            (2, "", "error: a leg group can only be scaled (at position 4)\n"),
+        ),
+    ],
+    ids=["scaled-leg-group", "inverse-of-2", "zero-leg-count", "squared-leg-group"],
+)
+def test_leg_groups_and_inverses_answer_or_refuse(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == expected

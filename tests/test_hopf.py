@@ -327,6 +327,11 @@ def test_bigrading_additive_under_multiply():
                 assert prod.weight() == (r1 + r2, s1 + s2)
 
 
+def test_the_zero_element_has_weight_zero_and_a_unit_holds_its_scalar():
+    assert OqElement().weight() == (0, 0)
+    assert OqElement.unit(3).terms == {"": HalfLaurent({0: 3})}
+
+
 # ---------------------------------------------------------------------------
 # coalgebra
 # ---------------------------------------------------------------------------

@@ -129,6 +129,13 @@ def test_only_the_cli_takes_the_antipode_of_an_element():
     assert imported.isdisjoint({"antipode", "multiply"})
 
 
+def test_only_temperley_lieb_reads_the_fraction():
+    # `RatFunc` is a plain fraction kept for the Temperley-Lieb coefficients;
+    # no other layer may come to rely on it
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert readers(paths, "RatFunc") == {"RatFunc", "_coerce_rf", "TLElement", "tl_product", "jones_wenzl"}
+
+
 def test_a_second_reader_is_seen(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text(

@@ -550,8 +550,23 @@ def test_the_zeroth_power_is_the_unit():
             SurfaceError,
             "must end on the boundary",
         ),
+        (
+            lambda: Triangulation([("F0", (0, 1, 2))], []).face_position("F9"),
+            SurfaceError,
+            "unknown face 'F9'",
+        ),
+        (lambda: QuantumTorus(()), ValueError, "rank must be positive"),
+        (lambda: chekhov_fock(Triangulation([], [])), ValueError, "rank must be positive"),
     ],
-    ids=["two-terms", "coefficient-2", "two-part-step", "ends-inside"],
+    ids=[
+        "two-terms",
+        "coefficient-2",
+        "two-part-step",
+        "ends-inside",
+        "unknown-face",
+        "rank-0-torus",
+        "no-edges",
+    ],
 )
 def test_monomials_and_curves_out_of_range_are_refused(call, error, message):
     with pytest.raises(error, match=message):

@@ -7,7 +7,7 @@ import pytest
 
 from bigon import tangle as tangle_module
 from bigon.hopf import OqElement, OqTensor, coproduct, coproduct_word, counit
-from bigon.ring import ONE, RatFunc, ZERO, add_to, half, q_binom, q_int, q_power
+from bigon.ring import ONE, RatFunc, ZERO, add_to, half, q_binom, q_factorial, q_int, q_power
 from bigon.tangle import (
     LOOP,
     STATES,
@@ -483,6 +483,10 @@ def test_tl_hook_relations():
     assert f1 * f2 * f1 == f1  # operator sugar
 
 
+def test_a_hook_prints_its_pairs():
+    assert repr(TLDiagram.e(3, 0)) == "TL3{L0:L1, L2:R2, R0:R1}"
+
+
 def test_tl_diagram_count_is_catalan():
     for n in (2, 3, 4):
         seen = {TLDiagram.identity(n)}
@@ -517,6 +521,44 @@ def test_jw_properties():
             zero = TLElement(n)
             assert hook * jw == zero
             assert jw * hook == zero
+
+
+def _is_the_projector(jw):
+    """Identity coefficient 1, and every hook kills jw from both sides: this pins
+    JW(n) uniquely."""
+    zero = TLElement(jw.n)
+    hooks = [TLElement.hook(jw.n, i) for i in range(jw.n - 1)]
+    return jw.identity_coefficient() == RatFunc(ONE) and all(h * jw == zero == jw * h for h in hooks)
+
+
+def test_jw_seven_is_the_projector():
+    assert _is_the_projector(jones_wenzl(7))
+
+
+def test_jw_is_kept_over_the_quantum_factorial():
+    for n in range(1, 8):
+        assert jones_wenzl(n)._fraction_free()[0] == q_factorial(n), n
+
+
+@pytest.mark.parametrize(
+    "old, new, caught",
+    [
+        ("divexact(c, den)", "divexact(c, q_int(n) * den)", "inexact"),  # over [n]! twice
+        ("q_int(n) * c", "q_int(n - 1) * c", "hook"),  # N scaled by [n-1], not [n]
+    ],
+    ids=["divided-by-n-factorial", "scaled-by-n-minus-1"],
+)
+def test_jw_checks_catch_source_mutants(old, new, caught, monkeypatch):
+    source = inspect.getsource(jones_wenzl)
+    assert source.count(old) == 1
+    namespace = dict(vars(tangle_module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(tangle_module, "jones_wenzl", namespace["jones_wenzl"])
+    if caught == "inexact":
+        with pytest.raises(ValueError, match="inexact"):
+            tangle_module.jones_wenzl(2)
+    else:
+        assert not _is_the_projector(tangle_module.jones_wenzl(2))
 
 
 def test_jw_absorbs_everything():
@@ -876,8 +918,23 @@ def test_jw_coproduct_binomial():
         (lambda: format_tangle_word([]), "explicit strand count"),
         (lambda: TLDiagram.e(3, 2), "does not fit"),
         (lambda: jones_wenzl(0), "n >= 1"),
+        (lambda: parse_tangle_word("id2;id3"), "id3 reached with 2 strands"),
+        (
+            lambda: SlicedTangle(parse_tangle_word("cup@0")[0], (), ("+",)),
+            "tangle ends with 2 strands but 1 right states given",
+        ),
     ],
-    ids=["unknown-kind", "negative-position", "cup-above", "id-with-position", "empty-word", "e-too-high", "jw-0"],
+    ids=[
+        "unknown-kind",
+        "negative-position",
+        "cup-above",
+        "id-with-position",
+        "empty-word",
+        "e-too-high",
+        "jw-0",
+        "id-width",
+        "right-states",
+    ],
 )
 def test_slices_words_and_diagrams_out_of_range_are_refused(call, message):
     with pytest.raises(TangleError, match=message):
