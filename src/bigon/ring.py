@@ -23,7 +23,6 @@ supplying only its own names, product and power.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import re
 
@@ -300,60 +299,11 @@ def one_minus_power(cs, s, divide=False):
     return out[:cut]
 
 
-def divexact(num, den):
-    """Exact division in Z[v, v^-1]; raises ValueError when inexact.
-
-    Both operands are dense lists in v^step, step the gcd of their exponent
-    offsets: quantum integers live in v^4, so their divisions run on lists a
-    quarter as long.
-    """
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return ZERO
-    nlo, dlo = num.min_exp(), den.min_exp()
-    step = math.gcd(*(e - nlo for e in num._c), *(e - dlo for e in den._c)) or 1
-    q, r = _dense_divmod(_to_dense(num, step), _to_dense(den, step))
-    if r is None or any(r):
-        raise ValueError("inexact polynomial division")
-    return from_dense(nlo - dlo, q, step)
-
-
-def _to_dense(p, step):
-    """The coefficients of p / v^min_exp as a dense ascending list in v^step."""
-    lo = p.min_exp()
-    cs = [0] * ((p.max_exp() - lo) // step + 1)
-    for e, a in p.items():
-        cs[(e - lo) // step] = a
-    return cs
-
-
 def from_dense(shift, cs, step=1):
     """The Laurent polynomial sum_i cs[i] v^(shift + step i)."""
     out = HalfLaurent.__new__(HalfLaurent)
     out._c = {shift + step * i: a for i, a in enumerate(cs) if a}
     return out
-
-
-def _dense_divmod(n, d):
-    """Division of dense integer coefficient lists (ascending).
-
-    Returns (quotient, remainder); quotient entries must come out integral or
-    the division is reported inexact via remainder None.
-    """
-    n = list(n)
-    q = [0] * (len(n) - len(d) + 1) if len(n) >= len(d) else []
-    lead = d[-1]
-    for k in range(len(n) - len(d), -1, -1):
-        c = n[k + len(d) - 1]
-        if c % lead:
-            return q, None
-        f = c // lead
-        q[k] = f
-        if f:
-            for j, dj in enumerate(d):
-                n[k + j] -= f * dj
-    return q, n
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +385,6 @@ class RatFunc:
 
     def __bool__(self):
         return bool(self.num)
-
-    def as_half(self):
-        try:
-            return divexact(self.num, self.den)
-        except ValueError:
-            raise ValueError("fraction %s is not a Laurent polynomial" % self) from None
 
     def __str__(self):
         if self.den == ONE:
@@ -662,6 +606,7 @@ class ScalarParseError(ValueError):
 
 
 _SCALAR_NAMES = {"q": q_power(1), "v": half(1)}
+MAX_NESTING = 200  # parentheses open at once; deeper text is refused whoever calls
 
 
 def _tokens(text, names):
@@ -695,10 +640,11 @@ def parse_grammar(text, names, atom, product, power):
     A caller supplies what differs: the regular expression `names` of its
     names, `atom(x)` for the value of one (x is the scalar of an int, q or v,
     else the name's text), and `product(x, y, pos)` and `power(x, n, pos)`.
-    Sums and negation are the values' own.  Errors are ScalarParseError.
+    Sums and negation are the values' own.  Errors are ScalarParseError; a
+    '(' with MAX_NESTING others open around it is one.
     """
     tokens = _tokens(text, names)
-    at = 0
+    at = depth = 0
 
     def take(kind=None):
         nonlocal at
@@ -735,6 +681,7 @@ def parse_grammar(text, names, atom, product, power):
         return x
 
     def primary():
+        nonlocal depth
         kind, value, pos = take()
         if kind == "int":
             return atom(HalfLaurent({0: value}))
@@ -742,14 +689,18 @@ def parse_grammar(text, names, atom, product, power):
             return atom(_SCALAR_NAMES.get(value, value))
         if kind != "(":
             raise ScalarParseError("expected a value", pos)
+        if depth == MAX_NESTING:
+            raise ScalarParseError("expression nests too deeply", pos)
+        depth += 1
         x = expr()
         take(")")
+        depth -= 1
         return x
 
     try:
         x = expr()
     except RecursionError:
-        # each parenthesis costs a few frames of the recursive descent
+        # a caller already deep in the stack: each parenthesis costs a few frames
         raise ScalarParseError("expression nests too deeply", tokens[at][2]) from None
     if tokens[at][0] != "end":
         raise ScalarParseError("trailing input", tokens[at][2])

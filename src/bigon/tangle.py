@@ -25,16 +25,17 @@ running the second one's cap/cup word, slice by slice, on the flat picture
 at the first one's right edge.  One bracket walk over the endpoints
 (``_bracket_walk``) checks that pairs form a crossingless matching and
 writes its cap/cup word.  Temperley-Lieb products run fraction-free, over
-one denominator per element, and JW(n) is kept over [n]!, which clears every
-denominator it has.
+one denominator per element, and JW(n) is kept over [n]!: the single-clasp
+expansion builds it from JW(n-1) with no division.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 from .hopf import STATE_LETTERS, STATES, OqElement, normal_word
-from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, divexact, half
+from .ring import Combination, HalfLaurent, ONE, RatFunc, ZERO, add_to, half
 from .ring import expand, q_int, q_power, sweep
 
 LOOP = HalfLaurent({4: -1, -4: -1})  # value of a closed circle
@@ -543,15 +544,14 @@ class TLElement(Combination):
     def _fraction_free(self):
         """(D, {diagram: c * D}), D the product of the distinct denominators, built once.
 
+        Each numerator is multiplied by the other distinct denominators.
         Everything the package builds has one denominator, so each
         coefficient is already over D and keeps its numerator.
         """
         if not hasattr(self, "_common"):
-            den = ONE
-            for other in {c.den for c in self.terms.values()}:
-                den = den * other
-            self._common = den, {
-                k: c.num if c.den == den else c.num * divexact(den, c.den) for k, c in self.terms.items()
+            dens = {c.den for c in self.terms.values()}
+            self._common = math.prod(dens, start=ONE), {
+                k: math.prod((d for d in dens if d != c.den), start=c.num) for k, c in self.terms.items()
             }
         return self._common
 
@@ -566,20 +566,26 @@ def tl_product(x, y):
 
 @functools.lru_cache(maxsize=None)
 def jones_wenzl(n):
-    """The n-strand idempotent killing every hook generator, kept over [n]!: with
-    JW(n-1) = N / [n-1]!, JW(n) = JW(n-1) + [n-1]/[n] JW(n-1) e JW(n-1) is
-    ([n] N + [n-1] (N e N) / [n-1]!) / [n]!.  Each numerator of N e N is one
-    exact division, which raises should [n]! JW(n) ever not be integral."""
+    """The n-strand idempotent killing every hook generator, kept over [n]!.
+
+    The single-clasp expansion (Morrison; Frenkel-Khovanov): with JW(n-1) =
+    N / [n-1]! on n strands and D_k = e_(n-2) e_(n-3) ... e_k, one diagram,
+    [n]! JW(n) = [n] N + sum over k < n-1 of [k+1] N D_k.  Each D_k is D_(k+1)
+    glued to one more hook, and nothing is divided.
+    """
     if n < 1:
         raise TangleError("defined for n >= 1")
     if n == 1:
         return TLElement.identity(1)
     den, prev = jones_wenzl(n - 1)._fraction_free()
     prev = {d.embed(n): c for d, c in prev.items()}
-    terms = _glue_sum(_glue_sum(prev, {TLDiagram.e(n, n - 2): q_int(n - 1)}), prev)
-    terms = {d: divexact(c, den) for d, c in terms.items()}
-    for d, c in prev.items():
-        add_to(terms, d, q_int(n) * c)
+    terms = {d: q_int(n) * c for d, c in prev.items()}
+    clasp = TLDiagram.e(n, n - 2)
+    for k in reversed(range(n - 1)):
+        if k < n - 2:
+            clasp = TLDiagram._matching(n, _glue_diagrams(clasp, TLDiagram.e(n, k))[1])
+        for d, c in _glue_sum(prev, {clasp: q_int(k + 1)}).items():
+            add_to(terms, d, c)
     den = q_int(n) * den
     return TLElement(n)._with({d: RatFunc(c, den) for d, c in terms.items()})
 

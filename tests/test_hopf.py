@@ -32,7 +32,7 @@ from bigon.hopf import (
     u_action,
     word_weight,
 )
-from bigon.ring import HalfLaurent, ONE, ZERO, add_to, divexact, expand, half, q_factorial, q_power, sweep
+from bigon.ring import HalfLaurent, ONE, RatFunc, ZERO, add_to, expand, half, q_factorial, q_power, sweep
 
 from support import basis_words, oq, random_element, random_word, seeded, word_triples
 
@@ -1040,18 +1040,22 @@ def _recursive_pair_letters_word(letters, word):
 
 
 def _recursive_pairing(u, x):
+    """⟨u, x⟩ as a fraction over the [n]! of u's divided powers; it equals a
+    Laurent polynomial by cross multiplication."""
     letters, denom = _expand_uword(u)
     total = sum((c * _recursive_pair_letters_word(letters, w) for w, c in x.terms.items()), ZERO)
-    return divexact(total, denom)
+    return RatFunc(total, denom)
 
 
 def _recursive_action(u, x):
-    """u·x = Σ x' ⟨u, x''⟩ straight from its definition, one coproduct per word of x."""
+    """(N, denom) with u·x = N / denom, and u·x = Σ x' ⟨u, x''⟩ straight from its
+    definition, one coproduct per word of x."""
+    letters, denom = _expand_uword(u)
     terms = {}
     for w, c in x.terms.items():
         for (z1, z2), d in coproduct_word(w):
-            add_to(terms, z1, c * d * _recursive_pairing(u, oq(z2)))
-    return OqElement(terms)
+            add_to(terms, z1, c * d * _recursive_pair_letters_word(letters, z2))
+    return OqElement(terms), denom
 
 
 _ORACLE_UWORDS = [(("K", 1),), (("K", -1),), (("E", 1),), (("F", 1),), (("E", 2),), (("F", 2),)]
@@ -1102,13 +1106,15 @@ def test_pairing_and_action_match_the_letter_route():
     words = basis_words(4)
     for u in _ORACLE_UWORDS + _MULTI_TOKEN_UWORDS:
         for w in words:
-            assert u_action(u, oq(w)) == _recursive_action(u, oq(w)), (u, w)
+            action, denom = _recursive_action(u, oq(w))
+            assert u_action(u, oq(w)).scale(denom) == action, (u, w)
     rng = seeded(39)
     for _ in range(12):
         u = tuple(rng.choice(_TOKENS) for _ in range(rng.randint(1, 3)))
         x = random_element(rng, 5, n_terms=3)
         assert hopf_pairing(u, x) == _recursive_pairing(u, x), (u, x)
-        assert u_action(u, x) == _recursive_action(u, x), (u, x)
+        action, denom = _recursive_action(u, x)
+        assert u_action(u, x).scale(denom) == action, (u, x)
 
 
 _CLOSED_FORM = hopf._pair_token

@@ -166,6 +166,17 @@ def test_each_shared_table_is_bound_by_one_module():
     }
 
 
+def test_no_module_divides_a_polynomial():
+    # Jones-Wenzl is built by the single-clasp expansion, so no general divider is
+    # left; the one exact pass is the q-binomials' and hopf's closed forms' ratio step
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert {name: binders(paths, name) for name in ("divexact", "_dense_divmod")} == {
+        "divexact": set(),
+        "_dense_divmod": set(),
+    }
+    assert readers(paths, "one_minus_power") == {"q_binom", "_d_times_a", "_b_times_c"}
+
+
 def test_a_second_binding_is_seen(tmp_path):
     low, high = tmp_path / "low.py", tmp_path / "high.py"
     low.write_text('GENERATORS = "abcd"\nSTATES = ("+", "-")\n')

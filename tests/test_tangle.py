@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import textwrap
 import time
 
 import pytest
@@ -535,30 +536,51 @@ def test_jw_seven_is_the_projector():
     assert _is_the_projector(jones_wenzl(7))
 
 
+def test_jw_eight_is_the_projector():
+    assert _is_the_projector(jones_wenzl(8))
+
+
 def test_jw_is_kept_over_the_quantum_factorial():
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert jones_wenzl(n)._fraction_free()[0] == q_factorial(n), n
+        assert all(c.den == q_factorial(n) for c in jones_wenzl(n).terms.values()), n
 
 
 @pytest.mark.parametrize(
-    "old, new, caught",
+    "old, new, n",
     [
-        ("divexact(c, den)", "divexact(c, q_int(n) * den)", "inexact"),  # over [n]! twice
-        ("q_int(n) * c", "q_int(n - 1) * c", "hook"),  # N scaled by [n-1], not [n]
+        ("q_int(n) * c", "q_int(n - 1) * c", 2),  # N scaled by [n-1], not [n]
+        ("add_to(terms, d, c)", "add_to(terms, d, -c)", 2),  # the clasp sum's sign flipped
+        ("q_int(k + 1)", "q_int(k)", 3),  # each clasp weighted [k], not [k+1]
     ],
-    ids=["divided-by-n-factorial", "scaled-by-n-minus-1"],
+    ids=["scaled-by-n-minus-1", "clasp-sign-flipped", "clasp-weight-off-by-one"],
 )
-def test_jw_checks_catch_source_mutants(old, new, caught, monkeypatch):
+def test_jw_checks_catch_source_mutants(old, new, n, monkeypatch):
     source = inspect.getsource(jones_wenzl)
     assert source.count(old) == 1
     namespace = dict(vars(tangle_module))
     exec(source.replace(old, new), namespace)
     monkeypatch.setattr(tangle_module, "jones_wenzl", namespace["jones_wenzl"])
-    if caught == "inexact":
-        with pytest.raises(ValueError, match="inexact"):
-            tangle_module.jones_wenzl(2)
-    else:
-        assert not _is_the_projector(tangle_module.jones_wenzl(2))
+    assert not _is_the_projector(tangle_module.jones_wenzl(n))
+
+
+def test_cold_jw_glues_one_clasp_per_hook(monkeypatch):
+    # counted work, not time: [n]! JW(n) = [n] N + sum_k [k+1] N D_k glues each
+    # of the n-1 clasps D_k to the Catalan(n-1) diagrams of N, and builds D_k
+    # from D_(k+1) with one gluing, at every level m <= n of the recursion
+    calls = []
+
+    def counted(d1, d2):
+        calls.append((d1, d2))
+        return _glue_diagrams(d1, d2)
+
+    monkeypatch.setattr(tangle_module, "_glue_diagrams", counted)
+    for n, expected in ((6, 296), (7, 1093)):
+        jones_wenzl.cache_clear()
+        calls.clear()
+        jones_wenzl(n)
+        assert len(calls) == expected == sum((m - 1) * _catalan(m - 1) + m - 2 for m in range(2, n + 1)), n
+    jones_wenzl.cache_clear()
 
 
 def test_jw_absorbs_everything():
@@ -664,7 +686,8 @@ def _gluing_mismatches(max_n):
                 for eta, w1 in rows[d1][left].items():
                     for right, w2 in rows[d2][eta].items():
                         add_to(composed, right, w1 * w2)
-                if {right: coeff.as_half() * w for right, w in glued_row.items()} != composed:
+                assert coeff.den == ONE
+                if {right: coeff.num * w for right, w in glued_row.items()} != composed:
                     bad.append((d1, d2, left))
     return bad
 
@@ -798,14 +821,17 @@ def test_fraction_free_jones_wenzl_matches_the_ratfunc_oracle():
     [
         ("tl_product", "dx * dy", "dx"),  # drops the right operand's common denominator
         ("_glue_sum", " * LOOP**loops", ""),  # loses the loop factor
+        ("TLElement._fraction_free", " if d != c.den", ""),  # the cofactor takes its own denominator too
     ],
 )
 def test_oracle_catches_fraction_free_mutants(name, old, new, monkeypatch):
-    source = inspect.getsource(getattr(tangle_module, name))
+    *path, attr = name.split(".")
+    owner = functools.reduce(getattr, path, tangle_module)
+    source = textwrap.dedent(inspect.getsource(getattr(owner, attr)))
     assert old in source
     namespace = dict(vars(tangle_module))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(tangle_module, name, namespace[name])
+    monkeypatch.setattr(owner, attr, namespace[attr])
     assert not _products_match_the_oracle(3)
 
 
