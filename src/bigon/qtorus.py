@@ -14,11 +14,12 @@ On top of that sit:
   checked entries;
 * the trace of a normal curve: its state sum over lifts at internal edge
   crossings, computed in one sweep along the curve that carries partial
-  lifts (junction state, per-face exponent data and power of v) with
-  integer weights, so its cost follows the number of live partial monomials.
+  lifts with integer weights, keyed by what the rest of the curve can read:
+  the junction state, the corner sums of the faces still to be revisited,
+  an interned id of the face vectors already pushed, and the power of v.
+  Its cost follows the number of live partial monomials.
 """
 
-import itertools
 import operator
 
 from .hopf import STATES
@@ -504,18 +505,6 @@ def _validate_curve(tri, curve):
             raise SurfaceError("an open curve must end on the boundary")
 
 
-# stated corner arcs as (v-exponent, sign, triangle exponent vector); the bad
-# arc (-,+) has no entry
-_ARCS = {
-    (j, first, second): (exp, sign, vec)
-    for j in range(3)
-    for first in STATES
-    for second in STATES
-    for vec, c in corner_arc_image(StatedCornerArc(j, (first, second))).terms.items()
-    for exp, sign in c.items()
-}
-
-
 def _add(u, w):
     """The sum of two exponent 3-vectors."""
     return (u[0] + w[0], u[1] + w[1], u[2] + w[2])
@@ -539,73 +528,137 @@ def _push(e):
     return _tri_power(w, w) - _tri_power(e, e), w
 
 
+def _arc_rows(corner, forward, allowed):
+    """The stated corner arcs a step at `corner` can take, by the state it
+    enters with: (next state, sign, v-exponent, triangle vector, v-exponent
+    of the arc pushed alone, its pushed vector), for each next state in
+    `allowed` whose arc is not the bad arc (-,+)."""
+    rows = {}
+    for state in STATES:
+        row = []
+        for nxt in allowed:
+            arc = StatedCornerArc(corner, (state, nxt) if forward else (nxt, state))
+            for vec, c in corner_arc_image(arc).terms.items():
+                for exp, sign in c.items():
+                    push, pushed = _push(vec)
+                    row.append((nxt, sign, exp, vec, exp + push, pushed))
+        rows[state] = tuple(row)
+    return rows
+
+
+# the rows of every step, built once: every step but a curve's last may reach
+# either state, and the last only the curve's final state
+_ROWS = {
+    (corner, forward, allowed): _arc_rows(corner, forward, allowed)
+    for corner in range(3)
+    for forward in (False, True)
+    for allowed in (STATES,) + tuple((s,) for s in STATES)
+}
+
+
 def _lift_step(key, step):
     """Extend a partial lift by the stated corner arc of one curve step.
 
-    Face blocks commute, and within a face the arcs multiply in (corner,
-    step) order, which the curve fixes; so the arc's q-power comes from the
-    running sums of the face's arcs at the corners up to its own (`before`)
-    and after it (`after`), summed once per partial lift.  On the face's last
-    visit its sums are pushed into its block.  A lift keeps its power of v in
-    its key, so the step's weight is the arc's sign."""
-    pos, corner, forward, last, states = step
-    state, faces, power = key
-    sums = faces[pos]
+    A lift's key is (state at the junction, `sums`, `done`, power of v).
+    `sums` holds nine corner sums, three 3-vectors, for each face that has
+    been visited and has visits to come, in the order the curve opens them;
+    the face of this step starts at `at` there.  `done` is the id, interned
+    in `table`, of the face vectors pushed so far.  Face blocks commute, and
+    within a face the arcs multiply in (corner, step) order, which the curve
+    fixes; so the arc's q-power comes from the face's sums at the corners up
+    to its own (`before`) and after it (`after`).  A face's first visit opens
+    its sums and its last pushes them into its block; a face visited once
+    takes its row's pushed vector.  The step's weight is the arc's sign."""
+    rows, corner, at, first, last, table = step
+    state, sums, done, power = key
+    if first and last:
+        for nxt, sign, _, _, push, pushed in rows[state]:
+            yield (nxt, sums, table.setdefault((done, pushed), len(table) + 1), power + push), sign
+        return
+    if first:
+        # the face opens with this arc's vector at its corner, at the end of `sums`
+        head, tail = sums + (0, 0, 0) * corner, (0, 0, 0) * (2 - corner)
+        for nxt, sign, exp, vec, _, _ in rows[state]:
+            yield (nxt, head + vec + tail, done, power + exp), sign
+        return
+    face = sums[at : at + 3], sums[at + 3 : at + 6], sums[at + 6 : at + 9]
     if corner == 0:
-        before, after = sums[0], _add(sums[1], sums[2])
+        before, after = face[0], _add(face[1], face[2])
     elif corner == 1:
-        before, after = _add(sums[0], sums[1]), sums[2]
+        before, after = _add(face[0], face[1]), face[2]
     else:
-        before, after = _add(_add(sums[0], sums[1]), sums[2]), (0, 0, 0)
+        before, after = _add(_add(face[0], face[1]), face[2]), (0, 0, 0)
     whole = _add(before, after)
-    head, tail = faces[:pos], faces[pos + 1 :]
-    for nxt in states:
-        arc = _ARCS.get((corner, state, nxt) if forward else (corner, nxt, state))
-        if arc is None:
-            continue
-        exp, sign, vec = arc
+    if last:
+        rest = sums[:at] + sums[at + 9 :]
+    else:
+        head, tail = sums[: at + 3 * corner], sums[at + 3 * corner + 3 :]
+    for nxt, sign, exp, vec, _, _ in rows[state]:
         exp += power + 2 * (_tri_power(before, vec) + _tri_power(vec, after))
         if last:
-            push, entry = _push(_add(whole, vec))
-            exp += push
+            push, pushed = _push(_add(whole, vec))
+            yield (nxt, rest, table.setdefault((done, pushed), len(table) + 1), exp + push), sign
         else:
-            entry = sums[:corner] + (_add(sums[corner], vec),) + sums[corner + 1 :]
-        yield (nxt, head + (entry,) + tail, exp), sign
+            yield (nxt, head + _add(face[corner], vec) + tail, done, exp), sign
+
+
+def _unwind(parents, done, order, rank):
+    """The exponent vector of rank `rank` whose face vectors were pushed as
+    `done`: `parents` maps an id to (the id before it, its vector), and the
+    faces at positions `order` were pushed in turn; a face the curve misses
+    holds y^0."""
+    vec = [0] * rank
+    for pos in reversed(order):
+        done, pushed = parents[done]
+        vec[3 * pos : 3 * pos + 3] = pushed
+    return tuple(vec)
 
 
 def quantum_trace(tri, curve):
     """The curve's state sum over lifts, valued in the per-face torus.
 
     A sweep along the curve carries partial lifts with integer weights,
-    keyed by (state at the current junction, per-face data, power of v);
-    each curve step is a step of it (`_lift_step`).  A closed curve runs
-    once per initial state and keeps the lifts that return to it.  The live
-    lifts are grouped by exponent vector, and each coefficient is built once
-    at the end.  The cost is steps times live partial monomials, not
+    keyed by (state at the current junction, open faces' corner sums, id of
+    the pushed face vectors, power of v); each curve step is a step of it
+    (`_lift_step`).  A closed curve runs once per initial state and keeps
+    the lifts that return to it.  The live lifts are grouped by id, each id
+    is unwound into its exponent vector once, and each coefficient is built
+    once at the end.  The cost is steps times live partial monomials, not
     2^junctions.
     """
     _validate_curve(tri, curve)
     last_visit = {tri.face_position(fid): k for k, (fid, _, _) in enumerate(curve.steps)}
-    steps = []
+    table = {}  # (id before, pushed face vector) to id; the empty sequence is 0
+    opened, order, steps = [], [], []
     for k, (fid, enter, leave) in enumerate(curve.steps):
         e_slot = tri.slot(fid, enter)
         corner = 3 - e_slot - tri.slot(fid, leave)
         pos = tri.face_position(fid)
+        # a face stays open from its first visit to its last: the curve fixes
+        # where its sums sit in every lift
+        first, last = pos not in opened, k == last_visit[pos]
+        at = 9 * (len(opened) if first else opened.index(pos))
+        if first and not last:
+            opened.append(pos)
+        if last:
+            order.append(pos)
+            if not first:
+                opened.remove(pos)
         # the arc's state pair runs counterclockwise from slot corner + 2
-        steps.append((pos, corner, e_slot == (corner + 2) % 3, k == last_visit[pos], STATES))
-    # a face holds its three corner sums until its last visit, then its
-    # pushed exponent vector; a face the curve misses holds y^0 throughout
-    start = tuple(
-        ((0, 0, 0),) * 3 if pos in last_visit else (0, 0, 0) for pos in range(len(tri.faces))
-    )
-    total = {}  # integer tuples of rank 3F to {power of v: weight}
-    for first, final in ((s, s) for s in STATES) if curve.closed else (curve.end_states,):
-        # the last step may only reach the final state
-        live = sweep({(first, start, 0): 1}, steps[:-1] + [steps[-1][:-1] + ((final,),)], _lift_step)
-        for (_, faces, exp), weight in live.items():
-            add_to(total.setdefault(tuple(itertools.chain.from_iterable(faces)), {}), exp, weight)
-    # a vector whose lifts cancel across the two runs of a closed curve holds no term
-    return _qt_element(ambient_torus(tri), {vec: HalfLaurent(c) for vec, c in total.items() if c})
+        forward = e_slot == (corner + 2) % 3
+        steps.append((_ROWS[corner, forward, STATES], corner, at, first, last, table))
+    total = {}  # ids to {power of v: weight}
+    for start, final in ((s, s) for s in STATES) if curve.closed else (curve.end_states,):
+        # the last step, whose corner and direction the loop above ended
+        # on, may only reach the final state
+        steps[-1] = (_ROWS[corner, forward, (final,)],) + steps[-1][1:]
+        for (_, _, done, exp), weight in sweep({(start, (), 0, 0): 1}, steps, _lift_step).items():
+            add_to(total.setdefault(done, {}), exp, weight)
+    parents = {done: link for link, done in table.items()}
+    torus = ambient_torus(tri)
+    # an id whose lifts cancel across the two runs of a closed curve holds no term
+    terms = {_unwind(parents, done, order, torus.rank): HalfLaurent(c) for done, c in total.items() if c}
+    return _qt_element(torus, terms)
 
 
 def check_balanced(tri, x):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from support import random_element, random_scalar, random_tangle, random_word, seeded
@@ -692,6 +693,49 @@ def test_qtrace_answers_on_a_4096_face_strip(capsys, tmp_path):
     code, out, err = run_cli(capsys, "qtrace", "--surface", surface, "--curve", curve)
     exponents = [0, 1, 1, 1, 1] + [0] * (3 * 4096 - 5)
     assert (code, out, err) == (0, "q * x^(%s)\n" % ",".join(map(str, exponents)), "")
+
+
+PUNCTURED_TORUS = {
+    "faces": [{"id": "F0", "sides": [0, 1, 2]}, {"id": "F1", "sides": [0, 1, 2]}],
+    "gluings": [["F0", 0, "F1", 0], ["F0", 1, "F1", 1], ["F0", 2, "F1", 2]],
+}
+# the peripheral loop: six steps, each face visited three times
+PERIPHERAL = {
+    "steps": [
+        {"face": f, "enter": a, "exit": b}
+        for f, a, b in (("F0", 0, 1), ("F1", 1, 2), ("F0", 2, 0), ("F1", 0, 1), ("F0", 1, 2), ("F1", 2, 0))
+    ],
+    "closed": True,
+}
+
+
+def test_qtrace_golden_for_a_loop_that_revisits_its_faces(capsys, tmp_path):
+    surface = _write(tmp_path, "torus.json", PUNCTURED_TORUS)
+    curve = _write(tmp_path, "loop.json", PERIPHERAL)
+    reply = run_cli(capsys, "qtrace", "--surface", surface, "--curve", curve)
+    assert reply == (0, "q^3 * x^(-2,-2,-2,-2,-2,-2)\nq^3 * x^(2,2,2,2,2,2)\n", "")
+
+
+def _zigzag(faces):
+    """A strip and an arc through it that enters face i through side i mod 3
+    and turns 1, 2, 2, 1, 1, 2, 2, ... sides on, crossing every internal edge."""
+    enters = [i % 3 for i in range(faces)]
+    leaves = [(i + 1 + (i + 1) // 2 % 2) % 3 for i in range(faces)]
+    surface = {
+        "faces": [{"id": "F%d" % i, "sides": [0, 1, 2]} for i in range(faces)],
+        "gluings": [["F%d" % i, leaves[i], "F%d" % (i + 1), enters[i + 1]] for i in range(faces - 1)],
+    }
+    steps = [{"face": "F%d" % i, "enter": enters[i], "exit": leaves[i]} for i in range(faces)]
+    return surface, {"steps": steps, "states": "+-"}
+
+
+def test_qtrace_golden_for_a_twelve_face_strip(capsys, tmp_path):
+    # 70 terms, each face visited once
+    surface, arc = _zigzag(12)
+    surface, arc = _write(tmp_path, "strip.json", surface), _write(tmp_path, "arc.json", arc)
+    golden = (Path(__file__).parent / "golden" / "qtrace_strip12.txt").read_text()
+    reply = run_cli(capsys, "qtrace", "--surface", surface, "--curve", arc)
+    assert reply == (0, golden, "") and len(golden.splitlines()) == 70
 
 
 UNDECODABLE = {
