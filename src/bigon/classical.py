@@ -22,12 +22,17 @@ order, so the holonomy is the reversed matrix product.  Tokens:
 The trace of a stated arc with holonomy [[a, b], [c, d]] reads off the state
 table (start state chooses the column, end state the row): (+,+) -> c,
 (+,-) -> -a, (-,+) -> d, (-,-) -> -b.
+
+A representation makes each token's matrix once, the first time a path uses
+it, and a path's holonomy is one loop over its tokens that multiplies four
+integers and a denominator, building a single matrix at the end.
 """
 
 import itertools
 import math
 import re
 import sys
+import types
 from fractions import Fraction
 
 from .hopf import GENERATORS, STATES, OqElement, multiply
@@ -174,23 +179,28 @@ class GroupoidRep:
     """Named SL2(Q) matrices for path pieces, plus the fiber elements.
 
     No piece is named ``sqrtO-``, ``CUT`` or ``~...``: a path reads those as tokens.
+    ``generators`` is a read-only view, so the table of token matrices a
+    path fills (`_fold`) never goes stale.
     """
 
     def __init__(self, generators):
-        self.generators = {}
+        pieces = {}
         for name, matrix in generators.items():
             if name in ("sqrtO-", "CUT") or str(name).startswith("~"):
                 raise ValueError("%r is a path token, not a piece name" % (name,))
             if not isinstance(matrix, SL2Matrix):
                 matrix = SL2Matrix(matrix)
-            self.generators[name] = matrix
+            pieces[name] = matrix
         for name, required in (("sqrtO", HALF_FIBER), ("O", FIBER)):
-            if name in self.generators:
-                if self.generators[name] != required:
+            if name in pieces:
+                if pieces[name] != required:
                     text = "[[%s, %s], [%s, %s]]" % (required.rows[0] + required.rows[1])
                     raise ValueError("%s must be %s" % (name, text))
             else:
-                self.generators[name] = required
+                pieces[name] = required
+        self.generators = types.MappingProxyType(pieces)
+        # token text -> matrix, at most one entry per piece, reversed piece and sqrtO-
+        self._tokens = {}
 
     @classmethod
     def from_dict(cls, data):
@@ -202,7 +212,7 @@ class GroupoidRep:
           ``fractions.Fraction`` reads (``"3"``, ``"-1/2"``), else a
           TypeError; each is read once into ints (`_entry`), and the matrix
           is checked once in integers: the determinant must be 1, else a
-          ValueError.
+          ValueError.  Each distinct entry text is read once per call.
           ``sqrtO`` and ``O`` may be left out; when given they must equal
           [[0, -1], [1, 0]] and -Id.  A name that a path reads as a token
           (``sqrtO-``, ``CUT``, ``~...``) is a ValueError.
@@ -213,9 +223,20 @@ class GroupoidRep:
         for rows in generators.values():
             if type(rows) is not list or [len(r) if type(r) is list else 0 for r in rows] != [2, 2]:
                 raise TypeError("a matrix must be a list of two rows of two entries")
+        texts = {}
+
+        def read(e):
+            # only a str is a key: 1, 1.0 and True are equal keys that read differently
+            if type(e) is not str:
+                return _entry(e)
+            pair = texts.get(e)
+            if pair is None:
+                pair = texts[e] = _entry(e)
+            return pair
+
         return cls(
             {
-                name: SL2Matrix.__new__(SL2Matrix)._check([_entry(e) for row in rows for e in row])
+                name: SL2Matrix.__new__(SL2Matrix)._check([read(e) for row in rows for e in row])
                 for name, rows in generators.items()
             }
         )
@@ -293,12 +314,27 @@ def _token_matrix(rep, token):
     return rep.matrix(token)
 
 
+def _fold(rep, word):
+    """The reversed product of the word's token matrices, unreduced and unchecked.
+
+    A token's matrix is made (`_token_matrix`) and kept in `rep`'s table the
+    first time a path uses it; a refused token stores nothing.
+    """
+    table = rep._tokens
+    n00, n01, n10, n11, den = 1, 0, 0, 1, 1
+    for token in word:
+        m = table.get(token)
+        if m is None:
+            m = table[token] = _token_matrix(rep, token)
+        a, b, c, d = m.nums
+        n00, n01, n10, n11 = a * n00 + b * n10, a * n01 + b * n11, c * n00 + d * n10, c * n01 + d * n11
+        den *= m.den
+    return _sl2((n00, n01, n10, n11), den)
+
+
 def holonomy(rep, path):
-    """Matrix of the path: pieces in traversal order multiply reversed."""
-    out = SL2Matrix.identity()
-    for token in path.word:
-        out = _token_matrix(rep, token) * out
-    return out
+    """Matrix of the path: pieces in traversal order multiply reversed (`_fold`), unreduced."""
+    return _fold(rep, path.word)
 
 
 def _state_matrix(matrix):
@@ -351,13 +387,14 @@ def cut_check(rep, path):
 
     The sum over the states at each mark is a matrix product of the pieces'
     state tables, read at the end states; it equals the trace of the spliced
-    arc, whatever the number of marks.
+    arc, whatever the number of marks.  Each piece folds as a holonomy does
+    (`_fold`).
     """
     if path.closed:
         raise ValueError("the cutting formula applies to stated arcs")
     product = SL2Matrix.identity()
     for piece in _split_at_cuts(path.word):
-        product = product * _state_matrix(holonomy(rep, StatedPath(piece, states="++")))
+        product = product * _state_matrix(_fold(rep, piece))
     return _at_states(product, path.states)
 
 

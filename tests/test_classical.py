@@ -389,6 +389,11 @@ def _fraction_holonomy(rep, word):
     return out
 
 
+def _fraction_loop(rep, word):
+    loop = _fraction_holonomy(rep, word)
+    return loop[0][0] + loop[1][1]
+
+
 def _fraction_arc(rep, word, states):
     (a, b), (c, d) = _fraction_holonomy(rep, word)
     return {"++": c, "+-": -a, "-+": d, "--": -b}["".join(states)]
@@ -468,6 +473,115 @@ def _product_losing_a_denominator(self, other):
 def test_fraction_oracle_catches_a_mutant(method, mutant, monkeypatch):
     monkeypatch.setattr(SL2Matrix, method, mutant)
     assert _oracle_mismatches(1) != []
+
+
+def _times(a, b):
+    """The product of two matrices as four integers each, in row order."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _fold_dropping_the_denominators(rep, word):
+    nums = (1, 0, 0, 1)
+    for token in word:
+        nums = _times(classical._token_matrix(rep, token).nums, nums)
+    return classical._sl2(nums, 1)
+
+
+def _fold_in_traversal_order(rep, word):
+    nums, den = (1, 0, 0, 1), 1
+    for token in word:
+        m = classical._token_matrix(rep, token)
+        nums, den = _times(nums, m.nums), den * m.den
+    return classical._sl2(nums, den)
+
+
+@pytest.mark.parametrize("mutant", [_fold_dropping_the_denominators, _fold_in_traversal_order])
+def test_fraction_oracle_catches_a_fold_mutant(mutant, monkeypatch):
+    monkeypatch.setattr(classical, "_fold", mutant)
+    assert _oracle_mismatches(1) != []
+
+
+def test_fraction_oracle_catches_a_table_losing_the_reversal_sign(monkeypatch):
+    token_matrix = classical._token_matrix
+
+    def mutant(rep, token):
+        m = token_matrix(rep, token)
+        return -m if token.startswith("~") else m
+
+    monkeypatch.setattr(classical, "_token_matrix", mutant)
+    assert _oracle_mismatches(1) != []
+
+
+def _counting(monkeypatch, name):
+    """Wrap classical.`name` so that each call is counted; returns the list of calls' arguments."""
+    calls, inner = [], getattr(classical, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(classical, name, counted)
+    return calls
+
+
+def test_each_token_matrix_is_made_once_per_representation(monkeypatch):
+    calls = _counting(monkeypatch, "_token_matrix")
+    rep = _rep(seeded(14), "g", "h")
+    word = ["g", "~g", "sqrtO-", "~g", "g"] * 8
+    assert trace_arc(rep, StatedPath(word, states="+-")) == _fraction_arc(rep, word, "+-")
+    assert sorted(token for _, token in calls) == ["g", "sqrtO-", "~g"]
+    # a second path, and the pieces of a cut one, read the same table
+    assert trace_loop(rep, StatedPath(word[::-1], closed=True)) == _fraction_loop(rep, word[::-1])
+    cut = word[:9] + ["CUT"] + word[9:]
+    assert cut_check(rep, StatedPath(cut, states="-+")) == _fraction_cut(rep, cut, "-+")
+    assert len(calls) == 3
+    # a fresh representation makes its own
+    trace_arc(_rep(seeded(14), "g", "h"), StatedPath(word, states="+-"))
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("CUT", "cut marker outside the cutting formula"),
+        ("~x", "unknown generator 'x'"),
+        ("x", "unknown generator 'x'"),
+    ],
+)
+def test_a_refused_token_is_refused_on_every_call_and_stores_nothing(token, message, monkeypatch):
+    calls = _counting(monkeypatch, "_token_matrix")
+    rep = _rep(seeded(15), "g")
+    trace_arc(rep, StatedPath(["g"], states="++"))
+    for attempt in range(1, 4):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            trace_arc(rep, StatedPath(["g", token, "g"], states="++"))
+        assert len(calls) == 1 + attempt and list(rep._tokens) == ["g"]
+
+
+def test_each_distinct_entry_text_is_read_once(monkeypatch):
+    calls = _counting(monkeypatch, "_entry")
+    shears = ("1/2", "-3", "1/2", "2", "-3", "2")
+    data = {"generators": {"g%d" % i: [["1", t], ["0", "1"]] for i, t in enumerate(shears)}}
+    rep = GroupoidRep.from_dict(data)
+    assert sorted(e for (e,) in calls) == ["-3", "0", "1", "1/2", "2"]
+    assert rep.matrix("g1") == SL2Matrix(((1, -3), (0, 1)))
+    rng = seeded(16)
+    data = GroupoidRep({"g%d" % i: random_sl2(rng) for i in range(6)}).to_dict()
+    del data["generators"]["O"], data["generators"]["sqrtO"]
+    texts = [e for rows in data["generators"].values() for row in rows for e in row]
+    del calls[:]
+    GroupoidRep.from_dict(data)
+    assert len(texts) == 24 and len(calls) == len(set(texts)) < 24
+
+
+def test_generators_are_read_only():
+    data = {"generators": {"g": [["2", "3"], ["1", "2"]]}}
+    for rep in (GroupoidRep({"g": SL2Matrix(((2, 3), (1, 2)))}), GroupoidRep.from_dict(data)):
+        with pytest.raises(TypeError):
+            rep.generators["g"] = SL2Matrix.identity()
+        assert rep.matrix("g") == SL2Matrix(((2, 3), (1, 2)))
 
 
 def _reading_p_over_q_as_q_over_p(entry):

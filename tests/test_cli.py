@@ -646,6 +646,33 @@ def test_classical_files(capsys, tmp_path):
     assert code == 0 and out == out2
 
 
+# three pieces with unlike denominators, and a 40-token path mixing reversed
+# pieces with both fiber tokens
+REP3 = {
+    "generators": {
+        "g": [["2", "3"], ["1", "2"]],
+        "h": [["1/2", "-3/4"], ["1", "1/2"]],
+        "k": [["1", "-2/3"], ["0", "1"]],
+    }
+}
+WORD40 = ["g", "~h", "sqrtO-", "k", "O", "~g", "h", "~k"] * 5
+
+
+def test_classical_goldens_for_a_forty_piece_path(capsys, tmp_path):
+    rep = _write(tmp_path, "rep.json", REP3)
+    arc = _write(tmp_path, "arc.json", {"word": WORD40, "states": "+-"})
+    loop = _write(tmp_path, "loop.json", {"word": WORD40, "closed": True})
+    cut = WORD40[:7] + ["CUT"] + WORD40[7:19] + ["CUT"] + WORD40[19:31] + ["CUT"] + WORD40[31:]
+    cut = _write(tmp_path, "cut.json", {"word": cut, "states": "-+"})
+    assert run_cli(capsys, "classical", "trace", "--rep", rep, "--path", arc) == (0, "-40436888/243\n", "")
+    assert run_cli(capsys, "classical", "trace", "--rep", rep, "--path", loop) == (0, "76781318/243\n", "")
+    assert run_cli(capsys, "classical", "cut", "--rep", rep, "--path", cut) == (0, "-2459895/16\n", "")
+    unknown = _write(tmp_path, "unknown.json", {"word": WORD40[:20] + ["~x"] + WORD40[20:], "states": "++"})
+    for op in ("trace", "cut"):
+        reply = run_cli(capsys, "classical", op, "--rep", rep, "--path", unknown)
+        assert reply == (1, "", "error: unknown generator 'x'\n")
+
+
 def test_classical_states_must_be_a_json_string(capsys, tmp_path):
     rep = _write(tmp_path, "rep.json", REP)
     path = _write(tmp_path, "arc.json", {"word": ["g"], "states": {"+": 1, "-": 2}})
