@@ -23,16 +23,15 @@ The trace of a stated arc with holonomy [[a, b], [c, d]] reads off the state
 table (start state chooses the column, end state the row): (+,+) -> c,
 (+,-) -> -a, (-,+) -> d, (-,-) -> -b.
 
-A representation makes each token's matrix once, the first time a path uses
-it, and a path's holonomy is one loop over its tokens that multiplies four
-integers and a denominator, building a single matrix at the end.
+A path's holonomy is one loop over its tokens that multiplies four integers
+and a denominator, building a single matrix at the end; each distinct token's
+matrix is made once per loop.
 """
 
 import itertools
 import math
 import re
 import sys
-import types
 from fractions import Fraction
 
 from .hopf import GENERATORS, STATES, OqElement, multiply
@@ -179,28 +178,23 @@ class GroupoidRep:
     """Named SL2(Q) matrices for path pieces, plus the fiber elements.
 
     No piece is named ``sqrtO-``, ``CUT`` or ``~...``: a path reads those as tokens.
-    ``generators`` is a read-only view, so the table of token matrices a
-    path fills (`_fold`) never goes stale.
     """
 
     def __init__(self, generators):
-        pieces = {}
+        self.generators = {}
         for name, matrix in generators.items():
             if name in ("sqrtO-", "CUT") or str(name).startswith("~"):
                 raise ValueError("%r is a path token, not a piece name" % (name,))
             if not isinstance(matrix, SL2Matrix):
                 matrix = SL2Matrix(matrix)
-            pieces[name] = matrix
+            self.generators[name] = matrix
         for name, required in (("sqrtO", HALF_FIBER), ("O", FIBER)):
-            if name in pieces:
-                if pieces[name] != required:
+            if name in self.generators:
+                if self.generators[name] != required:
                     text = "[[%s, %s], [%s, %s]]" % (required.rows[0] + required.rows[1])
                     raise ValueError("%s must be %s" % (name, text))
             else:
-                pieces[name] = required
-        self.generators = types.MappingProxyType(pieces)
-        # token text -> matrix, at most one entry per piece, reversed piece and sqrtO-
-        self._tokens = {}
+                self.generators[name] = required
 
     @classmethod
     def from_dict(cls, data):
@@ -317,10 +311,10 @@ def _token_matrix(rep, token):
 def _fold(rep, word):
     """The reversed product of the word's token matrices, unreduced and unchecked.
 
-    A token's matrix is made (`_token_matrix`) and kept in `rep`'s table the
-    first time a path uses it; a refused token stores nothing.
+    Each distinct token's matrix is made once per call (`_token_matrix`), the
+    first time the word uses it.
     """
-    table = rep._tokens
+    table = {}
     n00, n01, n10, n11, den = 1, 0, 0, 1, 1
     for token in word:
         m = table.get(token)
