@@ -131,8 +131,9 @@ def _rational(e):
     return e.numerator, e.denominator
 
 
+IDENTITY = SL2Matrix.identity()
 HALF_FIBER = SL2Matrix(((0, -1), (1, 0)))
-FIBER = -SL2Matrix.identity()
+FIBER = -IDENTITY
 
 
 # an ASCII integer, or p/q with q nonzero
@@ -386,7 +387,7 @@ def cut_check(rep, path):
     """
     if path.closed:
         raise ValueError("the cutting formula applies to stated arcs")
-    product = SL2Matrix.identity()
+    product = IDENTITY
     for piece in _split_at_cuts(path.word):
         product = product * _state_matrix(_fold(rep, piece))
     return _at_states(product, path.states)

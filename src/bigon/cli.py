@@ -160,6 +160,12 @@ def _product(x, y, pos, spent=None):
 def _power(x, n, pos):
     if abs(n) > MAX_EXPONENT:
         raise ExpressionError("exponent %d exceeds %d in size" % (n, MAX_EXPONENT), pos)
+    if len(x.terms) == 1 and n >= 0:
+        # a scaled letter or scalar to a power is one word: no swaps, at most n
+        # one-monomial terms, so no budget can refuse the products it stands for
+        ((w, c),) = x.terms.items()
+        if len(w) <= 1 and len(c.items()) == 1:
+            return OqElement.from_word(w * n, c**n)
     if n >= 0:
         out, spent = OqElement.unit(), [0]
         for _ in range(n):

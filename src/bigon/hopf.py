@@ -39,7 +39,6 @@ U-word is one sweep step per token whatever its exponents.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 
 from .ring import Combination, HalfLaurent, ONE, ZERO, add_to, expand, format_sum
@@ -542,13 +541,16 @@ def _mono_sort_key(word):
 
 
 def _format_mono(word):
-    if not word:
-        return ""
-    bits = []
-    for ch, grp in itertools.groupby(word):
-        n = len(list(grp))
-        bits.append(ch if n == 1 else "%s^%d" % (ch, n))
-    return "*".join(bits)
+    """A basis word as a product of powers, e.g. 'a^2*b*d^3'; '' for the empty word."""
+    h, x, k, l = mono_parts(word)
+    powers = []
+    if h:
+        powers.append("a" if h == 1 else f"a^{h}")
+    if k:
+        powers.append(x if k == 1 else f"{x}^{k}")
+    if l:
+        powers.append("d" if l == 1 else f"d^{l}")
+    return "*".join(powers)
 
 
 def element_to_string(x):

@@ -541,60 +541,50 @@ class Combination:
 # ---------------------------------------------------------------------------
 
 
-def _power_text(e, mag):
-    """The factor mag * v^e, e.g. '3', 'v^5', '2*q^-1': even powers of v are powers of q."""
-    if e == 0:
-        return str(mag)
-    if e % 2 == 0:
-        head = "q" if e == 2 else "q^%d" % (e // 2)
-    else:
-        head = "v" if e == 1 else "v^%d" % e
-    return head if mag == 1 else "%d*%s" % (mag, head)
+def _terms(c, tail=""):
+    """Each term of the Laurent dict c times the factor text `tail` ('' or '*x'),
+    descending in v and behind its sign, e.g. ' + q^2*x - 2*v^-1*x': even powers
+    of v are powers of q, and a unit coefficient is left out."""
+    out = []
+    for e in sorted(c, reverse=True):
+        a = c[e]
+        sign = " + "
+        if a < 0:
+            sign, a = " - ", -a
+        if e & 1:
+            head = "*v" if e == 1 else f"*v^{e}"
+        else:
+            head = "" if not e else "*q" if e == 2 else f"*q^{e >> 1}"
+        head += tail
+        out.append(sign + (head[1:] or "1") if a == 1 else f"{sign}{a}{head}")
+    return "".join(out)
 
 
-def _join_signed(pieces):
-    """Text of a sum of (sign, body) pieces, in the given order; the empty sum is '0'."""
-    text = "".join(" %s %s" % piece for piece in pieces)
+def _joined(text):
+    """A sum of `_terms` texts with its first sign as a prefix; the empty sum is '0'."""
     if not text:
         return "0"
     return text[3:] if text[1] == "+" else "-" + text[3:]
-
-
-def _monomials(p):
-    """(sign, text) of each term of p, descending in v."""
-    for e, a in sorted(p.items(), reverse=True):
-        yield "-" if a < 0 else "+", _power_text(e, abs(a))
 
 
 def format_qform(p):
     """The one text of a scalar, e.g. 'q - q^-3' or '-v^5 + 1': descending in v,
     even powers as powers of q.  It is the repr of a HalfLaurent and what the
     command line prints, and parse_vform reads it back bit-exactly."""
-    return _join_signed(_monomials(p))
-
-
-def _scalar_head(coeff):
-    """(sign, head) of a coefficient written in front of a factor.
-
-    head is '' for 1, else a grammar-compatible factor; a coefficient of more
-    than one term is parenthesised and always carries the sign '+'.
-    """
-    if len(coeff.items()) != 1:
-        return "+", "(%s)" % format_qform(coeff)
-    ((sign, head),) = _monomials(coeff)
-    return sign, "" if head == "1" else head
+    return _joined(_terms(p._c))
 
 
 def format_sum(terms):
     """Text of a sum of (coefficient, factor text) pairs, in the given order.
 
-    An empty factor stands for 1; the empty sum is '0'.
+    An empty factor stands for 1; a coefficient of more than one term is
+    parenthesised and always added; the empty sum is '0'.
     """
-    pieces = []
-    for coeff, factor in terms:
-        sign, head = _scalar_head(coeff)
-        pieces.append((sign, "*".join(filter(None, (head, factor))) or "1"))
-    return _join_signed(pieces)
+    out = []
+    for c, factor in terms:
+        tail = "*" + factor if factor else ""
+        out.append(_terms(c._c, tail) if len(c._c) == 1 else " + (%s)%s" % (format_qform(c), tail))
+    return _joined("".join(out))
 
 
 class ScalarParseError(ValueError):

@@ -12,6 +12,7 @@ from bigon import classical
 from bigon.classical import (
     FIBER,
     HALF_FIBER,
+    IDENTITY,
     GroupoidRep,
     SL2Matrix,
     StatedPath,
@@ -177,6 +178,19 @@ def test_cut_formula_without_marks_is_the_trace():
     rep = _rep(rng, "g")
     path = StatedPath(["g"], states="+-")
     assert cut_check(rep, path) == trace_arc(rep, path)
+
+
+def test_cut_check_starts_from_the_identity_built_once(monkeypatch):
+    assert IDENTITY == SL2Matrix.identity() and FIBER == -IDENTITY
+    rep = GroupoidRep({"g": ((2, 3), (1, 2))})
+    path = StatedPath(["g", "CUT", "~g", "CUT", "O"], states="+-")
+    expected = trace_arc(rep, splice_cuts(path))
+
+    def checked(*args):
+        raise AssertionError("cut_check went through the checking constructor")
+
+    monkeypatch.setattr(SL2Matrix, "__init__", checked)
+    assert cut_check(rep, path) == expected
 
 
 def test_cut_check_rejections():

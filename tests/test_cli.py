@@ -1,5 +1,6 @@
 """Front-end behaviour: grammar, golden outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -360,6 +361,33 @@ def test_a_pair_is_charged_before_its_coefficients_multiply(capsys, monkeypatch,
     code, out, err = run_cli(capsys, "normal-form", text)
     assert (code, out) == (2, "")
     assert err.startswith("error: product makes more than 262144 coefficient terms (at position ")
+
+
+def _power_loop(x, n):
+    """x^n as n products by x from the unit, as every power was once taken."""
+    out = OqElement.unit()
+    for _ in range(n):
+        out = multiply(out, x)
+    return out
+
+
+@pytest.mark.parametrize("base", ["a", "b", "c", "d", "q", "v", "2", "(q*b)", "(-2*v^-3*c)"])
+def test_a_power_of_one_scaled_letter_is_the_product_loop(base):
+    x = parse_expression(base)
+    for n in range(65):
+        assert parse_expression("%s^%d" % (base, n)) == _power_loop(x, n), n
+
+
+def test_powers_at_and_past_the_bounds_answer_or_refuse_as_before(capsys):
+    assert run_cli(capsys, "normal-form", "a^4096") == (0, "a^4096\n", "")
+    assert run_cli(capsys, "normal-form", "a^4097") == (2, "", "error: exponent 4097 exceeds 4096 in size (at position 1)\n")
+    too_many = "error: product makes more than 262144 coefficient terms (at position 5)\n"
+    assert run_cli(capsys, "normal-form", "(a+d)^24") == (2, "", too_many)
+    assert run_cli(capsys, "normal-form", "(q+1)^512") == (2, "", too_many)
+    # the slowest product at the swap bound, with the text it printed before
+    code, out, err = run_cli(capsys, "normal-form", "(b^20*d^20)*(a^20*c^20)")
+    assert (code, err, len(out)) == (0, "", 275240)
+    assert hashlib.sha256(out.encode()).hexdigest() == "a578010d5c41b026330e564ae5dfb3a992f308a6e91378b6f9adb54f90a19a62"
 
 
 def test_huge_exponent_is_one_error_line():

@@ -21,6 +21,7 @@ from bigon.ring import (
     one_minus_power,
     expand,
     format_qform,
+    format_sum,
     parse_vform,
     MAX_NESTING,
     ScalarParseError,
@@ -353,6 +354,71 @@ def test_format_qform_of_half_powers():
     assert format_qform(HalfLaurent({0: -3})) == "-3"
     assert format_qform(HalfLaurent({-2: 1, 0: -1, 3: 4})) == "4*v^3 - 1 + q^-1"
     assert format_qform(half(1)) == "v"
+
+
+# The printer before it wrote each monomial in one pass, kept as the oracle of
+# the one-pass printer: (sign, body) pieces joined after the fact.
+
+
+def _old_power_text(e, mag):
+    if e == 0:
+        return str(mag)
+    if e % 2 == 0:
+        head = "q" if e == 2 else "q^%d" % (e // 2)
+    else:
+        head = "v" if e == 1 else "v^%d" % e
+    return head if mag == 1 else "%d*%s" % (mag, head)
+
+
+def _old_join_signed(pieces):
+    text = "".join(" %s %s" % piece for piece in pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _old_monomials(p):
+    for e, a in sorted(p.items(), reverse=True):
+        yield "-" if a < 0 else "+", _old_power_text(e, abs(a))
+
+
+def _old_format_qform(p):
+    return _old_join_signed(_old_monomials(p))
+
+
+def _old_format_sum(terms):
+    pieces = []
+    for coeff, factor in terms:
+        if len(coeff.items()) != 1:
+            sign, head = "+", "(%s)" % _old_format_qform(coeff)
+        else:
+            ((sign, head),) = _old_monomials(coeff)
+            head = "" if head == "1" else head
+        pieces.append((sign, "*".join(filter(None, (head, factor))) or "1"))
+    return _old_join_signed(pieces)
+
+
+_OLD_COEFFICIENTS = (0, 1, -1, 2, -2, 17, -17, 10**30, -(10**30))
+
+
+def _random_scalar(rng, terms):
+    return HalfLaurent({rng.randint(-600, 600): rng.choice(_OLD_COEFFICIENTS) for _ in range(terms)})
+
+
+def test_the_one_pass_printer_writes_what_the_old_one_did():
+    rng = seeded(34)
+    # every exponent and coefficient alone, then random sums of them
+    scalars = [HalfLaurent({e: a}) for e in range(-600, 601) for a in _OLD_COEFFICIENTS]
+    scalars += [_random_scalar(rng, rng.randint(0, 9)) for _ in range(3000)]
+    for p in scalars:
+        assert format_qform(p) == _old_format_qform(p), dict(p.items())
+    factors = ["", "a", "a^2*b*d^3", "(|ab)", "(|)"]
+    for _ in range(3000):
+        terms = [
+            (_random_scalar(rng, rng.choice((1, 1, 1, 2, 5))), rng.choice(factors))
+            for _ in range(rng.randint(0, 6))
+        ]
+        assert format_sum(terms) == _old_format_sum(terms), terms
 
 
 @given(small_poly)
