@@ -532,17 +532,8 @@ def is_positive(coords):
 # printing
 # ---------------------------------------------------------------------------
 
-_LETTER_RANK = {"": 0, "b": 1, "c": 2}
-
-
-def _mono_sort_key(word):
-    h, letter, k, l = mono_parts(word)
-    return (h, _LETTER_RANK[letter], k, l)
-
-
-def _format_mono(word):
-    """A basis word as a product of powers, e.g. 'a^2*b*d^3'; '' for the empty word."""
-    h, x, k, l = mono_parts(word)
+def _format_mono(h, x, k, l):
+    """The basis word a^h x^k d^l (`mono_parts`) as a product of powers, e.g. 'a^2*b*d^3'."""
     powers = []
     if h:
         powers.append("a" if h == 1 else f"a^{h}")
@@ -554,9 +545,10 @@ def _format_mono(word):
 
 
 def element_to_string(x):
-    """Canonical text form, e.g. ``q^2*a*d - q^2``; parses back bit-exactly."""
-    words = sorted(x.terms, key=_mono_sort_key, reverse=True)
-    return format_sum((x.terms[w], _format_mono(w)) for w in words)
+    """Canonical text form, e.g. ``q^2*a*d - q^2``; parses back bit-exactly.  The words
+    come in descending order of their `mono_parts`, in which '' < 'b' < 'c'."""
+    parts = sorted(((mono_parts(w), w) for w in x.terms), reverse=True)
+    return format_sum((x.terms[w], _format_mono(*p)) for p, w in parts)
 
 
 def format_leg_terms(terms):

@@ -32,7 +32,7 @@ from bigon.hopf import (
     u_action,
     word_weight,
 )
-from bigon.ring import HalfLaurent, ONE, RatFunc, ZERO, add_to, expand, half, q_factorial, q_power, sweep
+from bigon.ring import HalfLaurent, ONE, RatFunc, ZERO, add_to, expand, format_sum, half, q_factorial, q_power, sweep
 
 from support import basis_words, oq, random_element, random_word, seeded, word_triples
 
@@ -1302,3 +1302,28 @@ def test_element_to_string():
     assert element_to_string(d * a) == "q^4*a*d + (-q^4 + 1)"
     assert element_to_string(oq("aab", q_power(-1))) == "q^-1*a^2*b"
     assert element_to_string(a + OqElement.unit(HalfLaurent({0: 3}))) == "a + 3"
+
+
+def _old_element_to_string(x):
+    """The text as it was written before words were printed from their `mono_parts`:
+    ranked letters and runs of equal letters."""
+    rank = {"": 0, "b": 1, "c": 2}
+
+    def key(word):
+        h, letter, k, l = mono_parts(word)
+        return (h, rank[letter], k, l)
+
+    def mono(word):
+        runs = [(ch, len(list(g))) for ch, g in itertools.groupby(word)]
+        return "*".join(ch if n == 1 else "%s^%d" % (ch, n) for ch, n in runs)
+
+    return format_sum((x.terms[w], mono(w)) for w in sorted(x.terms, key=key, reverse=True))
+
+
+def test_element_text_is_what_the_letter_runs_gave():
+    rng = seeded(34)
+    for _ in range(400):
+        x = random_element(rng, rng.randint(0, 9), rng.randint(0, 6))
+        assert element_to_string(x) == _old_element_to_string(x)
+    every = OqElement({"a" * h + g * k + "d" * l: ONE for h in range(4) for g in "bc" for k in range(4) for l in range(4)})
+    assert element_to_string(every) == _old_element_to_string(every)
