@@ -80,6 +80,9 @@ REP3 = _json({
     }
 })
 WORD40 = ["g", "~h", "sqrtO-", "k", "O", "~g", "h", "~k"] * 5
+# 512 and 1024 coefficient terms, each built by products far inside the size budget
+SPARSE_A = "*".join("(1+q^%d)" % 2**k for k in range(9))
+SPARSE_B = "*".join(["(1+q^512)", "(1+q^1024)", "(1+q^2048)", "(1+q^4096)"] + ["(1+(q^4096)^%d)" % 2**k for k in range(1, 7)])
 
 
 def _qtrace(surface, curve, *flags):
@@ -226,6 +229,29 @@ def cases():
         _classical("trace", _json({"generators": {"CUT": [["2", "3"], ["1", "2"]]}}), _json({"word": ["CUT"], "states": "+-"})),
         _classical("trace", "[1, 2", _json({"word": ["g"], "states": "+-"})),
         (["classical", "trace", "--rep", "missing.json", "--path", "path.json"], {"path.json": _json({"word": ["g"]})}),
+        _classical("trace", "[" * 5000 + "]" * 5000, _json({"word": ["g"], "states": "+-"})),
+        _classical("cut", REP, '{"word": [' + "7" * 5000 + "]}"),
+        # the rest of the budget tests' refusals, and of the usage errors
+        _plain("normal-form", "(a+d)^64"),
+        _plain("normal-form", "(%s)*(%s)" % (SPARSE_A, SPARSE_B)),
+        _plain("normal-form", "(%s)^2" % SPARSE_B),
+        _plain("normal-form", "(q+1)^511*((q+1)^300*(q+1)^300)"),
+        _plain("braided", "--x", "(q+1)^511*((q+1)^511*(q+1)*(a|))", "--y", "(|)"),
+        _plain("hopf", "rho", "--left", "a^64", "--right", "d^64"),
+        _plain("hopf", "rho", "--left", "b", "--right", "(a+d)^5", "--kind", "bar"),
+        _plain("hopf", "coproduct", "--expr", "a^128"),
+        _plain("braided", "--x", "(%sa)" % ("|" * 1199), "--y", "(a%s)" % ("|" * 1199)),
+        _plain("braided", "--x", "(%s)" % "|".join(["ad"] * 6), "--y", "(%s)" % "|".join(["ad"] * 6)),
+        _plain("braided", "--x", "(%s)" % "|".join(["d"] * 10), "--y", "(%s)" % "|".join(["a"] * 10)),
+        _plain("braided", "--x", "(%s|)" % ("d" * 80 + "a" * 80), "--y", "(|)"),
+        _plain("tangle", "eval", "--word", ";".join(["cup@0"] * 11), "--right", "+-" * 11),
+        _plain("tangle", "eval", "--word", ";".join(["cup@0"] * 40), "--right", "+-" * 40),
+        _plain("tangle", "element", "--word", ";".join(["cup@0"] * 40), "--right", "+-" * 40),
+        _plain("tangle", "element", "--word", "id200", "--left", "+-" * 100, "--right", "+-" * 100),
+        _plain("normal-form"),
+        _plain("tangle", "eval", "--word"),
+        _plain("tangle", "eval", "--word", "cap@0", "--left"),
+        _plain("hopf", "split"),
     ]
     return out
 
