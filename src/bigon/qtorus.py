@@ -133,8 +133,10 @@ def _qt_element(torus, terms):
 
 
 def format_qtorus(x):
-    lines = ["%s * x^(%s)" % (format_qform(x.terms[v]), ",".join(map(str, v))) for v in sorted(x.terms)]
-    return "\n".join(lines) or "0"
+    lines = []
+    for vec in sorted(x.terms):
+        lines.append("%s * x^(%s)" % (format_qform(x.terms[vec]), ",".join(map(str, vec))))
+    return "\n".join(lines) if lines else "0"
 
 
 def _reorder_power(form, k, l):

@@ -386,14 +386,17 @@ def _old_format_qform(p):
     return _old_join_signed(_old_monomials(p))
 
 
+def _old_scalar_head(coeff):
+    if len(coeff.items()) != 1:
+        return "+", "(%s)" % _old_format_qform(coeff)
+    ((sign, head),) = _old_monomials(coeff)
+    return sign, "" if head == "1" else head
+
+
 def _old_format_sum(terms):
     pieces = []
     for coeff, factor in terms:
-        if len(coeff.items()) != 1:
-            sign, head = "+", "(%s)" % _old_format_qform(coeff)
-        else:
-            ((sign, head),) = _old_monomials(coeff)
-            head = "" if head == "1" else head
+        sign, head = _old_scalar_head(coeff)
         pieces.append((sign, "*".join(filter(None, (head, factor))) or "1"))
     return _old_join_signed(pieces)
 
