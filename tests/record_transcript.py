@@ -45,34 +45,30 @@ def run(argv, files, where):
     return {"argv": list(argv), "files": files, "stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
 
 
-def _json(payload):
-    return json.dumps(payload)
-
-
-SQUARE = _json({
+SQUARE = json.dumps({
     "faces": [{"id": "F0", "sides": [0, 1, 2]}, {"id": "F1", "sides": [0, 1, 2]}],
     "gluings": [["F0", 2, "F1", 2]],
 })
-ARC = _json({
+ARC = json.dumps({
     "steps": [{"face": "F0", "enter": 1, "exit": 2}, {"face": "F1", "enter": 2, "exit": 1}],
     "closed": False,
     "states": "++",
 })
-TORUS = _json({
+TORUS = json.dumps({
     "faces": [{"id": "F0", "sides": [0, 1, 2]}, {"id": "F1", "sides": [0, 1, 2]}],
     "gluings": [["F0", 0, "F1", 0], ["F0", 1, "F1", 1], ["F0", 2, "F1", 2]],
 })
 # the peripheral loop, each face visited three times, and a loop meeting each face once
-PERIPHERAL = _json({
+PERIPHERAL = json.dumps({
     "steps": [
         {"face": f, "enter": a, "exit": b}
         for f, a, b in (("F0", 0, 1), ("F1", 1, 2), ("F0", 2, 0), ("F1", 0, 1), ("F0", 1, 2), ("F1", 2, 0))
     ],
     "closed": True,
 })
-ALPHA = _json({"steps": [{"face": "F0", "enter": 0, "exit": 1}, {"face": "F1", "enter": 1, "exit": 0}], "closed": True})
-REP = _json({"generators": {"g": [["2", "3"], ["1", "2"]]}})
-REP3 = _json({
+ALPHA = json.dumps({"steps": [{"face": "F0", "enter": 0, "exit": 1}, {"face": "F1", "enter": 1, "exit": 0}], "closed": True})
+REP = json.dumps({"generators": {"g": [["2", "3"], ["1", "2"]]}})
+REP3 = json.dumps({
     "generators": {
         "g": [["2", "3"], ["1", "2"]],
         "h": [["1/2", "-3/4"], ["1", "1/2"]],
@@ -105,7 +101,7 @@ def _plain(*argv):
 
 def cases():
     """(argv, files) of every recorded invocation, in transcript order."""
-    out = [
+    return [
         # the README's command lines, the files its tour writes included
         _plain("normal-form", "b*c"),
         _plain("tangle", "eval", "--word", "cup@0;cap@0"),
@@ -114,7 +110,7 @@ def cases():
         _plain("hopf", "coproduct", "--expr", "a"),
         _plain("braided", "--x", "(|a)", "--y", "(a|)"),
         _qtrace(SQUARE, ARC),
-        _classical("trace", REP, _json({"word": ["g"], "states": "+-", "closed": False})),
+        _classical("trace", REP, json.dumps({"word": ["g"], "states": "+-", "closed": False})),
         _plain("selftest"),
         _plain("selftest", "--json"),
         # one of each CLI request shape of the algebra benchmark
@@ -203,33 +199,33 @@ def cases():
         _qtrace(TORUS, PERIPHERAL),
         _qtrace(TORUS, PERIPHERAL, "--json"),
         _qtrace(TORUS, ALPHA),
-        _qtrace(SQUARE, _json(dict(json.loads(ARC), states="-+"))),
+        _qtrace(SQUARE, json.dumps(dict(json.loads(ARC), states="-+"))),
         _qtrace(SQUARE, "{not json"),
-        _qtrace(SQUARE, _json({"nope": 1})),
-        _qtrace(SQUARE, _json({"steps": [{"face": "F0", "enter": 1, "exit": 1}], "closed": True})),
-        _qtrace(SQUARE, _json(dict(json.loads(ARC), states={"+": 1, "-": 2}))),
-        _qtrace(SQUARE, _json(dict(json.loads(ARC), closed="no"))),
-        _qtrace(_json({"faces": "F0"}), ARC),
+        _qtrace(SQUARE, json.dumps({"nope": 1})),
+        _qtrace(SQUARE, json.dumps({"steps": [{"face": "F0", "enter": 1, "exit": 1}], "closed": True})),
+        _qtrace(SQUARE, json.dumps(dict(json.loads(ARC), states={"+": 1, "-": 2}))),
+        _qtrace(SQUARE, json.dumps(dict(json.loads(ARC), closed="no"))),
+        _qtrace(json.dumps({"faces": "F0"}), ARC),
         (["qtrace", "--surface", "missing.json", "--curve", "curve.json"], {"curve.json": ARC}),
         # and of classical
-        _classical("trace", REP, _json({"word": ["g"], "closed": True})),
-        _classical("cut", REP, _json({"word": ["g", "CUT", "g"], "states": "++", "closed": False})),
-        _classical("cut", REP, _json({"word": ["g", "CUT", "g"], "states": "++"}), "--json"),
-        _classical("trace", REP, _json({"word": ["g", "sqrtO-", "g"], "states": "++"}), "--json"),
-        _classical("trace", REP3, _json({"word": WORD40, "states": "+-"})),
-        _classical("trace", REP3, _json({"word": WORD40, "closed": True})),
-        _classical("trace", REP3, _json({"word": WORD40[:20] + ["~x"] + WORD40[20:], "states": "++"})),
-        _classical("trace", REP, _json({"word": ["h"], "states": "++"})),
-        _classical("trace", REP, _json({"word": ["g"], "states": {"+": 1, "-": 2}})),
-        _classical("trace", REP, _json({"word": ["g"], "states": "+-", "closed": 1})),
+        _classical("trace", REP, json.dumps({"word": ["g"], "closed": True})),
+        _classical("cut", REP, json.dumps({"word": ["g", "CUT", "g"], "states": "++", "closed": False})),
+        _classical("cut", REP, json.dumps({"word": ["g", "CUT", "g"], "states": "++"}), "--json"),
+        _classical("trace", REP, json.dumps({"word": ["g", "sqrtO-", "g"], "states": "++"}), "--json"),
+        _classical("trace", REP3, json.dumps({"word": WORD40, "states": "+-"})),
+        _classical("trace", REP3, json.dumps({"word": WORD40, "closed": True})),
+        _classical("trace", REP3, json.dumps({"word": WORD40[:20] + ["~x"] + WORD40[20:], "states": "++"})),
+        _classical("trace", REP, json.dumps({"word": ["h"], "states": "++"})),
+        _classical("trace", REP, json.dumps({"word": ["g"], "states": {"+": 1, "-": 2}})),
+        _classical("trace", REP, json.dumps({"word": ["g"], "states": "+-", "closed": 1})),
         _classical("trace", REP, SQUARE),
-        _classical("cut", _json({"generators": {"g": [["1/0", "3"], ["1", "2"]]}}), _json({"word": ["g"], "states": "+-"})),
-        _classical("trace", _json({"generators": {"g": [["1", "0"]]}}), _json({"word": ["g"], "states": "+-"})),
-        _classical("trace", _json({"generators": {"g": [["2", "3"], ["1", "3"]]}}), _json({"word": ["g"], "states": "+-"})),
-        _classical("trace", _json({"generators": {"CUT": [["2", "3"], ["1", "2"]]}}), _json({"word": ["CUT"], "states": "+-"})),
-        _classical("trace", "[1, 2", _json({"word": ["g"], "states": "+-"})),
-        (["classical", "trace", "--rep", "missing.json", "--path", "path.json"], {"path.json": _json({"word": ["g"]})}),
-        _classical("trace", "[" * 5000 + "]" * 5000, _json({"word": ["g"], "states": "+-"})),
+        _classical("cut", json.dumps({"generators": {"g": [["1/0", "3"], ["1", "2"]]}}), json.dumps({"word": ["g"], "states": "+-"})),
+        _classical("trace", json.dumps({"generators": {"g": [["1", "0"]]}}), json.dumps({"word": ["g"], "states": "+-"})),
+        _classical("trace", json.dumps({"generators": {"g": [["2", "3"], ["1", "3"]]}}), json.dumps({"word": ["g"], "states": "+-"})),
+        _classical("trace", json.dumps({"generators": {"CUT": [["2", "3"], ["1", "2"]]}}), json.dumps({"word": ["CUT"], "states": "+-"})),
+        _classical("trace", "[1, 2", json.dumps({"word": ["g"], "states": "+-"})),
+        (["classical", "trace", "--rep", "missing.json", "--path", "path.json"], {"path.json": json.dumps({"word": ["g"]})}),
+        _classical("trace", "[" * 5000 + "]" * 5000, json.dumps({"word": ["g"], "states": "+-"})),
         _classical("cut", REP, '{"word": [' + "7" * 5000 + "]}"),
         # the rest of the budget tests' refusals, and of the usage errors
         _plain("normal-form", "(a+d)^64"),
@@ -253,7 +249,6 @@ def cases():
         _plain("tangle", "eval", "--word", "cap@0", "--left"),
         _plain("hopf", "split"),
     ]
-    return out
 
 
 def record():
