@@ -75,6 +75,14 @@ REP3 = json.dumps({
         "k": [["1", "-2/3"], ["0", "1"]],
     }
 })
+REP_FIBERS = json.dumps({
+    "generators": {
+        "g": [["7/4", "1/2"], ["3/2", "1"]],
+        "sqrtO": [["0", "-1"], ["1", "0"]],
+        "O": [["-1", "0"], ["0", "-1"]],
+    }
+})
+PATH_G = json.dumps({"word": ["g"], "states": "+-"})
 WORD40 = ["g", "~h", "sqrtO-", "k", "O", "~g", "h", "~k"] * 5
 # 512 and 1024 coefficient terms, each built by products far inside the size budget
 SPARSE_A = "*".join("(1+q^%d)" % 2**k for k in range(9))
@@ -248,6 +256,18 @@ def cases():
         _plain("tangle", "eval", "--word"),
         _plain("tangle", "eval", "--word", "cap@0", "--left"),
         _plain("hopf", "split"),
+        # classical files with two faults each: which check speaks first
+        _classical("trace", json.dumps({"generators": {"g": [["1/0", "3"], ["1", "2"]], "h": [["1", "0"]]}}), PATH_G),
+        _classical("trace", json.dumps({"generators": {"g": [["2", "3"], ["1", "3"]], "h": [["x", "0"], ["0", "1"]]}}), PATH_G),
+        _classical("trace", json.dumps({"generators": {"~g": [["1", "0"], ["0", "1"]], "h": [["2", "3"], ["1", "3"]]}}), PATH_G),
+        _classical("trace", json.dumps({"generators": {"sqrtO": [["1", "0"], ["0", "1"]], "CUT": [["1", "0"], ["0", "1"]]}}), PATH_G),
+        # the fiber elements given explicitly, and paths through every token
+        _classical("trace", REP_FIBERS, json.dumps({"word": ["g", "sqrtO", "~g", "O"], "states": "-+"})),
+        _classical("trace", REP_FIBERS, json.dumps({"word": ["sqrtO", "g", "O", "sqrtO-"], "closed": True})),
+        _classical("trace", REP3, json.dumps({"word": ["~g", "sqrtO-", "h", "O", "~k"], "states": "+-"})),
+        _classical("trace", REP3, json.dumps({"word": ["~h", "sqrtO-", "O", "~h", "k"], "closed": True}), "--json"),
+        _classical("cut", REP3, json.dumps({"word": ["g", "~h", "CUT", "sqrtO-", "k", "CUT", "O", "~g"], "states": "-+"})),
+        _classical("cut", REP3, json.dumps({"word": ["~k", "CUT", "O", "CUT", "sqrtO-", "~h"], "states": "+-"}), "--json"),
     ]
 
 
