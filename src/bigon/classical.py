@@ -5,14 +5,14 @@ SL2 bundles.  A bundle is represented here by a table of exact SL2(Q)
 matrices for named path pieces, together with two distinguished elements: the
 half fiber turn (written ``sqrtO`` in words) and the full fiber ``O`` = -Id.
 A matrix is four integers over one denominator, checked once in integers when
-it is built from outside; the arithmetic on it is not checked again.
+it is built from outside; a JSON representation is read in one pass per
+matrix, each distinct entry text once.  The arithmetic is not checked again.
 
 Paths are explicit words over the piece names.  Traversal order is the list
 order, so the holonomy is the reversed matrix product.  Tokens:
 
 * ``name``   -- the matrix of the piece;
-* ``~name``  -- the piece run backwards as a good lift, which flips the sign
-  of the inverse matrix;
+* ``~name``  -- the piece run backwards as a good lift: one matrix, -g^-1;
 * ``sqrtO``  -- the half fiber, ``sqrtO-`` its plain inverse;
 * ``O``      -- the full fiber (-Id), e.g. as the correction that makes a
   reversed multi-piece word a good lift again;
@@ -134,6 +134,7 @@ def _rational(e):
 IDENTITY = SL2Matrix.identity()
 HALF_FIBER = SL2Matrix(((0, -1), (1, 0)))
 FIBER = -IDENTITY
+HALF_FIBER_INVERSE = HALF_FIBER.inverse()
 
 
 # an ASCII integer, or p/q with q nonzero
@@ -175,6 +176,23 @@ def _entry(e):
     return value.numerator, value.denominator
 
 
+def _piece(name):
+    """`name`, if a path can reach a piece of that name; else a ValueError."""
+    if name in ("sqrtO-", "CUT") or str(name).startswith("~"):
+        raise ValueError("%r is a path token, not a piece name" % (name,))
+    return name
+
+
+class _Texts(dict):
+    """Entry -> `_entry`'s pair, read at its first lookup."""
+
+    def __missing__(self, e):
+        pair = _entry(e)
+        if type(e) is str:  # 1, 1.0 and True are equal keys that read differently
+            self[e] = pair
+        return pair
+
+
 class GroupoidRep:
     """Named SL2(Q) matrices for path pieces, plus the fiber elements.
 
@@ -182,59 +200,56 @@ class GroupoidRep:
     """
 
     def __init__(self, generators):
-        self.generators = {}
-        for name, matrix in generators.items():
-            if name in ("sqrtO-", "CUT") or str(name).startswith("~"):
-                raise ValueError("%r is a path token, not a piece name" % (name,))
-            if not isinstance(matrix, SL2Matrix):
-                matrix = SL2Matrix(matrix)
-            self.generators[name] = matrix
+        self._hold({_piece(n): m if isinstance(m, SL2Matrix) else SL2Matrix(m) for n, m in generators.items()})
+
+    def _hold(self, generators):
+        """Keep `generators`, checked matrices, once their names pass `_piece` and sqrtO, O are right."""
+        for name in generators:
+            _piece(name)
         for name, required in (("sqrtO", HALF_FIBER), ("O", FIBER)):
-            if name in self.generators:
-                if self.generators[name] != required:
+            if name in generators:
+                if generators[name] != required:
                     text = "[[%s, %s], [%s, %s]]" % (required.rows[0] + required.rows[1])
                     raise ValueError("%s must be %s" % (name, text))
             else:
-                self.generators[name] = required
+                generators[name] = required
+        self.generators = generators
+        return self
 
     @classmethod
     def from_dict(cls, data):
-        """A representation from its JSON object.
+        """A representation from its JSON object, read in one pass per matrix.
 
         * ``generators`` (required): an object mapping each piece name to its
           matrix, a list of two rows, each a list of two entries, else a
           TypeError.  An entry is an integer or a string that
           ``fractions.Fraction`` reads (``"3"``, ``"-1/2"``), else a
-          TypeError; each is read once into ints (`_entry`), and the matrix
-          is checked once in integers: the determinant must be 1, else a
-          ValueError.  Each distinct entry text is read once per call.
+          TypeError; each is read into ints (`_entry`) the first time its
+          text appears, and the matrix is checked once in integers: the
+          determinant must be 1, else a ValueError.
           ``sqrtO`` and ``O`` may be left out; when given they must equal
           [[0, -1], [1, 0]] and -Id.  A name that a path reads as a token
           (``sqrtO-``, ``CUT``, ``~...``) is a ValueError.
+
+        The shapes are checked first, then each matrix in turn, then the names, then sqrtO and O.
         """
         generators = data["generators"]
         if type(generators) is not dict:
             raise TypeError("generators must be an object")
         for rows in generators.values():
-            if type(rows) is not list or [len(r) if type(r) is list else 0 for r in rows] != [2, 2]:
+            top, bottom = rows if type(rows) is list and len(rows) == 2 else (None, None)
+            if not (type(top) is type(bottom) is list and len(top) == len(bottom) == 2):
                 raise TypeError("a matrix must be a list of two rows of two entries")
-        texts = {}
-
-        def read(e):
-            # only a str is a key: 1, 1.0 and True are equal keys that read differently
-            if type(e) is not str:
-                return _entry(e)
-            pair = texts.get(e)
-            if pair is None:
-                pair = texts[e] = _entry(e)
-            return pair
-
-        return cls(
-            {
-                name: SL2Matrix.__new__(SL2Matrix)._check([read(e) for row in rows for e in row])
-                for name, rows in generators.items()
-            }
-        )
+        texts, matrices = _Texts(), {}
+        for name, ((e0, e1), (e2, e3)) in generators.items():
+            try:
+                pairs = texts[e0], texts[e1], texts[e2], texts[e3]
+            except TypeError:  # an unreadable or unhashable entry: `_entry` words the first
+                for e in (e0, e1, e2, e3):
+                    _entry(e)
+                raise
+            matrices[name] = object.__new__(SL2Matrix)._check(pairs)
+        return object.__new__(cls)._hold(matrices)
 
     def to_dict(self):
         return {
@@ -302,10 +317,11 @@ def _token_matrix(rep, token):
     if token == "CUT":
         raise ValueError("cut marker outside the cutting formula")
     if token == "sqrtO-":
-        return HALF_FIBER.inverse()
+        return HALF_FIBER_INVERSE
     if token.startswith("~"):
-        # a piece run backwards as a good lift
-        return -rep.matrix(token[1:]).inverse()
+        # a piece run backwards as a good lift: -g^-1, one matrix
+        m = rep.matrix(token[1:])
+        return _sl2((-m.nums[3], m.nums[1], m.nums[2], -m.nums[0]), m.den)
     return rep.matrix(token)
 
 
@@ -313,17 +329,18 @@ def _fold(rep, word):
     """The reversed product of the word's token matrices, unreduced and unchecked.
 
     Each distinct token's matrix is made once per call (`_token_matrix`), the
-    first time the word uses it.
+    first time the word uses it, and kept as its four integers and denominator.
     """
     table = {}
     n00, n01, n10, n11, den = 1, 0, 0, 1, 1
     for token in word:
-        m = table.get(token)
-        if m is None:
-            m = table[token] = _token_matrix(rep, token)
-        a, b, c, d = m.nums
+        entry = table.get(token)
+        if entry is None:
+            m = _token_matrix(rep, token)
+            entry = table[token] = (*m.nums, m.den)
+        a, b, c, d, e = entry
         n00, n01, n10, n11 = a * n00 + b * n10, a * n01 + b * n11, c * n00 + d * n10, c * n01 + d * n11
-        den *= m.den
+        den *= e
     return _sl2((n00, n01, n10, n11), den)
 
 
@@ -368,12 +385,7 @@ def _split_at_cuts(word):
 
 def splice_cuts(path):
     """The uncut path: each cut mark becomes a backwards half fiber."""
-    word = []
-    for token in path.word:
-        if token == "CUT":
-            word.append("sqrtO-")
-        else:
-            word.append(token)
+    word = ["sqrtO-" if token == "CUT" else token for token in path.word]
     return StatedPath(word, states=path.states, closed=path.closed)
 
 
@@ -399,13 +411,8 @@ def evaluate_at_one(x, values):
     `values` maps each letter to a Fraction; monomial words multiply
     commutatively, coefficients collapse to integers.
     """
-    total = Fraction(0)
-    for word, coeff in x.terms.items():
-        term = Fraction(coeff.specialize(1))
-        for letter in word:
-            term *= values[letter]
-        total += term
-    return total
+    terms = (Fraction(c.specialize(1)) * math.prod(values[g] for g in word) for word, c in x.terms.items())
+    return sum(terms, Fraction(0))
 
 
 def skein_vs_classical(x, rep, dictionary):

@@ -304,10 +304,7 @@ class Triangulation:
                     raise SurfaceError("side %r glued twice" % (end,))
                 used.add(end)
             self.gluings.append((a, b))
-        self._partner = {}
-        for a, b in self.gluings:
-            self._partner[a] = b
-            self._partner[b] = a
+        self._partner = {x: y for a, b in self.gluings for x, y in ((a, b), (b, a))}
 
         derived_boundary = [
             (fid, label)
@@ -326,10 +323,8 @@ class Triangulation:
         # edges: one per gluing, then one per boundary side
         self.edges = [frozenset((a, b)) for a, b in self.gluings]
         self.edges += [frozenset((side,)) for side in self.boundary]
-        self._edge_of = {}
-        for idx, edge in enumerate(self.edges):
-            for side in edge:
-                self._edge_of[side] = idx
+        self._edge_of = {side: idx for idx, edge in enumerate(self.edges) for side in edge}
+        self._face_torus = ambient_torus(self) if self.faces else None
 
     @classmethod
     def from_dict(cls, data):
@@ -358,6 +353,13 @@ class Triangulation:
             "gluings": [[a[0], a[1], b[0], b[1]] for a, b in self.gluings],
             "boundary": [list(side) for side in self.boundary],
         }
+
+    @property
+    def torus(self):
+        """The per-face torus (`ambient_torus`), built once at construction."""
+        if self._face_torus is None:
+            raise ValueError("rank must be positive")
+        return self._face_torus
 
     def face_position(self, fid):
         if fid not in self._face_pos:
@@ -655,7 +657,7 @@ def quantum_trace(tri, curve):
         for (_, _, done, exp), weight in sweep({(start, (), 0, 0): 1}, steps, _lift_step).items():
             add_to(total.setdefault(done, {}), exp, weight)
     parents = {done: link for link, done in table.items()}
-    torus = ambient_torus(tri)
+    torus = tri.torus
     # an id whose lifts cancel across the two runs of a closed curve holds no term
     terms = {_unwind(parents, done, order, torus.rank): HalfLaurent(c) for done, c in total.items() if c}
     return _qt_element(torus, terms)
@@ -663,7 +665,7 @@ def quantum_trace(tri, curve):
 
 def check_balanced(tri, x):
     """True iff every monomial has equal exponents across each glued pair."""
-    if x.torus != ambient_torus(tri):
+    if x.torus != tri.torus:
         raise ValueError("element does not live in the per-face torus")
     pairs = [(tri.variable(*a), tri.variable(*b)) for a, b in tri.gluings]
     return all(vec[i] == vec[j] for vec in x.terms for i, j in pairs)

@@ -23,6 +23,7 @@ from bigon.classical import (
     splice_cuts,
     trace_arc,
     trace_loop,
+    _entry,
 )
 from bigon.hopf import multiply
 
@@ -430,7 +431,7 @@ _TOKENS = ("g", "h", "~g", "~h", "sqrtO", "sqrtO-", "O")
 
 
 def _oracle_mismatches(seed):
-    """The requests, of paths of 0-40 pieces, on which the package and the Fraction oracle differ."""
+    """Requests on paths of 0-40 pieces, and a piece's inverse, where the package and the Fraction oracle differ."""
     rng = seeded(seed)
     bad = []
     for pieces in range(41):
@@ -450,13 +451,16 @@ def _oracle_mismatches(seed):
             "trace_arc": trace_arc(read, StatedPath(word, states=states)),
             "trace_loop": trace_loop(read, StatedPath(word, closed=True)),
             "cut_check": cut_check(read, StatedPath(cut, states=states)),
+            "inverse": read.matrix("g").inverse().rows,
         }
         loop = _fraction_holonomy(rep, word)
+        (a, b), (c, d) = rep.matrix("g").rows
         want = {
             "holonomy": loop,
             "trace_arc": _fraction_arc(rep, word, states),
             "trace_loop": loop[0][0] + loop[1][1],
             "cut_check": _fraction_cut(rep, cut, states),
+            "inverse": ((d, -b), (-c, a)),
         }
         bad += [(pieces, op) for op in got if got[op] != want[op] or type(got[op]) is not type(want[op])]
     return bad
@@ -634,3 +638,237 @@ def test_equal_matrices_compare_and_hash_equal_whatever_their_denominators():
         assert m == expected and hash(m) == hash(expected)
         assert len({m, one, -one}) == 2
     assert one != ((1, 0), (0, 1))
+
+
+# The parent's route into a representation, kept verbatim as the oracle for the
+# one-pass reader: the public constructor converting and checking each piece,
+# `from_dict` reading through a per-entry closure into a list, and the token
+# table making a reversed piece as a negated inverse.
+
+
+class _ParentRep(GroupoidRep):
+    def __init__(self, generators):
+        self.generators = {}
+        for name, matrix in generators.items():
+            if name in ("sqrtO-", "CUT") or str(name).startswith("~"):
+                raise ValueError("%r is a path token, not a piece name" % (name,))
+            if not isinstance(matrix, SL2Matrix):
+                matrix = SL2Matrix(matrix)
+            self.generators[name] = matrix
+        for name, required in (("sqrtO", HALF_FIBER), ("O", FIBER)):
+            if name in self.generators:
+                if self.generators[name] != required:
+                    text = "[[%s, %s], [%s, %s]]" % (required.rows[0] + required.rows[1])
+                    raise ValueError("%s must be %s" % (name, text))
+            else:
+                self.generators[name] = required
+
+    @classmethod
+    def from_dict(cls, data):
+        generators = data["generators"]
+        if type(generators) is not dict:
+            raise TypeError("generators must be an object")
+        for rows in generators.values():
+            if type(rows) is not list or [len(r) if type(r) is list else 0 for r in rows] != [2, 2]:
+                raise TypeError("a matrix must be a list of two rows of two entries")
+        texts = {}
+
+        def read(e):
+            # only a str is a key: 1, 1.0 and True are equal keys that read differently
+            if type(e) is not str:
+                return _entry(e)
+            pair = texts.get(e)
+            if pair is None:
+                pair = texts[e] = _entry(e)
+            return pair
+
+        return cls(
+            {
+                name: SL2Matrix.__new__(SL2Matrix)._check([read(e) for row in rows for e in row])
+                for name, rows in generators.items()
+            }
+        )
+
+
+def _parent_token_matrix(rep, token):
+    if token == "CUT":
+        raise ValueError("cut marker outside the cutting formula")
+    if token == "sqrtO-":
+        return HALF_FIBER.inverse()
+    if token.startswith("~"):
+        # a piece run backwards as a good lift
+        return -rep.matrix(token[1:]).inverse()
+    return rep.matrix(token)
+
+
+def _held(make, arg):
+    """What `make(arg)` holds, name by name in order, as exact integers; or its exception."""
+    try:
+        rep = make(arg)
+    except Exception as err:
+        return type(err), str(err)
+    return [(name, m.nums, m.den) for name, m in rep.generators.items()]
+
+
+def _bench_shaped(rng):
+    """Six pieces, each an upper times a lower shear by amounts such as 3/2, entries as text."""
+    gens = {}
+    for i in range(6):
+        (a, b), (c, d) = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+        for upper in rng.sample([True, False], 2):
+            t = Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])) * rng.choice([1, -1])
+            if upper:
+                b, d = a * t + b, c * t + d
+            else:
+                a, c = a + b * t, c + d * t
+        gens["g%d" % i] = [[str(a), str(b)], [str(c), str(d)]]
+    return {"generators": gens}
+
+
+_GOOD = [["2", "3"], ["1", "2"]]
+_DET_3 = [["2", "3"], ["1", "3"]]
+_ID = [["1", "0"], ["0", "1"]]
+_SQRT_O = [["0", "-1"], ["1", "0"]]
+_MINUS_ID = [["-1", "0"], ["0", "-1"]]
+
+# one fault each, the two well-formed objects at the end
+_MALFORMED = [
+    {},
+    {"generators": []},
+    {"generators": {"g": "ab"}},
+    {"generators": {"g": [["1", "0"]]}},
+    {"generators": {"g": [["1", "0"], ["0", "1"], ["0", "0"]]}},
+    {"generators": {"g": [["1", "0"], "ab"]}},
+    {"generators": {"g": [["1", "0", "0"], ["0", "1"]]}},
+    {"generators": {"g": [("1", "0"), ("0", "1")]}},
+    {"generators": {"g": [["1/0", "3"], ["1", "2"]]}},
+    {"generators": {"g": [["abc", "3"], ["1", "2"]]}},
+    {"generators": {"g": [["7" * 5000, "3"], ["1", "2"]]}},
+    {"generators": {"g": [[1.5, "0"], ["0", "1"]]}},
+    {"generators": {"g": [[True, "0"], ["0", "1"]]}},
+    {"generators": {"g": [["1", None], ["0", "1"]]}},
+    {"generators": {"g": [["1", "0"], [[0], "1"]]}},
+    {"generators": {"g": [["1", "0"], ["0", {"1": 1}]]}},
+    {"generators": {"g": _ID, "h": [["1", "0"], ["0", 1.0]]}},
+    {"generators": {"g": _DET_3}},
+    {"generators": {"g": [["1/2", "0"], ["0", "3"]]}},
+    {"generators": {"~g": _GOOD}},
+    {"generators": {"CUT": _GOOD}},
+    {"generators": {"sqrtO-": _GOOD}},
+    {"generators": {"sqrtO": _ID}},
+    {"generators": {"O": _ID}},
+    {"generators": {"g": _GOOD, "sqrtO": _SQRT_O, "O": _MINUS_ID}},
+    {"generators": {"g": [[2, 3], [1, "2"]], "h": [["2", "3"], [1, 2]]}},
+]
+
+_SHAPE = (TypeError, "a matrix must be a list of two rows of two entries")
+_DET = (ValueError, "determinant is 3, not 1")
+_X = (TypeError, "Invalid literal for Fraction: 'x'")
+
+# two faults each, in both orders: the first in the check order (every shape,
+# then each matrix's entries and determinant in turn, then names, then sqrtO/O) speaks
+_TWO_FAULTS = [
+    ({"g": [["1/0", "3"], ["1", "2"]], "h": [["1", "0"]]}, _SHAPE),
+    ({"h": [["1", "0"]], "g": [["1/0", "3"], ["1", "2"]]}, _SHAPE),
+    ({"sqrtO": _ID, "g": "ab"}, _SHAPE),
+    ({"g": _DET_3, "h": [["x", "0"], ["0", "1"]]}, _DET),
+    ({"h": [["x", "0"], ["0", "1"]], "g": _DET_3}, _X),
+    ({"g": [["2", "x"], [[1], "3"]]}, _X),
+    ({"g": [["2", "3"], [[1], "x"]]}, (TypeError, "a matrix entry must be an integer or a string, not list")),
+    ({"~g": _ID, "h": _DET_3}, _DET),
+    ({"h": _DET_3, "~g": _ID}, _DET),
+    ({"O": _ID, "h": _DET_3}, _DET),
+    ({"sqrtO": _ID, "CUT": _ID}, (ValueError, "'CUT' is a path token, not a piece name")),
+    ({"CUT": _ID, "sqrtO": _ID}, (ValueError, "'CUT' is a path token, not a piece name")),
+    ({"O": _SQRT_O, "sqrtO": _MINUS_ID}, (ValueError, "sqrtO must be [[0, -1], [1, 0]]")),
+]
+
+
+def test_from_dict_holds_what_the_parent_route_held():
+    rng = seeded(21)
+    data = [_rep(rng, "g", "h", "k").to_dict() for _ in range(20)] + [_bench_shaped(rng) for _ in range(20)]
+    assert "7/4" in {e for d in data for rows in d["generators"].values() for row in rows for e in row}
+    for d in data:
+        held = _held(GroupoidRep.from_dict, d)
+        assert type(held) is list and held == _held(_ParentRep.from_dict, d)
+
+
+def test_from_dict_refuses_as_the_parent_route_did():
+    outcomes = [_held(GroupoidRep.from_dict, d) for d in _MALFORMED]
+    assert outcomes == [_held(_ParentRep.from_dict, d) for d in _MALFORMED]
+    assert [type(o) is list for o in outcomes].index(True) == len(_MALFORMED) - 2
+    for generators, first in _TWO_FAULTS:
+        data = {"generators": generators}
+        assert _held(GroupoidRep.from_dict, data) == _held(_ParentRep.from_dict, data) == first
+
+
+def test_the_constructor_holds_and_refuses_as_the_parent_route_did():
+    rng = seeded(22)
+    g = random_sl2(rng)
+    corpus = [
+        {},
+        {"g": g, "h": random_sl2(rng)},
+        {"g": ((2, 3), (1, 2)), "h": (("1/2", 0), (0, 2)), "k": ((Fraction(1, 3), 0), (1, 3))},
+        {"sqrtO": HALF_FIBER, "O": FIBER},
+        {"sqrtO": FIBER},
+        {"O": ((1, 0), (0, 1))},
+        {"g": ((1, 0), (0, 2))},
+        {"g": ((1, 0, 0), (0, 1, 0))},
+        {"g": (("x", 0), (0, 1))},
+        {"~g": g},
+        {"CUT": ((1, 0), (0, 2))},
+        {"g": ((1, 0), (0, 2)), "~g": g},
+        {"~g": g, "h": ((1, 0), (0, 2))},
+        {"sqrtO": FIBER, "CUT": g},
+        {"sqrtO-": ((1, 0),)},
+        {1: g, ("t",): g},
+    ]
+    for generators in corpus:
+        assert _held(GroupoidRep, generators) == _held(_ParentRep, generators)
+
+
+def _token_mismatches(rep):
+    """The tokens on which `_token_matrix` and the parent's table give different matrices or errors."""
+    bad = []
+    for token in ("g", "~g", "h", "~h", "sqrtO", "sqrtO-", "O", "CUT", "x", "~x"):
+        got = _outcome(lambda t: classical._token_matrix(rep, t), token)
+        want = _outcome(lambda t: _parent_token_matrix(rep, t), token)
+        if isinstance(want, SL2Matrix):
+            got, want = (type(got), getattr(got, "rows", got)), (type(want), want.rows)
+        if got != want:
+            bad.append(token)
+    return bad
+
+
+def test_token_matrices_are_the_parent_tables():
+    rng = seeded(23)
+    for _ in range(20):
+        assert _token_mismatches(_rep(rng, "g", "h")) == []
+        shaped = _bench_shaped(rng)["generators"]
+        assert _token_mismatches(GroupoidRep.from_dict({"generators": {"g": shaped["g0"], "h": shaped["g1"]}})) == []
+
+
+def test_a_reversed_piece_dropping_the_sign_is_caught(monkeypatch):
+    token_matrix = classical._token_matrix
+
+    def mutant(rep, token):
+        if token.startswith("~"):
+            m = rep.matrix(token[1:])
+            return classical._sl2((m.nums[3], -m.nums[1], -m.nums[2], m.nums[0]), m.den)
+        return token_matrix(rep, token)
+
+    monkeypatch.setattr(classical, "_token_matrix", mutant)
+    assert _token_mismatches(_rep(seeded(24), "g", "h")) == ["~g", "~h"]
+    assert _oracle_mismatches(1) != []
+
+
+def test_a_reversed_piece_and_the_backwards_half_fiber_are_one_matrix_each(monkeypatch):
+    # -g^-1 is built as one matrix, and sqrtO- is a constant: no inverse or negation per token
+    rep = _rep(seeded(25), "g")
+    calls = []
+    for method in ("inverse", "__neg__"):
+        inner = getattr(SL2Matrix, method)
+        monkeypatch.setattr(SL2Matrix, method, lambda self, inner=inner, name=method: calls.append(name) or inner(self))
+    assert classical._token_matrix(rep, "sqrtO-") is classical.HALF_FIBER_INVERSE
+    assert classical._token_matrix(rep, "~g") == _parent_token_matrix(rep, "~g")
+    assert calls == ["inverse", "__neg__"]

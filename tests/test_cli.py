@@ -11,7 +11,7 @@ import pytest
 from support import random_element, random_scalar, random_tangle, random_word, seeded
 from test_hopf import _letter_fold
 
-from bigon import cli
+from bigon import cli, qtorus
 from bigon.cli import (
     MAX_SIZE,
     ExpressionError,
@@ -632,6 +632,15 @@ def test_qtrace_files(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["terms"] == [{"coefficient": "q", "exponents": [0, 1, 1, 0, 1, 1]}]
+
+
+def test_qtrace_builds_one_torus_per_run(capsys, tmp_path, monkeypatch):
+    # the triangulation builds its per-face torus once; the trace and the balance check read it
+    built, inner = [], qtorus.ambient_torus
+    monkeypatch.setattr(qtorus, "ambient_torus", lambda tri: built.append(tri) or inner(tri))
+    surface, curve = _write(tmp_path, "tri.json", SQUARE), _write(tmp_path, "arc.json", ARC)
+    assert run_cli(capsys, "qtrace", "--surface", surface, "--curve", curve) == (0, "q * x^(0,1,1,0,1,1)\n", "")
+    assert len(built) == 1
 
 
 def test_qtrace_bad_files(capsys, tmp_path):

@@ -290,6 +290,32 @@ def test_deep_product_normal_form():
     assert reduce_bigon(z) == _x_mul(reduce_bigon(x), reduce_bigon(y))
 
 
+def _cold_coefficient_products(monkeypatch, word):
+    """The `HalfLaurent.__mul__` calls that `normal_word(word)` makes with its memo cleared."""
+    calls = []
+    inner = HalfLaurent.__mul__
+    with monkeypatch.context() as m:
+        m.setattr(HalfLaurent, "__mul__", lambda self, other: calls.append(other) or inner(self, other))
+        normal_word.cache_clear()
+        try:
+            normal_word(word)
+        finally:
+            normal_word.cache_clear()
+    return len(calls)
+
+
+def test_cold_normal_word_of_d_n_a_n_makes_two_products_per_term(monkeypatch):
+    # a growth pin by counted work, no timer: the closed-form chunk product makes
+    # one coefficient product per term of d^n a^n and the fold one more, 2(n + 1)
+    assert [_cold_coefficient_products(monkeypatch, "d" * n + "a" * n) for n in (20, 40)] == [42, 82]
+
+
+def test_a_letter_fold_fails_the_growth_pin(monkeypatch):
+    # the one-letter straightening step in place of the chunk product: (n + 1)^2 products
+    monkeypatch.setattr(hopf, "_word_product", lambda w1, w2: sweep({w1: ONE}, w2, _step).items())
+    assert [_cold_coefficient_products(monkeypatch, "d" * n + "a" * n) for n in (20, 40)] == [441, 1681]
+
+
 def test_normal_words_are_fixed():
     for w in basis_words(4):
         assert normal_word(w) == ((w, ONE),)

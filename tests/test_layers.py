@@ -312,13 +312,14 @@ def callers(paths, name):
 
 def test_unchecked_matrices_come_only_from_the_arithmetic():
     # a product, inverse, negation or state table of determinant-one matrices has
-    # determinant one, and so has a path's fold of its token matrices; every matrix
-    # from outside goes through the checking constructor
+    # determinant one, and so has a reversed piece's -g^-1 and a path's fold of its
+    # token matrices; every matrix from outside goes through the checking constructor
     assert callers(sorted(PACKAGE.glob("*.py")), "_sl2") == {
         "SL2Matrix.__mul__",
         "SL2Matrix.inverse",
         "SL2Matrix.__neg__",
         "_state_matrix",
+        "_token_matrix",
         "_fold",
     }
 

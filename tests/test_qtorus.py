@@ -414,6 +414,21 @@ def test_ambient_torus_equals_the_checked_block_sum():
         ambient_torus(Triangulation([], []))
 
 
+def test_a_triangulation_keeps_its_torus_and_the_trace_reads_it(monkeypatch):
+    for tri in (SQUARE, PUNCTURED_TORUS, _strip(5, True, 205)[0]):
+        assert tri.torus == ambient_torus(tri)
+    built = []
+    monkeypatch.setattr(qtorus, "ambient_torus", lambda tri: built.append(tri) or ambient_torus(tri))
+    tri = Triangulation.from_dict(SQUARE.to_dict())
+    x = quantum_trace(tri, NormalCurve(SQUARE_ARCS[0], end_states=("+", "-")))
+    assert x.torus is tri.torus and check_balanced(tri, x)
+    assert built == [tri]
+    faceless = Triangulation([], [])
+    for ask in (lambda: faceless.torus, lambda: check_balanced(faceless, x)):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            ask()
+
+
 # ---------------------------------------------------------------------------
 # quantum traces
 # ---------------------------------------------------------------------------
@@ -751,7 +766,9 @@ def test_oracle_catches_a_per_face_torus_shifted_by_one(monkeypatch):
         return qtorus._torus(3 * count, tuple((i + d, j + d, a) for d in shift for i, j, a in TRIANGLE.form))
 
     monkeypatch.setattr(qtorus, "ambient_torus", shifted)
-    assert all(quantum_trace(tri, curve) != _enumerated_trace(tri, curve) for _, tri, curve in _ORACLE_CASES)
+    # a triangulation builds its torus once, at construction: rebuild each under the mutant
+    rebuilt = [(Triangulation.from_dict(tri.to_dict()), tri, curve) for _, tri, curve in _ORACLE_CASES]
+    assert all(quantum_trace(new, curve) != _enumerated_trace(tri, curve) for new, tri, curve in rebuilt)
 
 
 # stated corner arcs as (v-exponent, sign, triangle exponent vector); the bad
