@@ -231,7 +231,7 @@ class GroupoidRep:
           [[0, -1], [1, 0]] and -Id.  A name that a path reads as a token
           (``sqrtO-``, ``CUT``, ``~...``) is a ValueError.
 
-        The shapes are checked first, then each matrix in turn, then the names, then sqrtO and O.
+        Checked: every shape, then each matrix in turn, then names and sqrtO, O (`_hold`, as in `__init__`).
         """
         generators = data["generators"]
         if type(generators) is not dict:
