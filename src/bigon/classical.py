@@ -203,9 +203,7 @@ class GroupoidRep:
         self._hold({_piece(n): m if isinstance(m, SL2Matrix) else SL2Matrix(m) for n, m in generators.items()})
 
     def _hold(self, generators):
-        """Keep `generators`, checked matrices, once their names pass `_piece` and sqrtO, O are right."""
-        for name in generators:
-            _piece(name)
+        """Keep `generators`, checked matrices under checked names, once sqrtO, O are right."""
         for name, required in (("sqrtO", HALF_FIBER), ("O", FIBER)):
             if name in generators:
                 if generators[name] != required:
@@ -231,7 +229,7 @@ class GroupoidRep:
           [[0, -1], [1, 0]] and -Id.  A name that a path reads as a token
           (``sqrtO-``, ``CUT``, ``~...``) is a ValueError.
 
-        Checked: every shape, then each matrix in turn, then names and sqrtO, O (`_hold`, as in `__init__`).
+        Checked: every shape, then each matrix in turn, then the names, then sqrtO, O (`_hold`).
         """
         generators = data["generators"]
         if type(generators) is not dict:
@@ -249,6 +247,8 @@ class GroupoidRep:
                     _entry(e)
                 raise
             matrices[name] = object.__new__(SL2Matrix)._check(pairs)
+        for name in matrices:
+            _piece(name)
         return object.__new__(cls)._hold(matrices)
 
     def to_dict(self):

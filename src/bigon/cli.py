@@ -603,20 +603,17 @@ _SELFTESTS = [
 
 
 def _cmd_selftest(args):
-    lines = []
-    passed = failed = 0
     results = []
     for name, check in _SELFTESTS:
         try:
             check()
         except AssertionError:
-            failed += 1
-            lines.append("FAIL %s" % name)
             results.append({"name": name, "ok": False})
         else:
-            passed += 1
-            lines.append("ok   %s" % name)
             results.append({"name": name, "ok": True})
+    passed = sum(r["ok"] for r in results)
+    failed = len(results) - passed
+    lines = ["%s %s" % ("ok  " if r["ok"] else "FAIL", r["name"]) for r in results]
     lines.append("%d passed, %d failed" % (passed, failed))
     return "\n".join(lines), {"failed": failed, "passed": passed, "results": results}
 

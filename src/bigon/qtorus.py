@@ -306,12 +306,7 @@ class Triangulation:
             self.gluings.append((a, b))
         self._partner = {x: y for a, b in self.gluings for x, y in ((a, b), (b, a))}
 
-        derived_boundary = [
-            (fid, label)
-            for fid, sides in self.faces
-            for label in sides
-            if (fid, label) not in used
-        ]
+        derived_boundary = [side for side in seen_sides if side not in used]
         if boundary is not None:
             given = {(f, s) for f, s in boundary}
             if given != set(derived_boundary):

@@ -194,15 +194,6 @@ class HalfLaurent:
     def items(self):
         return self._c.items()
 
-    def coefficient(self, exp):
-        return self._c.get(exp, 0)
-
-    def min_exp(self):
-        return min(self._c) if self._c else 0
-
-    def max_exp(self):
-        return max(self._c) if self._c else 0
-
     def conjugate(self):
         """The bar conjugate: v -> v^-1."""
         return HalfLaurent({-e: a for e, a in self._c.items()})
@@ -360,20 +351,6 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero fraction")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def __eq__(self, other):
         other = _coerce_rf(other)

@@ -268,6 +268,9 @@ def cases():
         _classical("trace", REP3, json.dumps({"word": ["~h", "sqrtO-", "O", "~h", "k"], "closed": True}), "--json"),
         _classical("cut", REP3, json.dumps({"word": ["g", "~h", "CUT", "sqrtO-", "k", "CUT", "O", "~g"], "states": "-+"})),
         _classical("cut", REP3, json.dumps({"word": ["~k", "CUT", "O", "CUT", "sqrtO-", "~h"], "states": "+-"}), "--json"),
+        # a word with outgoing strands and no --right
+        _plain("tangle", "eval", "--word", "cup@0"),
+        _plain("tangle", "element", "--word", "cup@0"),
     ]
 
 

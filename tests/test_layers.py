@@ -4,6 +4,8 @@ Every import statement counts, including those inside functions.
 """
 
 import ast
+import collections
+import doctest
 import pathlib
 import re
 
@@ -106,6 +108,68 @@ def test_a_stranded_helper_is_seen(tmp_path):
         "def public():\n    return _used()\n"
     )
     assert stranded_helpers([source]) == ["_recursive"]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _reads(tree):
+    """How often each name is read in `tree`, as a name or as an attribute."""
+    loads = (node for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load))
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in loads
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def readme_names(text):
+    """The names a README's Python session reads and its inline code spans name."""
+    session = "\n".join(re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S))
+    names = set()
+    for example in doctest.DocTestParser().get_examples(session):
+        names.update(_reads(ast.parse(example.source)))
+    spans = re.findall(r"`([\w.]+)(?:\(.*?\))?`", text)
+    return names | {part for span in spans for part in span.split(".")}
+
+
+def unread_public_names(defining, reading, readme=""):
+    """Public functions, classes and methods (dunders exempt) defined in `defining` that no
+    file of `reading` reads outside their own body, and that `readme` does not name."""
+    reads = collections.Counter()
+    for path in reading:
+        reads.update(_reads(ast.parse(path.read_text(), str(path))))
+    named = readme_names(readme)
+    unread = []
+    for path in defining:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in named:
+                continue
+            if reads[node.name] == _reads(node)[node.name]:
+                unread.append(node.name)
+    return unread
+
+
+def test_every_public_name_is_read():
+    reading = [path for folder in ("src", "tests", "bench") for path in sorted((ROOT / folder).rglob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert unread_public_names(sorted(PACKAGE.glob("*.py")), reading, readme) == []
+
+
+def test_a_stranded_public_name_is_seen(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "class Poly:\n    def __len__(self):\n        return 0\n\n"
+        "    def degree(self):\n        return self.lead()\n\n"
+        "    def lead(self):\n        return 0\n\n"
+        "    def coefficient(self, exp):\n        return 0\n\n\n"
+        "def countdown(n):\n    return countdown(n - 1) if n else Poly().degree()\n\n\n"
+        "def shown():\n    return {'coefficient': 0, 'countdown': 1}\n"
+    )
+    readme = "```python\n>>> from mod import shown\n>>> shown()['countdown']\n1\n\n```\n`coefficient*`\n"
+    assert unread_public_names([source], [source], readme) == ["countdown", "coefficient"]
 
 
 def readers(paths, name):

@@ -337,6 +337,28 @@ def test_partner_lookup():
     assert SQUARE.partner("F0", 0) is None
 
 
+def _walked_boundary(tri):
+    """The unglued sides by a second walk over every face's sides, face by face, slot by slot."""
+    glued = {side for gluing in tri.gluings for side in gluing}
+    return [(fid, label) for fid, sides in tri.faces for label in sides if (fid, label) not in glued]
+
+
+def test_the_boundary_is_the_walk_over_every_face_in_order():
+    # `to_dict` writes the boundary and `edges` numbers its sides in this order
+    mixed = Triangulation([("B", ("z", "x", "y")), ("A", (2, 0, 1))], [("A", 0, "B", "y")])
+    built = [SQUARE, PUNCTURED_TORUS, ONE_TRIANGLE, CANCELLING, mixed, Triangulation([], [])]
+    built.append(Triangulation(mixed.faces, [("A", 0, "B", "y")], boundary=reversed(mixed.boundary)))
+    built.append(Triangulation.from_dict(SQUARE.to_dict()))
+    built += [tri for _, tri, _ in _ORACLE_CASES]
+    built += [_strip(faces, mirror, 500 + faces)[0] for faces in range(1, 41) for mirror in (False, True)]
+    assert mixed.boundary == [("B", "z"), ("B", "x"), ("A", 2), ("A", 1)]
+    for tri in built:
+        walk, glued = _walked_boundary(tri), len(tri.gluings)
+        assert tri.boundary == walk
+        assert tri.to_dict()["boundary"] == [list(side) for side in walk]
+        assert [tri.edge_index(*side) for side in walk] == list(range(glued, glued + len(walk)))
+
+
 def test_side_torus_for_one_face():
     tri = Triangulation([("T", (0, 1, 2))], [])
     K = chekhov_fock(tri)
@@ -558,6 +580,7 @@ def test_the_zeroth_power_is_the_unit():
     [
         (lambda: qt_invert(_gen(0) + _gen(1)), ValueError, "only monomials are invertible"),
         (lambda: qt_invert(QTElement.monomial(TRIANGLE, (1, 0, 0), half(0, 2))), ValueError, "not invertible"),
+        (lambda: qt_invert(QTElement.monomial(TRIANGLE, (1, 0, 0), half(0) + half(1))), ValueError, "not invertible"),
         (lambda: NormalCurve([("F0", 0)], end_states="+-"), SurfaceError, "each step is"),
         (
             lambda: quantum_trace(SQUARE, NormalCurve([("F0", 0, 2)], end_states="++")),
@@ -575,6 +598,7 @@ def test_the_zeroth_power_is_the_unit():
     ids=[
         "two-terms",
         "coefficient-2",
+        "two-term-coefficient",
         "two-part-step",
         "ends-inside",
         "unknown-face",

@@ -235,10 +235,9 @@ def test_ratfunc_arithmetic():
     s = x + y
     assert s == RatFunc(half(1, 2), q_power(1) - 1)
     assert x * (half(1) + 1) == RatFunc(ONE)
-    assert (x / y) * y == x
     assert RatFunc(ZERO, half(7)) == RatFunc(ZERO)
-    with pytest.raises(ZeroDivisionError):
-        x / RatFunc(ZERO)
+    with pytest.raises(TypeError):
+        x / y
 
 
 @given(small_poly, small_poly, small_poly)
@@ -266,7 +265,8 @@ def test_ratfunc_reflected_operators_and_text():
     v = half(1)
     x = RatFunc(ONE, v + 1)
     assert 1 - x == RatFunc(v, v + 1)
-    assert 2 / x == 2 * v + 2
+    with pytest.raises(TypeError):
+        2 / x
     assert str(RatFunc(half(3))) == "v^3"
     assert str(x) == "(1) / (v + 1)"
 
