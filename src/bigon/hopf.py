@@ -223,8 +223,11 @@ _DELTA = {
 
 def _coproduct_step(key, g):
     """Both legs times Delta(g): for each cut state, leg 1 times T_ik and leg 2 times T_kj."""
-    for legs in _DELTA[g]:
-        yield from _legs_times(key, legs)
+    w1, w2 = key
+    for u, v in _DELTA[g]:
+        for m1, c1 in normal_word(w1 + u):
+            for m2, c2 in normal_word(w2 + v):
+                yield (m1, m2), c1 * c2
 
 
 @functools.lru_cache(maxsize=None)
