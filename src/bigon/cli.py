@@ -95,12 +95,12 @@ MAX_EXPONENT = 4096
 # charged the coefficient monomials it generates before equal terms merge, at
 # most MAX_SIZE in all, the products of one power counted together and each
 # leg term times its scalar on its own.  In a fresh process,
-# printing included, d^40*a^40 (1600 swaps) takes about 0.24 s and the
-# slowest product found at the bound, (b^20*d^20)*(a^20*c^20), about 1.5 s:
+# printing included, d^40*a^40 (1600 swaps) takes 0.13-0.23 s and the
+# slowest product found at the bound, (b^20*d^20)*(a^20*c^20), 1.1-2.0 s:
 # its closed form multiplies every term of the d*a rule by every term of the
 # b*c rule (2-core machine, Python 3.11.7).  The swaps also bound the output:
 # MAX_SIZE alone accepts d^80*a^80, 7.3 MB of text.  (a+d)^n stops at
-# n = 24, (q+1)^n at n = 512; (a+d)^23 takes about 0.17 s.
+# n = 24, (q+1)^n at n = 512; (a+d)^23 takes 0.2-0.35 s.
 MAX_SWAPS = 1600
 MAX_SIZE = 2**18
 _TOO_MANY_TERMS = "product makes more than %d coefficient terms" % MAX_SIZE
@@ -108,13 +108,13 @@ _TOO_MANY_TERMS = "product makes more than %d coefficient terms" % MAX_SIZE
 # The words of each operand of a hopf subcommand may have at most
 # MAX_OPERAND_LETTERS letters in all.  A coproduct's cost grows faster than
 # linearly in a word's length, so for a given total one long word is the
-# slowest operand: a^12*d^12 takes 1.0-1.3 s to split in a fresh process
+# slowest operand: a^12*d^12 takes 0.6-1.05 s to split in a fresh process
 # (2-core machine, Python 3.11.7).  The pairing forms are read off the normal
 # forms in closed form and stay in milliseconds.
 # A braided product's cost grows steeply with its legs, so there the two
 # operands share the budget, each leg of each term counting one letter more
 # than it has as written; it is checked before any leg is brought to normal
-# form.  (cb|cb|cb|cb|cb|cb) times the unit (|||||) takes about 0.5 s in a
+# form.  (cb|cb|cb|cb|cb|cb) times the unit (|||||) takes 0.35-0.57 s in a
 # fresh process (2-core machine, Python 3.11.7).
 # `tangle element` lifts a word to the product of one generator per right
 # strand, so it takes at most MAX_OPERAND_LETTERS right strands: id24 with

@@ -474,24 +474,11 @@ def canonical_monomials(max_len):
 
 
 def _canonical_word_for(mono):
-    """The canonical word whose normal form has `mono` as its longest term."""
-    r, s = word_weight(mono)
-    length = len(mono)
-    delta = (r - s) // 2  # n - l in either family
-    if r + s >= 0:
-        m = (r + s) // 2
-        mid = "a"
-    else:
-        m = -(r + s) // 2
-        mid = "d"
-    l2 = length - m - delta
-    if l2 < 0 or l2 % 2:
-        raise ValueError("no canonical word matches %r" % mono)
-    l = l2 // 2
-    n = l + delta
-    if n < 0:
-        raise ValueError("no canonical word matches %r" % mono)
-    return "c" * l + mid * m + "b" * n
+    """The canonical word whose normal form has `mono` = a^h x^k d^l as its longest term:
+    c^n a^(h-l) b^n or c^n d^(l-h) b^n for n = min(h, l), x^k joining its own letter's power."""
+    h, x, k, l = mono_parts(mono)
+    n = min(h, l)
+    return "c" * (n + k * (x == "c")) + "a" * (h - l) + "d" * (l - h) + "b" * (n + k * (x == "b"))
 
 
 def to_canonical(x):

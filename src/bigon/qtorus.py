@@ -79,9 +79,11 @@ class QuantumTorus:
 
 
 def _torus(rank, form):
-    """The torus of `rank` with below-diagonal entries `form`, unchecked: only
-    for entries in row-major order that are antisymmetric by construction,
-    block sums of checked tori or sums of face contributions."""
+    """The torus of `rank` with below-diagonal entries `form`, unchecked but for
+    its rank: only for entries in row-major order that are antisymmetric by
+    construction, block sums of checked tori or sums of face contributions."""
+    if rank < 1:
+        raise ValueError("rank must be positive")
     out = object.__new__(QuantumTorus)
     out.rank, out.form = rank, form
     return out
@@ -173,12 +175,11 @@ def qt_invert(x):
     inv_vec = tuple(-e for e in vec)
     # fix the scalar so that x * inverse == 1 exactly
     twist = half(-2 * _reorder_power(x.torus.form, vec, inv_vec))
-    if len(c.items()) != 1:
-        raise ValueError("coefficient %r is not invertible" % c)
-    ((exp, lead),) = c.items()
-    if lead not in (1, -1):
-        raise ValueError("coefficient %r is not invertible" % c)
-    return QTElement.monomial(x.torus, inv_vec, twist * half(-exp, lead))
+    try:
+        inverse = c**-1
+    except ValueError:
+        raise ValueError("coefficient %r is not invertible" % c) from None
+    return QTElement.monomial(x.torus, inv_vec, twist * inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,7 @@ class Triangulation:
     def __init__(self, faces, gluings, boundary=None):
         self.faces = []
         self._face_pos = {}
-        seen_sides = {}
+        self._slot = {}
         for fid, sides in faces:
             sides = tuple(sides)
             if fid in self._face_pos:
@@ -290,35 +291,22 @@ class Triangulation:
             self._face_pos[fid] = len(self.faces)
             self.faces.append((fid, sides))
             for slot, label in enumerate(sides):
-                seen_sides[(fid, label)] = slot
-        self._slot = seen_sides
+                self._slot[(fid, label)] = slot
 
         self.gluings = []
-        used = set()
+        self._partner = {}
         for fa, sa, fb, sb in gluings:
             a, b = (fa, sa), (fb, sb)
-            for end in (a, b):
-                if end not in seen_sides:
+            for end, other in ((a, b), (b, a)):
+                if end not in self._slot:
                     raise SurfaceError("glued side %r does not exist" % (end,))
-                if end in used:
+                if end in self._partner:
                     raise SurfaceError("side %r glued twice" % (end,))
-                used.add(end)
+                self._partner[end] = other
             self.gluings.append((a, b))
-        self._partner = {x: y for a, b in self.gluings for x, y in ((a, b), (b, a))}
 
-        derived_boundary = [side for side in seen_sides if side not in used]
-        if boundary is not None:
-            given = {(f, s) for f, s in boundary}
-            if given != set(derived_boundary):
-                raise SurfaceError("boundary list disagrees with the gluings")
-        self.boundary = derived_boundary
-        # every side is accounted for exactly once
-        assert 3 * len(self.faces) == 2 * len(self.gluings) + len(self.boundary)
-
-        # edges: one per gluing, then one per boundary side
-        self.edges = [frozenset((a, b)) for a, b in self.gluings]
-        self.edges += [frozenset((side,)) for side in self.boundary]
-        self._edge_of = {side: idx for idx, edge in enumerate(self.edges) for side in edge}
+        if boundary is not None and {(f, s) for f, s in boundary} != set(self.boundary):
+            raise SurfaceError("boundary list disagrees with the gluings")
         self._face_torus = ambient_torus(self) if self.faces else None
 
     @classmethod
@@ -370,8 +358,22 @@ class Triangulation:
         """The (face, side) glued to this one, or None on the boundary."""
         return self._partner.get((fid, side))
 
+    @property
+    def boundary(self):
+        """The unglued sides, face by face and slot by slot."""
+        return [side for side in self._slot if side not in self._partner]
+
+    @property
+    def edges(self):
+        """One edge per gluing, then one per boundary side: each the set of its sides."""
+        return [frozenset(gluing) for gluing in self.gluings] + [frozenset((s,)) for s in self.boundary]
+
+    def _edge_numbers(self):
+        """Each (face, side) slot's index in `edges`."""
+        return {side: idx for idx, edge in enumerate(self.edges) for side in edge}
+
     def edge_index(self, fid, side):
-        return self._edge_of[(fid, side)]
+        return self._edge_numbers()[(fid, side)]
 
     def variable(self, fid, side):
         """Index of this side's generator in the per-face tensor torus."""
@@ -387,8 +389,6 @@ def ambient_torus(tri):
     they are not checked again and cost O(F) for F faces.
     """
     count = len(tri.faces)
-    if not count:
-        raise ValueError("rank must be positive")
     form = tuple((i + 3 * pos, j + 3 * pos, a) for pos in range(count) for i, j, a in TRIANGLE.form)
     return _torus(3 * count, form)
 
@@ -401,12 +401,11 @@ def chekhov_fock(tri):
     corners cancel is dropped, so the torus costs O(F) for F faces and its
     entries are antisymmetric by construction.
     """
-    rank = len(tri.edges)
-    if not rank:
-        raise ValueError("rank must be positive")
+    numbers = tri._edge_numbers()
+    rank = len(numbers) - len(tri.gluings)  # a gluing's two sides are one edge
     entries = {}
     for fid, sides in tri.faces:
-        idx = [tri.edge_index(fid, label) for label in sides]
+        idx = [numbers[(fid, label)] for label in sides]
         for a in range(3):
             later, earlier = idx[(a + 1) % 3], idx[a]
             if later > earlier:
@@ -480,9 +479,13 @@ class NormalCurve:
 
 
 def _validate_curve(tri, curve):
+    """Each step's (face position, entering slot, leaving slot), once `curve` is checked on `tri`."""
+    placed = []
     for fid, enter, leave in curve.steps:
-        if tri.slot(fid, enter) == tri.slot(fid, leave):
+        e_slot, l_slot = tri.slot(fid, enter), tri.slot(fid, leave)
+        if e_slot == l_slot:
             raise SurfaceError("step in face %r does not cut a corner" % (fid,))
+        placed.append((tri.face_position(fid), e_slot, l_slot))
     # consecutive steps must pass through a glued edge
     m = len(curve.steps)
     junctions = m if curve.closed else m - 1
@@ -500,6 +503,7 @@ def _validate_curve(tri, curve):
             raise SurfaceError("an open curve must start on the boundary")
         if tri.partner(last_face, last_leave) is not None:
             raise SurfaceError("an open curve must end on the boundary")
+    return placed
 
 
 def _add(u, w):
@@ -623,14 +627,12 @@ def quantum_trace(tri, curve):
     once at the end.  The cost is steps times live partial monomials, not
     2^junctions.
     """
-    _validate_curve(tri, curve)
-    last_visit = {tri.face_position(fid): k for k, (fid, _, _) in enumerate(curve.steps)}
+    placed = _validate_curve(tri, curve)
+    last_visit = {pos: k for k, (pos, _, _) in enumerate(placed)}
     table = {}  # (id before, pushed face vector) to id; the empty sequence is 0
     opened, order, steps = [], [], []
-    for k, (fid, enter, leave) in enumerate(curve.steps):
-        e_slot = tri.slot(fid, enter)
-        corner = 3 - e_slot - tri.slot(fid, leave)
-        pos = tri.face_position(fid)
+    for k, (pos, e_slot, l_slot) in enumerate(placed):
+        corner = 3 - e_slot - l_slot
         # a face stays open from its first visit to its last: the curve fixes
         # where its sums sit in every lift
         first, last = pos not in opened, k == last_visit[pos]

@@ -200,6 +200,9 @@ def format_tangle_word(slices, n0=None):
 # the scalar invariant
 # ---------------------------------------------------------------------------
 
+# (straight, turn-back) weights of the two resolutions of a crossing
+_KAUFFMAN = {"x+": (q_power(1), q_power(-1)), "x-": (q_power(-1), q_power(1))}
+
 
 def _transfer_tables():
     """Local transfer tables of the slice kinds, read from left to right.
@@ -213,7 +216,7 @@ def _transfer_tables():
         "cup": {(): tuple(((b, t), w) for (t, b), w in CUP_ARC.items())},
     }
     pairs = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
-    for kind, straight, turn in (("x+", q_power(1), q_power(-1)), ("x-", q_power(-1), q_power(1))):
+    for kind, (straight, turn) in _KAUFFMAN.items():
         # a crossing sends the top-to-bottom state pair lam to mu, either
         # straight through or by turning back as a cap followed by a cup
         table = {}
@@ -285,8 +288,6 @@ def skein_element(t):
 # independent oracle: Kauffman bracket resolution
 # ---------------------------------------------------------------------------
 
-# (straight, turn-back) weights of the two resolutions of a crossing
-_KAUFFMAN = {"x+": (q_power(1), q_power(-1)), "x-": (q_power(-1), q_power(1))}
 _FRESH = ("C", -1)  # the token of a new cup's two strands, before renumbering
 
 

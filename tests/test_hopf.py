@@ -1307,6 +1307,37 @@ def test_canonical_monomials_enumeration():
         assert to_canonical(from_canonical({w: ONE})) == {w: ONE}
 
 
+def _solved_canonical_word(mono):
+    """The canonical word for `mono` solved from its weight and length: the derivation
+    `hopf._canonical_word_for` had before it read the word's PBW exponents, kept as its oracle."""
+    r, s = word_weight(mono)
+    length = len(mono)
+    delta = (r - s) // 2  # n - l in either family
+    if r + s >= 0:
+        m = (r + s) // 2
+        mid = "a"
+    else:
+        m = -(r + s) // 2
+        mid = "d"
+    l2 = length - m - delta
+    if l2 < 0 or l2 % 2:
+        raise ValueError("no canonical word matches %r" % mono)
+    l = l2 // 2
+    n = l + delta
+    if n < 0:
+        raise ValueError("no canonical word matches %r" % mono)
+    return "c" * l + mid * m + "b" * n
+
+
+def test_the_canonical_word_read_from_the_exponents_matches_the_weight_solve():
+    words = basis_words(12)
+    assert [hopf._canonical_word_for(w) for w in words] == [_solved_canonical_word(w) for w in words]
+    # what `to_canonical` relies on: the word's normal form has `mono` as its longest term
+    for w in basis_words(7):
+        terms = [t for t, _ in normal_word(hopf._canonical_word_for(w))]
+        assert max(terms, key=lambda t: (len(t), t)) == w
+
+
 def test_positivity_sample():
     x = from_canonical({"d": ONE}) * from_canonical({"a": ONE})
     assert is_positive(to_canonical(x))

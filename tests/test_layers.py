@@ -522,3 +522,78 @@ def test_a_laurent_dict_write_is_seen(tmp_path):
         "ring.swap",
         "ring.<module>",
     }
+
+
+def _is_none_test(node):
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, (ast.Is, ast.IsNot)) and isinstance(right, ast.Constant) and right.value is None
+        for op, right in zip(node.ops, node.comparators)
+    )
+
+
+def _is_hasattr_test(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "hasattr"
+
+
+def _assigned(body):
+    """The nodes that the assignments anywhere in `body`, a list of statements, write."""
+    return [
+        w
+        for st in body
+        for n in ast.walk(st)
+        if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (n.targets if isinstance(n, ast.Assign) else [n.target])
+        for w in _written(target)
+    ]
+
+
+def kept_values(paths):
+    """The ("module.unit", name) of every value that a unit of `paths` keeps across calls
+    outside `lru_cache`: a `global` name assigned under an `is None` test, or a `self`
+    attribute assigned under a `hasattr` test."""
+    out = set()
+    for path in paths:
+        for st in ast.parse(path.read_text(), str(path)).body:
+            for label, node in _units(st):
+                label = "%s.%s" % (path.stem, label)
+                declared = {name for n in ast.walk(node) if isinstance(n, ast.Global) for name in n.names}
+                for test in (n for n in ast.walk(node) if isinstance(n, ast.If)):
+                    conditions, written = list(ast.walk(test.test)), _assigned(test.body)
+                    if any(map(_is_none_test, conditions)):
+                        out |= {(label, w.id) for w in written if isinstance(w, ast.Name) and w.id in declared}
+                    if any(map(_is_hasattr_test, conditions)):
+                        out |= {
+                            (label, w.attr)
+                            for w in written
+                            if isinstance(w, ast.Attribute) and isinstance(w.value, ast.Name) and w.value.id == "self"
+                        }
+    return out
+
+
+# each measured against its recomputation: `main`'s parser saves argparse's build on every
+# reply after the first, and a Temperley-Lieb element's fraction-free form is read by every
+# product it enters, most of all by Jones-Wenzl's; nothing else, and no triangulation fact, is kept
+KEPT_VALUES = {("cli.main", "_parser"), ("tangle.TLElement._fraction_free", "_common")}
+
+
+def test_the_values_kept_across_calls_are_the_two_measured_ones():
+    assert kept_values(sorted(PACKAGE.glob("*.py"))) == KEPT_VALUES
+
+
+def test_a_value_kept_across_calls_is_seen(tmp_path):
+    source = tmp_path / "qtorus.py"
+    source.write_text(
+        "_TABLE = None\n_COUNT = 0\n\n\n"
+        "def table():\n    global _TABLE\n    if _TABLE is None:\n        _TABLE = {}\n    return _TABLE\n\n\n"
+        "def count(x=None):\n    global _COUNT\n    _COUNT += 1\n    if x is None:\n        x = 0\n    return x\n\n\n"
+        "class Triangulation:\n"
+        "    def __init__(self, gluings=None):\n"
+        "        if gluings is None:\n            gluings = []\n        self.gluings = gluings\n\n"
+        "    @property\n    def edges(self):\n"
+        "        if not hasattr(self, '_edges'):\n            self._edges, other = list(self.gluings), 0\n"
+        "        return self._edges\n\n"
+        "    def edge_index(self, side):\n"
+        "        if hasattr(side, 'index'):\n            side.cached = 1\n            edges = self.edges\n"
+        "        return edges.index(side)\n"
+    )
+    assert kept_values([source]) == {("qtorus.table", "_TABLE"), ("qtorus.Triangulation.edges", "_edges")}
